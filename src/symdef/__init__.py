@@ -10,18 +10,11 @@ integrability conditions of infinitesimal deformations.
 __version__ = "0.1.0"
 
 from .kernel import (  # noqa: F401
-    NO_SOLUTION,
-    LinearSolution,
-    NoSolution,
     ParamAlgebra,
     ParamScalar,
-    QMatrix,
     UsageError,
     format_rational,
-    param_mul,
-    param_substitute,
     parse_rational,
-    solve_linear_system,
 )
 from .geometry import (  # noqa: F401
     CLASSICAL,

@@ -42,7 +42,7 @@ from .geometry import (
     sl2_basis,
     vf_bracket,
 )
-from .kernel import InternalError, UsageError, scalar_as_fraction
+from .kernel import InternalError, SolvedSystem, UsageError, matrix_rank, scalar_as_fraction
 from .operators import (
     AnyOp,
     DiffOp,
@@ -71,7 +71,7 @@ DEFAULT_CONVENTION = SignConvention(1, 1)
 
 @dataclass(frozen=True)
 class BoundsSpec:
-    """Truncation控制: witness operator order and coefficient degree caps."""
+    """Truncation bounds: witness operator order and coefficient degree caps."""
 
     max_operator_order: int
     max_coefficient_degree: int
@@ -542,137 +542,114 @@ def cochain_block(c: Cochain) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _d1_columns(cache: BlockCache, basis: list[tuple[int, tuple]], parity: int,
-                convention: SignConvention) -> list[dict]:
-    """Column coordinates of d1 on basis cochains (slot, monomial).
-
-    Mirrors d1 exactly; the agreement is pinned by tests on random slices.
-    """
-    ctx = cache.ctx
-    sa, sb = convention.action_sign, convention.bracket_sign
-    par = ctx.parities
-    pairs = ctx.canonical_pairs()
-    cols = []
-    for (slot, mon) in basis:
-        col: dict = {}
-        for (i, j) in pairs:
-            if j == slot:
-                factor = sa * _sign(parity * par[i])
-                for mon2, val in cache.act_monomial(i, mon):
-                    rkey = ((i, j), mon2)
-                    acc = col.get(rkey, 0) + factor * val
-                    if acc:
-                        col[rkey] = acc
-                    else:
-                        col.pop(rkey, None)
-            if i == slot:
-                factor = -sa * _sign(par[j] * (parity + par[i]))
-                for mon2, val in cache.act_monomial(j, mon):
-                    rkey = ((i, j), mon2)
-                    acc = col.get(rkey, 0) + factor * val
-                    if acc:
-                        col[rkey] = acc
-                    else:
-                        col.pop(rkey, None)
-            coeff = ctx.structure[(i, j)][slot]
-            if coeff:
-                rkey = ((i, j), mon)
-                acc = col.get(rkey, 0) - sb * coeff
-                if acc:
-                    col[rkey] = acc
-                else:
-                    col.pop(rkey, None)
-        cols.append(col)
-    return cols
-
-
-def _d0_columns(cache: BlockCache, basis: list[tuple], parity: int,
-                convention: SignConvention) -> list[dict]:
-    ctx = cache.ctx
-    sa = convention.action_sign
-    cols = []
-    for mon in basis:
-        col: dict = {}
-        for i in range(ctx.dim):
-            factor = sa * _sign(ctx.parities[i] * parity)
-            for mon2, val in cache.act_monomial(i, mon):
-                rkey = (i, mon2)
-                acc = col.get(rkey, 0) + factor * val
-                if acc:
-                    col[rkey] = acc
-                else:
-                    col.pop(rkey, None)
-        cols.append(col)
-    return cols
-
-
-def _d2_columns(cache: BlockCache, basis: list[tuple[tuple, tuple]], parity: int,
-                convention: SignConvention) -> list[dict]:
-    """d2 on basis 2-cochains, via the generic differential (cool path)."""
-    ctx = cache.ctx
-    pairs = ctx.canonical_pairs()
-    zero = cache.monomial_op(basis[0][1]).scale(0) if basis else None
-    cols = []
-    for (slot_pair, mon) in basis:
-        images = {pk: zero for pk in pairs}
-        images[slot_pair] = cache.monomial_op(mon)
-        w = Cochain2(ctx.name, images, parity)
-        col: dict = {}
-        for triple, val in d2(w, convention).items():
-            for mon2, fr in cache.coords(val).items():
-                col[(triple, mon2)] = fr
-        cols.append(col)
-    return cols
-
-
-def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
-                             parity: int, key: int):
-    """Basis of the bounded weight-key slice of C^degree."""
-    ctx = cache.ctx
+def _cochain_slots(ctx: AlgebraContext, degree: int) -> list[tuple]:
+    """(slot, doubled slot weight, slot parity) of C^degree; degree 0 has
+    the single slot None."""
     if degree == 0:
-        return [mon for mon in cache.monomials(bounds, key=key, parity=parity)]
+        return [(None, 0, 0)]
     if degree == 1:
-        out = []
-        for slot in range(ctx.dim):
-            img_parity = (parity + ctx.parities[slot]) & 1
-            for mon in cache.monomials(bounds, key=key + ctx.weights2[slot], parity=img_parity):
-                out.append((slot, mon))
-        return out
+        return [(i, ctx.weights2[i], ctx.parities[i]) for i in range(ctx.dim)]
     if degree == 2:
-        out = []
-        for (i, j) in ctx.canonical_pairs():
-            img_parity = (parity + ctx.parities[i] + ctx.parities[j]) & 1
-            wt = ctx.weights2[i] + ctx.weights2[j]
-            for mon in cache.monomials(bounds, key=key + wt, parity=img_parity):
-                out.append(((i, j), mon))
-        return out
+        return [((i, j), ctx.weights2[i] + ctx.weights2[j], ctx.parities[i] ^ ctx.parities[j])
+                for (i, j) in ctx.canonical_pairs()]
     raise UsageError("cochain degree must be 0, 1 or 2")
 
 
-def _differential_columns(cache: BlockCache, degree: int, basis, parity: int,
+def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
+                             parity: int, key: int) -> list:
+    """Basis of the bounded weight-key slice of C^degree: monomials in
+    degree 0, (slot, monomial) pairs otherwise."""
+    return [mon if slot is None else (slot, mon)
+            for slot, wt, slot_parity in _cochain_slots(cache.ctx, degree)
+            for mon in cache.monomials(bounds, key=key + wt, parity=parity ^ slot_parity)]
+
+
+def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
+    """(slot, sign) with w(*args) = sign * w[slot], or None where w vanishes
+    identically (an even diagonal)."""
+    if len(args) < 2:
+        return (args[0] if args else None), 1
+    x, y = args
+    if x < y or (x == y and par[x]):
+        return (x, y), 1
+    if x == y:
+        return None
+    return (y, x), (1 if par[x] and par[y] else -1)
+
+
+@lru_cache(maxsize=None)
+def _ce_table(algebra: str, degree: int, parity: int, convention: SignConvention) -> dict:
+    """The terms of d^degree on cochains of one parity, grouped by the
+    input slot they read: slot -> [(output key, generator or None for the
+    identity, coefficient)].
+
+    This is the formula of the module docstring: action term a reads w with
+    x_a omitted, with sign (-1)^a times the Koszul sign of moving x_a past w
+    and x_0..x_{a-1}; bracket term a < b reads w([x_a, x_b], rest), with
+    sign (-1)^(a+b) times the Koszul sign of moving x_a and x_b to the front.
+    """
+    ctx = get_algebra(algebra)
+    par = ctx.parities
+    sa, sb = convention.action_sign, convention.bracket_sign
+    outputs = [(i,) for i in range(ctx.dim)] if degree == 0 else (
+        ctx.canonical_pairs() if degree == 1 else ctx.canonical_triples())
+    table: dict = {}
+
+    def add(out, gen, coeff, args):
+        hit = _canonical_slot(par, args)
+        if coeff and hit is not None:
+            table.setdefault(hit[0], []).append((out, gen, coeff * hit[1]))
+
+    for xs in outputs:
+        out = xs[0] if degree == 0 else xs
+        before = [sum(par[x] for x in xs[:a]) for a in range(len(xs))]
+        for a, x in enumerate(xs):
+            add(out, x, sa * _sign(a + par[x] * (parity + before[a])), xs[:a] + xs[a + 1:])
+        for a in range(len(xs)):
+            for b in range(a + 1, len(xs)):
+                koszul = par[xs[a]] * before[a] + par[xs[b]] * (before[b] - par[xs[a]])
+                rest = xs[:a] + xs[a + 1:b] + xs[b + 1:]
+                for g, coeff in enumerate(ctx.structure[(xs[a], xs[b])]):
+                    add(out, None, sb * coeff * _sign(a + b + koszul), (g,) + rest)
+    return table
+
+
+def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int,
                           convention: SignConvention) -> list[dict]:
-    if degree == 0:
-        return _d0_columns(cache, basis, parity, convention)
-    if degree == 1:
-        return _d1_columns(cache, basis, parity, convention)
-    return _d2_columns(cache, basis, parity, convention)
+    """Coordinates of d^degree on each basis cochain, {(output key, monomial): value}.
+
+    Agreement with the typed d0/d1/d2 is pinned by tests."""
+    table = _ce_table(cache.ctx.name, degree, parity, convention)
+    cols = []
+    for item in basis:
+        slot, mon = (None, item) if degree == 0 else item
+        col: dict = {}
+        for out, gen, coeff in table.get(slot, ()):
+            image = ((mon, 1),) if gen is None else cache.act_monomial(gen, mon)
+            for mon2, val in image:
+                rkey = (out, mon2)
+                acc = col.get(rkey, 0) + coeff * val
+                if acc:
+                    col[rkey] = acc
+                else:
+                    col.pop(rkey, None)
+        cols.append(col)
+    return cols
 
 
-def _dense_system(cols: list[dict], extra_rows=()):
-    """Assign deterministic row indices and densify columns."""
-    keys = set()
-    for col in cols:
-        keys.update(col)
-    for rhs in extra_rows:
-        keys.update(rhs)
-    row_index = {k: n for n, k in enumerate(sorted(keys))}
-    nrows = len(row_index)
-    dense = []
-    for r in range(nrows):
-        dense.append([Fraction(0)] * len(cols))
+def _densify(cols: list[dict], skip=frozenset()) -> tuple[list[list[Fraction]], dict]:
+    """Dense rows over the sorted row keys of `cols` (less `skip`), and the
+    row index.  Rows start from a shared zero; only nonzero entries are
+    written."""
+    keys = sorted({k for col in cols for k in col if k not in skip})
+    row_index = {k: n for n, k in enumerate(keys)}
+    zero = Fraction(0)
+    dense = [[zero] * len(cols) for _ in keys]
     for cnum, col in enumerate(cols):
         for k, v in col.items():
-            dense[row_index[k]][cnum] = Fraction(v)
+            n = row_index.get(k)
+            if n is not None:
+                dense[n][cnum] = v
     return dense, row_index
 
 
@@ -691,6 +668,14 @@ class NoSolutionWithinBounds:
     bounds: BoundsSpec
 
 
+@dataclass
+class Decomposition:
+    """c = coeff * family + d(witness), exactly."""
+
+    coeff: Fraction
+    witness: Union[Cochain0, Cochain1]
+
+
 def default_witness_bounds(c: Cochain) -> BoundsSpec:
     """Generous default truncation, relative to the cocycle's own size."""
     lam, mu = cochain_block(c)
@@ -704,64 +689,85 @@ def default_witness_bounds(c: Cochain) -> BoundsSpec:
 
 
 def _cochain_coords(cache: BlockCache, c: Cochain) -> dict:
-    out = {}
-    if isinstance(c, Cochain1):
-        for slot, im in enumerate(c.images):
-            for mon, fr in cache.coords(im).items():
-                out[(slot, mon)] = fr
-    else:
-        for pair, im in c.images.items():
-            for mon, fr in cache.coords(im).items():
-                out[(pair, mon)] = fr
-    return out
+    images = enumerate(c.images) if isinstance(c, Cochain1) else c.images.items()
+    return {(slot, mon): fr for slot, im in images for mon, fr in cache.coords(im).items()}
 
 
 def _assemble_witness(cache: BlockCache, degree: int, basis, vector) -> Union[Cochain0, Cochain1]:
     ctx = cache.ctx
-    if degree == 0:
-        acc = None
-        for mon, coeff in zip(basis, vector):
-            if coeff:
-                term = cache.monomial_op(mon).scale(coeff)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = cache.monomial_op((0, 0) if ctx.flavor == CLASSICAL else (0, 0, 0)).scale(0)
-        return Cochain0(ctx.name, acc)
-    images = [None] * ctx.dim
     zero = cache.monomial_op((0, 0) if ctx.flavor == CLASSICAL else (0, 0, 0)).scale(0)
-    for (slot, mon), coeff in zip(basis, vector):
+    images = [zero] * (1 if degree == 0 else ctx.dim)
+    for item, coeff in zip(basis, vector):
         if coeff:
-            term = cache.monomial_op(mon).scale(coeff)
-            images[slot] = term if images[slot] is None else images[slot] + term
-    return Cochain1(ctx.name, [im if im is not None else zero for im in images])
+            slot, mon = (0, item) if degree == 0 else item
+            images[slot] = images[slot] + cache.monomial_op(mon).scale(coeff)
+    return Cochain0(ctx.name, images[0]) if degree == 0 else Cochain1(ctx.name, images)
 
 
 _SOLVER_CACHE: dict[tuple, tuple] = {}
 
 
-def _slice_solver(cache_key, cache: BlockCache, degree: int, bounds: BoundsSpec,
-                  parity: int, key: int, convention: SignConvention):
-    """Cached RREF of the slice differential C^{deg} -> C^{deg+1}."""
-    from .kernel import SolvedSystem
+def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: int, key: int,
+                  convention: SignConvention, lead: Optional[dict] = None):
+    """(basis, row index, SolvedSystem) of the slice system [lead | d^degree]
+    at one weight key.  Only systems without a lead column are cached: they
+    serve every cocycle of the block, while a lead column is one family's."""
+    full_key = (cache.ctx.name, cache.lam, cache.mu, degree, bounds, parity, key, convention)
+    hit = _SOLVER_CACHE.get(full_key) if lead is None else None
+    if hit is None:
+        basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
+        cols = _differential_columns(cache, degree, basis, parity, convention)
+        if lead is not None:
+            cols.insert(0, lead)
+        dense, row_index = _densify(cols)
+        hit = (basis, row_index, SolvedSystem(dense, len(cols)))
+        if lead is None:
+            _SOLVER_CACHE[full_key] = hit
+    return hit
 
-    full_key = (cache_key, degree, bounds, parity, key, convention)
-    hit = _SOLVER_CACHE.get(full_key)
-    if hit is not None:
-        return hit
-    basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-    cols = _differential_columns(cache, degree, basis, parity, convention) if basis else []
-    keys = set()
-    for col in cols:
-        keys.update(col)
-    row_index = {k: n for n, k in enumerate(sorted(keys))}
-    dense = [[Fraction(0)] * len(cols) for _ in row_index]
-    for cnum, col in enumerate(cols):
-        for k, v in col.items():
-            dense[row_index[k]][cnum] = Fraction(v)
-    system = SolvedSystem(dense, len(cols))
-    out = (basis, row_index, system)
-    _SOLVER_CACHE[full_key] = out
-    return out
+
+def _solve_by_weight(c: Cochain, bounds: BoundsSpec, convention: SignConvention,
+                     family: Optional[Cochain] = None):
+    """Solve c = t * family + d(b) exactly, one weight key at a time, with b
+    within bounds.  NoSolutionWithinBounds when some slice has no solution
+    or the family is itself a bounded coboundary (t would not be unique)."""
+    lam, mu = cochain_block(c)
+    cache = block_cache(c.algebra, lam, mu)
+    degree = 1 if isinstance(c, Cochain2) else 0
+    keys = set(cochain_weight_keys(c))
+    family_key = None
+    if family is not None:
+        family_keys = cochain_weight_keys(family)
+        if len(family_keys) != 1:
+            raise UsageError("the family must be nonzero and lie in a single weight key")
+        if cochain_block(family) != (lam, mu) or family.algebra != c.algebra:
+            raise UsageError("the family must live on the cochain's block")
+        family_key = family_keys[0]
+        keys.add(family_key)
+    t = Fraction(0)
+    basis: list = []
+    vector: list[Fraction] = []
+    for key in sorted(keys):
+        try:
+            rhs_coords = _cochain_coords(cache, cochain_weight_slice(c, key))
+        except UsageError:
+            raise UsageError("slice solving expects parameter-free coefficients")
+        lead = _cochain_coords(cache, family) if key == family_key else None
+        slice_basis, row_index, system = _slice_system(
+            cache, degree, bounds, c.parity, key, convention, lead)
+        if any(k not in row_index for k in rhs_coords):
+            return NoSolutionWithinBounds(bounds)
+        rhs = [Fraction(0)] * len(row_index)
+        for k, v in rhs_coords.items():
+            rhs[row_index[k]] = v
+        solution = system.solve(rhs)
+        if solution is None or (lead is not None and any(null[0] for null in system.nullspace())):
+            return NoSolutionWithinBounds(bounds)
+        if lead is not None:
+            t, solution = solution[0], solution[1:]
+        basis.extend(slice_basis)
+        vector.extend(solution)
+    return Decomposition(t, _assemble_witness(cache, degree, basis, vector))
 
 
 def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None,
@@ -776,52 +782,27 @@ def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None,
         bounds = default_witness_bounds(c)
     if not is_cocycle(c, convention):
         raise UsageError("coboundary_solve expects a cocycle")
-    lam, mu = cochain_block(c)
-    cache = block_cache(get_algebra(c.algebra).name, lam, mu)
-    degree = 1 if isinstance(c, Cochain2) else 0
-    parity = c.parity
-    pieces = []
-    for key in cochain_weight_keys(c):
-        c_slice = cochain_weight_slice(c, key)
-        try:
-            rhs_coords = _cochain_coords(cache, c_slice)
-        except UsageError:
-            raise UsageError("coboundary_solve expects parameter-free coefficients")
-        basis, row_index, system = _slice_solver(
-            (c.algebra, lam, mu), cache, degree, bounds, parity, key, convention
-        )
-        if any(k not in row_index for k in rhs_coords):
-            return NoSolutionWithinBounds(bounds)
-        rhs = [Fraction(0)] * len(row_index)
-        for k, v in rhs_coords.items():
-            rhs[row_index[k]] = Fraction(v)
-        solution = system.solve(rhs)
-        if solution is None:
-            return NoSolutionWithinBounds(bounds)
-        pieces.append(_assemble_witness(cache, degree, basis, solution))
-    if not pieces:
-        # the zero cochain: witness zero
-        zero_mon = (0, 0) if cache.ctx.flavor == CLASSICAL else (0, 0, 0)
-        zero = cache.monomial_op(zero_mon).scale(0)
-        if degree == 0:
-            witness: Union[Cochain0, Cochain1] = Cochain0(c.algebra, zero)
-        else:
-            witness = Cochain1(c.algebra, [zero] * cache.ctx.dim)
-    else:
-        witness = pieces[0]
-        for extra in pieces[1:]:
-            if degree == 0:
-                witness = Cochain0(c.algebra, witness.value + extra.value, witness.parity)
-            else:
-                witness = witness + extra
-    check = d0(witness, convention) if degree == 0 else d1(witness, convention)
-    if isinstance(c, Cochain1):
-        ok = all(a == b for a, b in zip(check.images, c.images))
-    else:
-        ok = all(check.images[k] == c.images[k] for k in c.images)
-    if not ok:
+    solved = _solve_by_weight(c, bounds, convention)
+    if isinstance(solved, NoSolutionWithinBounds):
+        return solved
+    witness = solved.witness
+    check = d0(witness, convention) if isinstance(witness, Cochain0) else d1(witness, convention)
+    if check.images != c.images:
         raise InternalError("witness failed the exact re-check")
     return Witness(witness)
+
+
+def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] = None,
+                      convention: SignConvention = DEFAULT_CONVENTION):
+    """Write c = t * family + d(b) with b within bounds.
+
+    The family must be nonzero, live on c's block and lie in a single
+    weight key (Phi:k lies in key -2k, Omega:k in 1-2k).  Returns a
+    Decomposition, or NoSolutionWithinBounds when no split exists within
+    bounds or the family is itself a bounded coboundary."""
+    if bounds is None:
+        bounds = default_witness_bounds(c)
+    return _solve_by_weight(c, bounds, convention, family)
 
 
 def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec] = None,
@@ -829,8 +810,6 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     """True when no nonzero rational combination of the given cocycles is a
     coboundary within bounds (in particular they are linearly independent
     in the truncated cohomology)."""
-    from .kernel import matrix_rank
-
     if not cocycles:
         return True
     first = cocycles[0]
@@ -860,10 +839,9 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
         for col in _differential_columns(cache, degree, basis, parity, convention):
             boundary_cols.append({(key, rk): v for rk, v in col.items()})
-    dense_all, _ = _dense_system(cocycle_cols + boundary_cols)
-    dense_bnd, _ = _dense_system(boundary_cols, extra_rows=cocycle_cols)
-    rank_all = matrix_rank(dense_all, len(cocycle_cols) + len(boundary_cols))
-    rank_bnd = matrix_rank(dense_bnd, len(boundary_cols))
+    rank_all = matrix_rank(_densify(cocycle_cols + boundary_cols)[0],
+                           len(cocycle_cols) + len(boundary_cols))
+    rank_bnd = matrix_rank(_densify(boundary_cols)[0], len(boundary_cols))
     return rank_all == rank_bnd + len(cocycles)
 
 
@@ -887,8 +865,6 @@ def default_dimension_bounds(lam, mu) -> BoundsSpec:
 
 def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
                     convention: SignConvention) -> dict[int, int]:
-    from .kernel import matrix_rank
-
     cache = block_cache(algebra, lam, mu)
     ctx = cache.ctx
     # Witnesses never need to outgrow the cocycles they bound (the Euler
@@ -899,24 +875,13 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
     per_weight: dict[int, int] = {}
     for parity in parities:
         # candidate weight keys arising anywhere in the bounded enumeration
-        keys = set()
-        if degree == 1:
-            for slot in range(ctx.dim):
-                img_par = (parity + ctx.parities[slot]) & 1
-                for mon in cache.monomials(bounds, parity=img_par):
-                    keys.add(cache.monomial_key(mon) - ctx.weights2[slot])
-        else:
-            for (i, j) in ctx.canonical_pairs():
-                img_par = (parity + ctx.parities[i] + ctx.parities[j]) & 1
-                for mon in cache.monomials(bounds, parity=img_par):
-                    keys.add(cache.monomial_key(mon) - ctx.weights2[i] - ctx.weights2[j])
+        keys = {cache.monomial_key(mon) - wt
+                for _, wt, slot_parity in _cochain_slots(ctx, degree)
+                for mon in cache.monomials(bounds, parity=parity ^ slot_parity)}
         for key in sorted(keys):
             basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-            if not basis:
-                continue
             cols = _differential_columns(cache, degree, basis, parity, convention)
-            dense, _ = _dense_system(cols)
-            ker = len(basis) - matrix_rank(dense, len(basis))
+            ker = len(basis) - matrix_rank(_densify(cols)[0], len(basis))
             if not ker:
                 continue
             # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
@@ -924,12 +889,8 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
             image = 0
             if prev_basis:
                 prev_cols = _differential_columns(cache, degree - 1, prev_basis, parity, convention)
-                inside = {(slot, mon) for (slot, mon) in basis}
-                all_rows = sorted({rk for col in prev_cols for rk in col})
-                out_rows = [rk for rk in all_rows if rk not in inside]
-                dense_all = [[col.get(rk, Fraction(0)) for col in prev_cols] for rk in all_rows]
-                dense_out = [[col.get(rk, Fraction(0)) for col in prev_cols] for rk in out_rows]
-                image = matrix_rank(dense_all, len(prev_cols)) - matrix_rank(dense_out, len(prev_cols))
+                image = (matrix_rank(_densify(prev_cols)[0], len(prev_cols))
+                         - matrix_rank(_densify(prev_cols, skip=set(basis))[0], len(prev_cols)))
             dim = ker - image
             if dim:
                 per_weight[key] = per_weight.get(key, 0) + dim

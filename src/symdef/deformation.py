@@ -43,22 +43,15 @@ from .cohomology import (
     NoSolutionWithinBounds,
     SignConvention,
     algebra_for_flavor,
-    block_cache,
     coboundary_solve,
-    cochain_weight_keys,
-    cochain_weight_slice,
     d1,
-    _cochain_coords,
-    _assemble_witness,
-    _differential_columns,
-    _enumerate_cochain_basis,
+    decompose_cocycle,
 )
 from .geometry import CLASSICAL, SUPER
 from .kernel import (
     InternalError,
     ParamAlgebra,
     ParamScalar,
-    SolvedSystem,
     UsageError,
     format_rational,
     parse_rational,
@@ -73,6 +66,14 @@ from .operators import DiffOp, GradedOp, SuperDiffOp, undeformed_action
 
 def _is_int(x: Fraction) -> bool:
     return x.denominator == 1
+
+
+def _spec_int(payload: dict, name: str) -> int:
+    """A spec field that must be a JSON integer; nothing is coerced."""
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"spec.{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -174,12 +175,13 @@ class DeformationSpec:
         if flavor not in (CLASSICAL, SUPER):
             raise UsageError("spec.flavor must be 'classical' or 'super'")
         if "m" in payload:
-            delta = Fraction(int(payload["m"]), 2)
+            delta = Fraction(_spec_int(payload, "m"), 2)
         elif "delta" in payload:
             delta = parse_rational(str(payload["delta"]))
         else:
             raise UsageError("spec needs either 'm' or 'delta'")
-        window = int(payload.get("window", max(8, int(2 * delta) * 2 + 2 if _is_int(2 * delta) else 8)))
+        window = _spec_int(payload, "window") if "window" in payload else (
+            max(8, int(2 * delta) * 2 + 2 if _is_int(2 * delta) else 8))
         params = payload.get("params")
         assignment = None
         if params is not None:
@@ -503,9 +505,6 @@ def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = N
     ):
         basis_id, basis = recognized[key]
         j, i = key
-        lam = basis.zero_value().lam
-        mu = basis.zero_value().mu
-        cache = block_cache(ctx.name, lam, mu)
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
         use_bounds = bounds if bounds is not None else default_obstruction_bounds(block_cochain, basis)
@@ -520,15 +519,14 @@ def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = N
             mon_parity = len(mon[1]) & 1
             rhs_cochain = Cochain2(ctx.name, {p: _op_component(im, mon) for p, im in images.items()},
                                    parity=mon_parity if ctx.flavor == SUPER else 0)
-            coeff, piece = _decompose_against_basis(cache, rhs_cochain, basis, use_bounds,
-                                                    mon_parity, convention)
-            if coeff is None:
+            split = decompose_cocycle(rhs_cochain, basis, use_bounds, convention)
+            if isinstance(split, NoSolutionWithinBounds):
                 solvable = False
                 break
-            if coeff:
-                class_terms[mon] = coeff
+            if split.coeff:
+                class_terms[mon] = split.coeff
             mon_scalar = ParamScalar(algebra, {mon: Fraction(1)})
-            scaled = piece.scale(mon_scalar)
+            scaled = split.witness.scale(mon_scalar)
             witness_total = scaled if witness_total is None else witness_total + scaled
         if not solvable:
             verdict = "inconclusive"
@@ -578,57 +576,6 @@ def default_obstruction_bounds_from_spec(spec: DeformationSpec) -> BoundsSpec:
     order = 2 * m
     n = order + 2 + 2 * m + 2
     return BoundsSpec(n, 2 * n + 4)
-
-
-def _decompose_against_basis(cache, rhs: Cochain2, basis: Cochain2, bounds: BoundsSpec,
-                             witness_parity: int, convention: SignConvention):
-    """Solve rhs = coeff * basis + d1(witness) exactly; (None, None) if the
-    bounded system has no solution.  The coefficient is checked unique."""
-    ctx = cache.ctx
-    keys = sorted(set(cochain_weight_keys(rhs)) | set(cochain_weight_keys(basis)))
-    coeff_total = Fraction(0)
-    have_coeff = False
-    witness: Optional[Cochain1] = None
-    zero = basis.zero_value()
-    for key in keys:
-        rhs_slice = cochain_weight_slice(rhs, key)
-        basis_slice = cochain_weight_slice(basis, key)
-        basis_coords = _cochain_coords(cache, basis_slice)
-        w_basis = _enumerate_cochain_basis(cache, 1, bounds, witness_parity, key)
-        cols = []
-        if basis_coords:
-            cols.append(dict(basis_coords))
-        cols.extend(_differential_columns(cache, 1, w_basis, witness_parity, convention))
-        rhs_coords = _cochain_coords(cache, rhs_slice)
-        row_keys = sorted({rk for col in cols for rk in col} | set(rhs_coords))
-        index = {rk: n for n, rk in enumerate(row_keys)}
-        dense = [[Fraction(0)] * len(cols) for _ in row_keys]
-        for cnum, col in enumerate(cols):
-            for rk, v in col.items():
-                dense[index[rk]][cnum] = Fraction(v)
-        system = SolvedSystem(dense, len(cols))
-        vec = [Fraction(0)] * len(row_keys)
-        for rk, v in rhs_coords.items():
-            vec[index[rk]] = Fraction(v)
-        solution = system.solve(vec)
-        if solution is None:
-            return None, None
-        if basis_coords:
-            for null in system.nullspace():
-                if null[0]:
-                    # the family itself is a bounded coboundary: coefficient
-                    # would be ill-defined
-                    return None, None
-            coeff_total += solution[0]
-            have_coeff = True
-            w_vec = solution[1:]
-        else:
-            w_vec = solution
-        piece = _assemble_witness(cache, 1, w_basis, w_vec)
-        witness = piece if witness is None else witness + piece
-    if witness is None:
-        witness = Cochain1(ctx.name, [zero] * ctx.dim)
-    return (coeff_total if have_coeff else Fraction(0)), witness
 
 
 # ---------------------------------------------------------------------------
@@ -923,9 +870,6 @@ def trivialize_second_order(action: DeformedAction,
         blocks.update(g.blocks)
     algebra = spec.algebra()
     for (j, i) in sorted(blocks):
-        lam = second[0].weight_of(j)
-        mu = second[0].weight_of(i)
-        cache = block_cache(ctx.name, lam, mu)
         mons = set()
         for g in second:
             mons.update(_op_monomials(g.block(j, i)))

@@ -387,15 +387,6 @@ class ParamScalar:
 Scalar = Union[Fraction, ParamScalar]
 
 
-def param_mul(p: ParamScalar, q: ParamScalar) -> ParamScalar:
-    """Supercommutative product in canonical normal form."""
-    return p * q
-
-
-def param_substitute(p: ParamScalar, assignment: Mapping[str, Union[int, str, Fraction]]) -> ParamScalar:
-    return p.substitute(assignment)
-
-
 # -- helpers over mixed Fraction / ParamScalar coefficients -----------------
 
 def scalar_is_zero(c: Scalar) -> bool:
@@ -431,51 +422,6 @@ def scalar_as_fraction(c: Scalar) -> Fraction:
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense rectangular matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Union[int, Fraction]]], cols: Optional[int] = None) -> "QMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise UsageError("matrix rows have unequal lengths")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and data and width != cols:
-            raise UsageError("matrix width disagrees with declared column count")
-        return QMatrix(len(data), width, data)
-
-
-@dataclass
-class LinearSolution:
-    particular: list[Fraction]
-    nullspace_basis: list[list[Fraction]]
-
-
-class NoSolution:
-    """Marker result: the system is inconsistent."""
-
-    _instance: Optional["NoSolution"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoSolution"
-
-
-NO_SOLUTION = NoSolution()
 
 
 def _bitsize(x: Fraction) -> int:
@@ -608,25 +554,3 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def solve_linear_system(matrix: Union[QMatrix, Sequence[Sequence[Fraction]]],
-                        b: Sequence[Union[int, Fraction]]) -> Union[LinearSolution, NoSolution]:
-    """Exact solution set of ``A x = b``.
-
-    Returns a particular solution together with a basis of ``ker A``, or
-    the ``NoSolution`` marker when the system is inconsistent.
-    """
-    if isinstance(matrix, QMatrix):
-        rows, ncols = matrix.entries, matrix.cols
-    else:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        ncols = len(rows[0]) if rows else 0
-    rhs = [Fraction(x) for x in b]
-    if len(rhs) != len(rows):
-        raise UsageError("right-hand side length does not match the matrix")
-    system = SolvedSystem(rows, ncols)
-    x = system.solve(rhs)
-    if x is None:
-        return NO_SOLUTION
-    return LinearSolution(particular=x, nullspace_basis=system.nullspace())

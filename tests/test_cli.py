@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symdef.cli import FALSIFIED, USAGE, VERIFIED, main, render, run
 
 
@@ -93,6 +95,27 @@ class TestIntegrability:
         path = write_spec(tmp_path, {"flavor": "classical", "m": 3})
         _, code = run(["integrability", "--spec", path])
         assert code == USAGE
+
+
+POINT = {"a0": "1", "a2": "3", "b2": "1", "c2": "3"}
+
+# spec fields that must be rejected, never coerced: (payload, field named in the error)
+UNCOERCED_SPECS = [
+    ({"flavor": "classical", "m": 2.7, "params": POINT}, "spec.m"),
+    ({"flavor": "classical", "m": "3", "params": POINT}, "spec.m"),
+    ({"flavor": "classical", "m": True, "params": POINT}, "spec.m"),
+    ({"flavor": "classical", "m": 3, "window": "x", "params": POINT}, "spec.window"),
+    ({"flavor": "classical", "m": 3, "window": 8.5, "params": POINT}, "spec.window"),
+    ({"flavor": "super", "m": 1.0, "params": {"a0": "1"}}, "spec.m"),
+]
+
+
+@pytest.mark.parametrize("command", ["integrability", "flat-deform"])
+@pytest.mark.parametrize("payload,field", UNCOERCED_SPECS)
+def test_spec_fields_are_not_coerced(tmp_path, command, payload, field):
+    report, code = run([command, "--spec", write_spec(tmp_path, payload)])
+    assert code == USAGE
+    assert field in report["error"]
 
 
 class TestFlatDeform:

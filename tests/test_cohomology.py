@@ -5,24 +5,30 @@ from fractions import Fraction as Q
 
 import pytest
 
-from symdef.catalog import cocycle_A, cocycle_Phi
+from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi
 from symdef.cohomology import (
+    DEFAULT_CONVENTION,
     BoundsSpec,
     Cochain0,
     Cochain1,
+    Cochain2,
+    Decomposition,
     NoSolutionWithinBounds,
     OSP12,
     SL2,
+    SignConvention,
     Witness,
     block_cache,
     classes_independent,
     cochain_weight_keys,
     cochain_weight_slice,
     coboundary_solve,
+    cochain_block,
     cohomology_dim,
     d0,
     d1,
     d2,
+    decompose_cocycle,
     get_algebra,
 )
 from symdef.cohomology import _differential_columns, _enumerate_cochain_basis
@@ -162,29 +168,44 @@ class TestWeightSlicing:
                         assert sliced.images[pair] == got
 
     def test_specialized_columns_match_generic_d1(self):
-        rng = random.Random(23)
-        from symdef.cohomology import DEFAULT_CONVENTION
-
-        for algebra, lam, mu, parity in [(SL2, Q(0), Q(1), 0), (OSP12, Q(0), Q(1, 2), 1)]:
+        """The table-driven slice columns agree with the typed d0/d1/d2 on
+        every one-slot basis cochain: degrees 0-2, both algebras, both
+        parities, default and toggled sign conventions."""
+        blocks = [(SL2, Q(0), Q(1), 0), (SL2, Q(-1, 2), Q(3, 2), 0),
+                  (OSP12, Q(0), Q(1, 2), 0), (OSP12, Q(0), Q(1, 2), 1)]
+        conventions = [DEFAULT_CONVENTION, SignConvention(-1, 1), SignConvention(1, -1)]
+        bounds = BoundsSpec(3, 4)
+        checked = 0
+        for algebra, lam, mu, parity in blocks:
             cache = block_cache(algebra, lam, mu)
-            ctx = get_algebra(algebra)
-            bounds = BoundsSpec(3, 4)
-            for key in (-4, -2, 0, 2):
-                basis = _enumerate_cochain_basis(cache, 1, bounds, parity, key)
-                if not basis:
-                    continue
-                cols = _differential_columns(cache, 1, basis, parity, DEFAULT_CONVENTION)
-                for (slot, mon), col in zip(basis, cols):
-                    images = []
-                    for s in range(ctx.dim):
-                        op = cache.monomial_op(mon) if s == slot else cache.monomial_op(mon).scale(0)
-                        images.append(op)
-                    generic = d1(Cochain1(algebra, images, parity=parity))
-                    coords = {}
-                    for pair, im in generic.images.items():
-                        for m2, fr in cache.coords(im).items():
-                            coords[(pair, m2)] = fr
-                    assert coords == col, (algebra, key, slot, mon)
+            for degree in (0, 1, 2):
+                for convention in conventions:
+                    for key in (-4, -2, 0, 2):
+                        basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
+                        cols = _differential_columns(cache, degree, basis, parity, convention)
+                        for item, col in zip(basis, cols):
+                            want = typed_column(cache, degree, item, parity, convention)
+                            assert want == col, (algebra, parity, degree, convention, item)
+                            checked += 1
+        assert checked > 1000
+
+
+def typed_column(cache, degree, item, parity, convention):
+    """Coordinates of the typed differential of a one-slot basis cochain."""
+    ctx = cache.ctx
+    if degree == 0:
+        images = enumerate(d0(Cochain0(ctx.name, cache.monomial_op(item), parity), convention).images)
+    else:
+        slot, mon = item
+        zero = cache.monomial_op(mon).scale(0)
+        if degree == 1:
+            values = [cache.monomial_op(mon) if s == slot else zero for s in range(ctx.dim)]
+            images = d1(Cochain1(ctx.name, values, parity), convention).images.items()
+        else:
+            values = {pair: cache.monomial_op(mon) if pair == slot else zero
+                      for pair in ctx.canonical_pairs()}
+            images = d2(Cochain2(ctx.name, values, parity), convention).items()
+    return {(out, m2): fr for out, im in images for m2, fr in cache.coords(im).items()}
 
 
 class TestCoboundarySolve:
@@ -235,6 +256,52 @@ class TestCoboundarySolve:
     def test_dependent_cocycles_detected(self):
         a = cocycle_A(2)
         assert not classes_independent([a, a.scale(3)])
+
+
+class TestDecomposition:
+    def test_family_weight_keys(self):
+        for k in range(1, 5):
+            assert cochain_weight_keys(cocycle_Phi(k)) == [-2 * k]
+            assert cochain_weight_keys(cocycle_Omega(k)) == [1 - 2 * k]
+
+    def test_recovers_class_coefficient_and_witness(self):
+        rng = random.Random(31)
+        for family in (cocycle_Phi(2), cocycle_Omega(2)):
+            lam, mu = cochain_block(family)
+            b = random_cochain1(rng, family.algebra, lam, mu, family.parity)
+            assert len(cochain_weight_keys(d1(b))) > 1  # the witness spans several keys
+            c = family.scale(3) + d1(b)
+            result = decompose_cocycle(c, family)
+            assert isinstance(result, Decomposition)
+            assert result.coeff == 3
+            assert family.scale(result.coeff) + d1(result.witness) == c
+
+    def test_pure_coboundary_has_zero_class(self):
+        rng = random.Random(37)
+        family = cocycle_Phi(2)
+        b = random_cochain1(rng, SL2, *cochain_block(family))
+        result = decompose_cocycle(d1(b), family)
+        assert isinstance(result, Decomposition)
+        assert result.coeff == 0 and d1(result.witness) == d1(b)
+
+    def test_family_that_is_a_coboundary_has_no_solution(self):
+        rng = random.Random(41)
+        lam, mu = cochain_block(cocycle_Phi(2))
+        b = random_cochain1(rng, SL2, lam, mu)
+        key = cochain_weight_keys(d1(b))[0]
+        family = cochain_weight_slice(d1(b), key)
+        assert not family.is_zero()
+        result = decompose_cocycle(family.scale(2), family)
+        assert isinstance(result, NoSolutionWithinBounds)
+
+    def test_family_spanning_two_keys_rejected(self):
+        rng = random.Random(43)
+        phi = cocycle_Phi(2)
+        b = random_cochain1(rng, SL2, *cochain_block(phi))
+        other = next(k for k in cochain_weight_keys(d1(b)) if k != -4)
+        family = phi + cochain_weight_slice(d1(b), other)
+        with pytest.raises(UsageError):
+            decompose_cocycle(phi, family)
 
 
 class TestCohomologyDim:

@@ -1,0 +1,58 @@
+"""Golden JSON reports: the `--format json` stdout of fixed commands,
+compared byte for byte, and every README CLI line run verbatim."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from symdef.cli import USAGE, run, render
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+README = HERE.parent / "README.md"
+
+README_SPEC = {"flavor": "classical", "m": 3, "window": 8,
+               "params": {"a0": "1", "a2": "3", "b2": "1", "c2": "3"}}
+
+CASES = [
+    ("cohomology_dim_sl2_degree2.json",
+     ["cohomology-dim", "--algebra", "sl2", "--lambda=-1/2", "--mu=3/2", "--degree", "2",
+      "--bounds", "6,16"]),
+    ("obstruction_classical_m3.json", ["obstruction", "--flavor", "classical", "--m", "3"]),
+    ("obstruction_super_m2.json", ["obstruction", "--flavor", "super", "--m", "2"]),
+    ("verify_cocycle_phi2.json", ["verify-cocycle", "--id", "Phi:k=2"]),
+    ("flat_deform_readme.json", ["flat-deform", "--spec", "spec.json"]),
+]
+
+
+@pytest.fixture
+def spec_dir(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text(json.dumps(README_SPEC))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_json_report_matches_golden(name, argv, spec_dir):
+    report, code = run(argv + ["--format", "json"])
+    assert code == 0
+    assert render(report, "json") + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def readme_cli_lines() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\s*```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("symdef ")]
+
+
+def test_readme_block_found():
+    assert len(readme_cli_lines()) >= 7
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: argv[0])
+def test_readme_cli_line_is_not_a_usage_error(argv, spec_dir):
+    report, code = run(argv)
+    assert code != USAGE, report.get("error")

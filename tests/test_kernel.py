@@ -8,17 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdef.kernel import (
-    NO_SOLUTION,
-    LinearSolution,
     ParamAlgebra,
     ParamScalar,
-    QMatrix,
+    SolvedSystem,
     UsageError,
     format_rational,
-    param_mul,
-    param_substitute,
+    matrix_rank,
     parse_rational,
-    solve_linear_system,
 )
 
 ALG = ParamAlgebra(even=("a0", "a2", "b2", "c2"), odd=("sb1", "sc1"))
@@ -42,22 +38,22 @@ class TestRationalStrings:
 
 class TestParamMul:
     def test_odd_square_is_zero(self):
-        assert not param_mul(sym("sb1"), sym("sb1"))
+        assert not sym("sb1") * sym("sb1")
 
     def test_odd_symbols_anticommute(self):
-        assert param_mul(sym("sb1"), sym("sc1")) == -param_mul(sym("sc1"), sym("sb1"))
+        assert sym("sb1") * sym("sc1") == -(sym("sc1") * sym("sb1"))
 
     def test_even_commutative_product(self):
         p = 2 * sym("a0")
         q = 3 * sym("b2")
-        prod = param_mul(p, q)
+        prod = p * q
         assert prod == 6 * sym("a0") * sym("b2")
         assert str(prod) == "6*a0*b2"
 
     def test_mismatched_alphabets_rejected(self):
         other = ParamAlgebra(even=("t",), odd=())
         with pytest.raises(UsageError):
-            param_mul(sym("a0"), ParamScalar.symbol(other, "t"))
+            sym("a0") * ParamScalar.symbol(other, "t")
 
     def test_koszul_sign_normalization(self):
         # sc1*sb1 normalizes to -(sb1*sc1)
@@ -117,43 +113,43 @@ class TestSubstitute:
     def test_condition_value_at_point(self):
         # 2*b2*a0 + c2*a2 - c2*a0 at (a0=1, a2=3, b2=1, c2=-1) -> 0
         p = 2 * sym("b2") * sym("a0") + sym("c2") * sym("a2") - sym("c2") * sym("a0")
-        out = param_substitute(p, {"a0": 1, "a2": 3, "b2": 1, "c2": -1})
+        out = p.substitute({"a0": 1, "a2": 3, "b2": 1, "c2": -1})
         assert not out
 
     def test_simple_zero(self):
-        assert not param_substitute(sym("a0"), {"a0": 0})
+        assert not sym("a0").substitute({"a0": 0})
 
     def test_partial_evaluation_keeps_odd_formal(self):
         p = sym("sb1") * ParamScalar.symbol(ALG, "a0")
-        out = param_substitute(p, {"a0": 2})
+        out = p.substitute({"a0": 2})
         assert out == 2 * sym("sb1")
 
     def test_nonzero_odd_assignment_rejected(self):
         with pytest.raises(UsageError):
-            param_substitute(sym("sb1"), {"sb1": 1})
+            sym("sb1").substitute({"sb1": 1})
 
     def test_odd_zero_assignment_kills_terms(self):
         p = sym("sb1") * sym("a0") + sym("a2")
-        out = param_substitute(p, {"sb1": 0})
+        out = p.substitute({"sb1": 0})
         assert out == sym("a2")
 
 
 class TestLinearSolve:
+    # rows are Fractions: SolvedSystem divides by pivots, and int rows would
+    # turn into floats
     def test_single_equation(self):
-        result = solve_linear_system(QMatrix.from_rows([[2]]), [1])
-        assert isinstance(result, LinearSolution)
-        assert result.particular == [Q(1, 2)]
-        assert result.nullspace_basis == []
+        system = SolvedSystem([[Q(2)]], 1)
+        assert system.solve([Q(1)]) == [Q(1, 2)]
+        assert system.nullspace() == []
 
     def test_inconsistent(self):
-        assert solve_linear_system(QMatrix.from_rows([[0]]), [1]) is NO_SOLUTION
+        assert SolvedSystem([[Q(0)]], 1).solve([Q(1)]) is None
 
     def test_underdetermined(self):
-        result = solve_linear_system(QMatrix.from_rows([[1, 1]]), [1])
-        assert isinstance(result, LinearSolution)
-        assert result.particular == [Q(1), Q(0)]
-        assert len(result.nullspace_basis) == 1
-        v = result.nullspace_basis[0]
+        system = SolvedSystem([[Q(1), Q(1)]], 2)
+        assert system.solve([Q(1)]) == [Q(1), Q(0)]
+        assert len(system.nullspace()) == 1
+        v = system.nullspace()[0]
         assert v[0] + v[1] == 0 and v != [0, 0]
 
     def test_random_systems_exact(self):
@@ -162,21 +158,19 @@ class TestLinearSolve:
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
             rows = [[Q(rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
             b = [Q(rng.randrange(-3, 4)) for _ in range(n)]
-            result = solve_linear_system(QMatrix.from_rows(rows), b)
-            if result is NO_SOLUTION:
+            system = SolvedSystem(rows, m)
+            x = system.solve(b)
+            if x is None:
                 # rank([A|b]) must exceed rank(A)
-                from symdef.kernel import matrix_rank
-
                 aug = [row + [bv] for row, bv in zip(rows, b)]
                 assert matrix_rank(aug, m + 1) == matrix_rank(rows, m) + 1
             else:
-                x = result.particular
                 for row, bv in zip(rows, b):
                     assert sum(r * xv for r, xv in zip(row, x)) == bv
-                for vec in result.nullspace_basis:
+                for vec in system.nullspace():
                     for row in rows:
                         assert sum(r * xv for r, xv in zip(row, vec)) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            solve_linear_system(QMatrix.from_rows([[1, 2]]), [1, 2])
+            SolvedSystem([[Q(1), Q(2)]], 2).solve([Q(1), Q(2)])
