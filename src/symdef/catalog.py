@@ -262,7 +262,10 @@ def parse_catalog_id(text: str) -> CatalogId:
         if argstr:
             for chunk in argstr.split(","):
                 name, _, value = chunk.partition("=")
-                args[name.strip()] = value.strip()
+                name = name.strip()
+                if name in args:
+                    raise UsageError(f"repeated key {name!r}")
+                args[name] = value.strip()
         if family in ("A", "Yprime"):
             if set(args) != {"lambda"}:
                 raise UsageError(f"{family} takes exactly lambda=p/q")

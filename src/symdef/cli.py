@@ -2,8 +2,9 @@
 deterministic output, and meaningful exit codes.
 
 Exit codes: 0 verified, 1 falsified, 2 inconclusive within the stated
-bounds, 64 usage error.  The JSON report is the contract; the text format
-renders the same payload for reading.  Identical inputs produce
+bounds, 64 usage error, 70 engine fault (an unexpected exception; its report
+and traceback go to stderr, never a verdict).  The JSON report is the
+contract; the text format renders the same payload for reading.  Identical inputs produce
 byte-identical JSON (no timestamps, no environment lookups).
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import __version__
@@ -39,7 +41,7 @@ from .deformation import (
 )
 from .kernel import UsageError, format_rational, parse_rational
 
-VERIFIED, FALSIFIED, INCONCLUSIVE, USAGE = 0, 1, 2, 64
+VERIFIED, FALSIFIED, INCONCLUSIVE, USAGE, ENGINE_FAULT = 0, 1, 2, 64, 70
 
 _VERDICT_CODE = {"verified": VERIFIED, "falsified": FALSIFIED, "inconclusive": INCONCLUSIVE}
 
@@ -135,6 +137,9 @@ def _cmd_cohomology_dim(args) -> tuple[dict, str]:
 
 def _cmd_obstruction(args) -> tuple[dict, str]:
     spec = DeformationSpec.resonant_spec(args.flavor, args.m, args.window)
+    if not spec.resonant_range():
+        raise UsageError("obstruction needs a resonant band: --m >= 2 (classical) "
+                         "or --m >= 1 (super)")
     action = build_infinitesimal(spec)
     report = obstruction_classes(action, _parse_bounds(args.bounds))
     reassembled = report.verify_reassembly(action)
@@ -310,6 +315,7 @@ def run(argv: Sequence[str]) -> tuple[dict, int]:
             if key not in ("handler", "format") and value is not None
         }
         result, verdict = args.handler(args)
+        report = _report(args.command, inputs, result, verdict)
     except UsageError as exc:
         report = {
             "command": argv[0] if argv else None,
@@ -317,7 +323,15 @@ def run(argv: Sequence[str]) -> tuple[dict, int]:
             "verdict": "usage-error",
         }
         return report, USAGE
-    report = _report(args.command, inputs, result, verdict)
+    except Exception as exc:  # an engine bug must not read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        report = {
+            "command": argv[0] if argv else None,
+            "error": str(exc),
+            "error_type": type(exc).__name__,
+            "verdict": "engine-fault",
+        }
+        return report, ENGINE_FAULT
     return report, _VERDICT_CODE[verdict]
 
 
@@ -335,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if idx + 1 < len(argv) and argv[idx + 1] in ("text", "json"):
             fmt = argv[idx + 1]
     report, code = run(argv)
-    stream = sys.stderr if code == USAGE else sys.stdout
+    stream = sys.stderr if code in (USAGE, ENGINE_FAULT) else sys.stdout
     print(render(report, fmt), file=stream)
     return code
 

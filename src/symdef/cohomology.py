@@ -50,6 +50,8 @@ from .operators import (
     SuperDiffOp,
     graded_action,
     lie_derivative_op,
+    monomial_action,
+    monomial_coords,
     super_lie_derivative_op,
 )
 
@@ -444,13 +446,21 @@ def cochain_weight_slice(c: Cochain, key: int) -> Cochain:
 
 
 class BlockCache:
-    """Monomial enumeration and memoized module action on one block."""
+    """Monomial enumeration and memoized module action on one block.
+
+    The action of each basis generator on each normal-form monomial is
+    tabled once as sorted sparse coordinates [(monomial, Fraction)], read off
+    the commutation rules d_x^i o x^n (Leibniz) and
+    eta o mult(u) = mult(eta u) + mult(u^) eta without building an operator
+    (``act_monomial``); the generic composition is the oracle in the tests.
+    """
 
     def __init__(self, algebra: str, lam: Fraction, mu: Fraction):
         self.ctx = get_algebra(algebra)
         self.lam = lam
         self.mu = mu
         self._act: dict[tuple[int, tuple], list[tuple[tuple, Fraction]]] = {}
+        self._actions = [monomial_action(x, lam, mu) for x in self.ctx.basis]
 
     # -- monomials ----------------------------------------------------------
 
@@ -495,27 +505,21 @@ class BlockCache:
                         out.append((d, eps, i))
         return out
 
-    def coords(self, op: AnyOp) -> dict[tuple, Fraction]:
-        out = {}
-        if isinstance(op, DiffOp):
-            for i, poly in enumerate(op.coeffs):
-                for d, c in enumerate(poly.coeffs):
-                    if c:
-                        out[(d, i)] = scalar_as_fraction(c)
-            return out
-        for i, sp in enumerate(op.coeffs):
-            for eps, poly in ((0, sp.f0), (1, sp.f1)):
-                for d, c in enumerate(poly.coeffs):
-                    if c:
-                        out[(d, eps, i)] = scalar_as_fraction(c)
-        return out
-
     def act_monomial(self, gen: int, mon: tuple) -> list[tuple[tuple, Fraction]]:
+        """The tabled action of basis element `gen` on monomial `mon`.
+
+        Built by ``operators.monomial_action`` on coordinates, with
+
+            d_x^i o x^n   = sum_s C(i,s) n(n-1)...(n-s+1) x^(n-s) d_x^(i-s)
+            eta o mult(u) = mult(eta u) + mult(u^) eta
+
+        Its oracle is the generic composition
+        ``monomial_coords(ctx.act(gen, monomial_op(mon)))``, which the tests
+        compare entry by entry."""
         keyed = (gen, mon)
         cached = self._act.get(keyed)
         if cached is None:
-            result = self.ctx.act(gen, self.monomial_op(mon))
-            cached = sorted(self.coords(result).items())
+            cached = self._actions[gen](mon)
             self._act[keyed] = cached
         return cached
 
@@ -688,9 +692,9 @@ def default_witness_bounds(c: Cochain) -> BoundsSpec:
     return BoundsSpec(n, 2 * n + 4)
 
 
-def _cochain_coords(cache: BlockCache, c: Cochain) -> dict:
+def _cochain_coords(c: Cochain) -> dict:
     images = enumerate(c.images) if isinstance(c, Cochain1) else c.images.items()
-    return {(slot, mon): fr for slot, im in images for mon, fr in cache.coords(im).items()}
+    return {(slot, mon): fr for slot, im in images for mon, fr in monomial_coords(im).items()}
 
 
 def _assemble_witness(cache: BlockCache, degree: int, basis, vector) -> Union[Cochain0, Cochain1]:
@@ -749,10 +753,10 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, convention: SignConvention,
     vector: list[Fraction] = []
     for key in sorted(keys):
         try:
-            rhs_coords = _cochain_coords(cache, cochain_weight_slice(c, key))
+            rhs_coords = _cochain_coords(cochain_weight_slice(c, key))
         except UsageError:
             raise UsageError("slice solving expects parameter-free coefficients")
-        lead = _cochain_coords(cache, family) if key == family_key else None
+        lead = _cochain_coords(family) if key == family_key else None
         slice_basis, row_index, system = _slice_system(
             cache, degree, bounds, c.parity, key, convention, lead)
         if any(k not in row_index for k in rhs_coords):
@@ -830,7 +834,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     for c in cocycles:
         col = {}
         for key in keys:
-            coords = _cochain_coords(cache, cochain_weight_slice(c, key))
+            coords = _cochain_coords(cochain_weight_slice(c, key))
             for rk, v in coords.items():
                 col[(key, rk)] = v
         cocycle_cols.append(col)

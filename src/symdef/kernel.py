@@ -425,6 +425,10 @@ def scalar_as_fraction(c: Scalar) -> Fraction:
 
 
 def _bitsize(x: Fraction) -> int:
+    """Pivot-choice size of an entry; every pivot candidate passes here, so
+    anything but an exact int or Fraction is refused before it is used."""
+    if not isinstance(x, (int, Fraction)):
+        raise UsageError(f"exact elimination needs int or Fraction entries, got {x!r}")
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
@@ -433,7 +437,8 @@ class SolvedSystem:
 
     Elimination happens once; each subsequent ``solve`` is a cheap
     transform-and-back-substitute.  Pivots are chosen by smallest bit-size
-    to keep intermediate fractions small.
+    to keep intermediate fractions small.  Entries are ints or Fractions;
+    results are Fractions either way.
     """
 
     def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: int):
@@ -460,7 +465,7 @@ class SolvedSystem:
             used[best] = True
             pivot_cols.append(col)
             pivot_rows.append(best)
-            inv = 1 / work[best][col]
+            inv = Fraction(1) / work[best][col]
             work[best] = [x * inv for x in work[best]]
             trans[best] = [x * inv for x in trans[best]]
             prow, ptrans = work[best], trans[best]
@@ -539,7 +544,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
-        inv = 1 / prow[col]
+        inv = Fraction(1) / prow[col]
         if inv != 1:
             work[rank] = prow = [x * inv for x in prow]
         for r in range(rank + 1, len(work)):

@@ -8,13 +8,22 @@ basis over superfunction coefficients (``eta^2`` acts as ``-d_x``), so the
 stored form is canonical and equality is coefficient-wise.  A second
 presentation over ``(d_x, d_theta)`` is kept for cross-checks and for the
 parity-decomposition identities of the odd 2-cocycle family.
+
+The cohomology engine reads operators as sparse coordinates
+``{monomial: Fraction}`` (``monomial_coords``), a monomial being
+``(d, i)`` for ``x^d d_x^i`` or ``(d, eps, i)`` for ``x^d theta^eps eta^i``.
+``monomial_action`` is its fast path: the Lie-derivative action on a single
+monomial, evaluated on those coordinates with the two commutation rules
+(Leibniz for ``d_x^i o x^n``, ``eta o mult(u) = mult(eta u) + mult(u^) eta``)
+instead of building and composing ``DiffOp``/``SuperDiffOp`` values.  The
+typed ``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence, Union
+from math import comb, lcm, perm
+from typing import Callable, Optional, Sequence, Union
 
 from .geometry import (
     CLASSICAL,
@@ -28,7 +37,7 @@ from .geometry import (
     VectorField,
     eta_bar,
 )
-from .kernel import UsageError
+from .kernel import UsageError, scalar_as_fraction
 
 
 class DiffOp:
@@ -520,6 +529,111 @@ def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
     left = _compose_super(super_lie_op(x, a.mu), a)
     right = _compose_super(a, super_lie_op(x, a.lam))
     return left - right.scale(sign)
+
+
+# ---------------------------------------------------------------------------
+# Sparse coordinates and the monomial fast path
+# ---------------------------------------------------------------------------
+
+
+def monomial_coords(op: AnyOp) -> dict[tuple, Fraction]:
+    """{(d, i) or (d, eps, i): Fraction} of a parameter-free operator;
+    UsageError while a coefficient still holds formal parameters."""
+    out = {}
+    if isinstance(op, DiffOp):
+        for i, poly in enumerate(op.coeffs):
+            for d, c in enumerate(poly.coeffs):
+                if c:
+                    out[(d, i)] = scalar_as_fraction(c)
+        return out
+    for i, sp in enumerate(op.coeffs):
+        for eps, poly in ((0, sp.f0), (1, sp.f1)):
+            for d, c in enumerate(poly.coeffs):
+                if c:
+                    out[(d, eps, i)] = scalar_as_fraction(c)
+    return out
+
+
+def _leibniz(i: int, u: tuple) -> list[tuple[tuple, int, int]]:
+    """d_x^i o mult(x^n) = sum_s C(i,s) n(n-1)...(n-s+1) mult(x^(n-s)) d_x^(i-s),
+    as [(coefficient monomial, power, value)] for u = (n,)."""
+    n = u[0]
+    return [((n - s,), i - s, comb(i, s) * perm(n, s)) for s in range(min(i, n) + 1)]
+
+
+def _eta_leibniz(i: int, u: tuple) -> list[tuple[tuple, int, int]]:
+    """eta^i o mult(x^n theta^eps) in eta-normal form, for u = (n, eps).
+
+    Since eta^2 = -d_x, eta^(2h) o mult(u) = sum_s (-1)^s C(h,s) mult(u^(s))
+    eta^(2h-2s); an odd power applies eta o mult(v) = mult(eta v) + mult(v^) eta
+    once more, with eta(x^n) = -n x^(n-1) theta, eta(x^n theta) = x^n and
+    v^ = (-1)^eps v."""
+    n, eps = u
+    h, odd = divmod(i, 2)
+    out = []
+    for s in range(min(h, n) + 1):
+        c = (-1) ** s * comb(h, s) * perm(n, s)
+        e = 2 * (h - s)
+        if not odd:
+            out.append(((n - s, eps), e, c))
+            continue
+        if eps:
+            out.append(((n - s, 0), e, c))
+        elif n > s:
+            out.append(((n - s - 1, 1), e, -(n - s) * c))
+        out.append(((n - s, eps), e + 1, -c if eps else c))
+    return out
+
+
+def _times(u: tuple, v: tuple) -> Optional[tuple]:
+    """Product of coefficient monomials x^a (theta^eps); None when theta^2 = 0."""
+    if len(u) == 1:
+        return (u[0] + v[0],)
+    if u[1] and v[1]:
+        return None
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def monomial_action(x: Union[VectorField, ContactField], lam,
+                    mu) -> Callable[[tuple], list[tuple[tuple, Fraction]]]:
+    """The action of x on single monomials of the operators from F_lam to
+    F_mu, as a function act(mon) -> sorted sparse coordinates.
+
+    act(M) is the L^mu_X o M - (-1)^{p(M)p(X)} M o L^lam_X of
+    lie_derivative_op / super_lie_derivative_op, composed on the coordinates
+    of lie_op / super_lie_op.  Sums run over integers against the common
+    denominator of those coordinates; every value comes out a Fraction."""
+    if isinstance(x, VectorField):
+        left, right, expand, odd = lie_op(x, mu), lie_op(x, lam), _leibniz, 0
+    else:
+        left, right, expand = super_lie_op(x, mu), super_lie_op(x, lam), _eta_leibniz
+        odd = x.parity
+    left, right = monomial_coords(left), monomial_coords(right)
+    den = lcm(*(c.denominator for c in (*left.values(), *right.values())))
+    left = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in left.items()]
+    right = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in right.items()]
+
+    def act(mon: tuple) -> list[tuple[tuple, Fraction]]:
+        u, i = mon[:-1], mon[-1]
+        sign = 1 if odd and (mon[1] + mon[2]) & 1 else -1
+        out: dict = {}
+        # L^mu o M: mult(v) D^e o mult(u) D^i, moving D^e across mult(u)
+        for v, e, c in left:
+            for w, power, n in expand(e, u):
+                coeff = _times(v, w)
+                if coeff is not None:
+                    key = coeff + (power + i,)
+                    out[key] = out.get(key, 0) + c * n
+        # -(-1)^{p(M)p(X)} M o L^lam: mult(u) D^i o mult(v) D^e
+        for v, e, c in right:
+            for w, power, n in expand(i, v):
+                coeff = _times(u, w)
+                if coeff is not None:
+                    key = coeff + (power + e,)
+                    out[key] = out.get(key, 0) + sign * c * n
+        return sorted((key, Fraction(n, den)) for key, n in out.items() if n)
+
+    return act
 
 
 def principal_symbol(a: DiffOp) -> Density:

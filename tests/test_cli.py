@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from symdef.cli import FALSIFIED, USAGE, VERIFIED, main, render, run
+import symdef.cli as cli
+from symdef.cli import ENGINE_FAULT, FALSIFIED, USAGE, VERIFIED, main, render, run
+from symdef.kernel import InternalError
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -109,13 +111,46 @@ UNCOERCED_SPECS = [
     ({"flavor": "super", "m": 1.0, "params": {"a0": "1"}}, "spec.m"),
 ]
 
+# command lines that must be rejected, never read as something else:
+# (name, argv, text named in the error)
+UNCOERCED_ARGS = [
+    ("repeated-id-key", ["verify-cocycle", "--id", "B:m=5,k=3,k=4"], "catalog id"),
+    ("repeated-equal-id-key", ["verify-cocycle", "--id", "Phi:k=2,k=2"], "catalog id"),
+    ("no-band-super-m0", ["obstruction", "--flavor", "super", "--m", "0"], "resonant band"),
+    ("no-band-classical-m1", ["obstruction", "--flavor", "classical", "--m", "1"],
+     "resonant band"),
+]
 
-@pytest.mark.parametrize("command", ["integrability", "flat-deform"])
-@pytest.mark.parametrize("payload,field", UNCOERCED_SPECS)
-def test_spec_fields_are_not_coerced(tmp_path, command, payload, field):
-    report, code = run([command, "--spec", write_spec(tmp_path, payload)])
+UNCOERCED_ROWS = [
+    pytest.param([command, "--spec"], payload, field, id=f"payload{n}-{field}-{command}")
+    for n, (payload, field) in enumerate(UNCOERCED_SPECS)
+    for command in ("integrability", "flat-deform")
+] + [pytest.param(argv, None, text, id=name) for name, argv, text in UNCOERCED_ARGS]
+
+
+@pytest.mark.parametrize("argv,payload,field", UNCOERCED_ROWS)
+def test_spec_fields_are_not_coerced(tmp_path, argv, payload, field):
+    if payload is not None:
+        argv = argv + [write_spec(tmp_path, payload)]
+    report, code = run(argv)
     assert code == USAGE
     assert field in report["error"]
+
+
+def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise InternalError("invariant broke")
+
+    monkeypatch.setattr(cli, "_cmd_lemma23", broken)
+    code = main(["lemma23", "--k", "3", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == ENGINE_FAULT == 70
+    assert out == ""
+    assert "Traceback" in err
+    report = json.loads(err[err.index("\n{") + 1:])
+    assert report["verdict"] == "engine-fault"
+    assert report["error_type"] == "InternalError"
+    assert report["error"] == "invariant broke"
 
 
 class TestFlatDeform:

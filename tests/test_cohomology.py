@@ -4,10 +4,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi
 from symdef.cohomology import (
     DEFAULT_CONVENTION,
+    BlockCache,
     BoundsSpec,
     Cochain0,
     Cochain1,
@@ -34,7 +37,7 @@ from symdef.cohomology import (
 from symdef.cohomology import _differential_columns, _enumerate_cochain_basis
 from symdef.geometry import Poly, SuperPoly
 from symdef.kernel import UsageError
-from symdef.operators import DiffOp, SuperDiffOp
+from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
 
 
 def poly(cs):
@@ -205,7 +208,55 @@ def typed_column(cache, degree, item, parity, convention):
             values = {pair: cache.monomial_op(mon) if pair == slot else zero
                       for pair in ctx.canonical_pairs()}
             images = d2(Cochain2(ctx.name, values, parity), convention).items()
-    return {(out, m2): fr for out, im in images for m2, fr in cache.coords(im).items()}
+    return {(out, m2): fr for out, im in images for m2, fr in monomial_coords(im).items()}
+
+
+def generic_action(cache, gen, mon):
+    """The oracle of the action tables: the typed composition
+    L^mu_X o M - (-1)^{p(M)p(X)} M o L^lam_X on the monomial operator."""
+    return sorted(monomial_coords(cache.ctx.act(gen, cache.monomial_op(mon))).items())
+
+
+def assert_table_entry(cache, gen, mon):
+    got = cache.act_monomial(gen, mon)
+    assert got == generic_action(cache, gen, mon), (cache.ctx.name, cache.lam, cache.mu, gen, mon)
+    # exact values: an int here would reach the kernel's pivot inverses
+    assert all(type(v) is Q for _, v in got)
+
+
+# one block per `dim-cold` benchmark stratum, at that stratum's bounds
+DIM_COLD_BLOCKS = [
+    (SL2, Q(5, 3), Q(5, 3), BoundsSpec(10, 24)),
+    (SL2, Q(-1, 2), Q(3, 2), BoundsSpec(10, 24)),
+    (SL2, Q(-1), Q(2), BoundsSpec(6, 16)),
+    (OSP12, Q(-1, 2), Q(-1, 2), BoundsSpec(3, 8)),
+    (OSP12, Q(-1), Q(3, 2), BoundsSpec(5, 12)),
+    (SL2, Q(1, 4), Q(2), BoundsSpec(10, 24)),
+]
+
+
+class TestActionTables:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(algebra=st.sampled_from([SL2, OSP12]),
+           lam=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+           mu=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+           gen=st.integers(0, 4), d=st.integers(0, 12), eps=st.integers(0, 1),
+           i=st.integers(0, 12))
+    def test_closed_form_matches_generic_composition(self, algebra, lam, mu, gen, d, eps, i):
+        cache = BlockCache(algebra, lam, mu)
+        mon = (d, i) if algebra == SL2 else (d, eps, i)
+        assert_table_entry(cache, gen % cache.ctx.dim, mon)
+
+    def test_every_entry_at_benchmark_bounds(self):
+        checked = 0
+        for algebra, lam, mu, bounds in DIM_COLD_BLOCKS:
+            cache = BlockCache(algebra, lam, mu)
+            for mon in cache.monomials(bounds):
+                for gen in range(cache.ctx.dim):
+                    assert_table_entry(cache, gen, mon)
+                    checked += 1
+        # generators x monomials: (order + 1)(degree + 1), times 2 for theta
+        assert checked == 3 * (3 * 11 * 25 + 7 * 17) + 5 * 2 * (4 * 9 + 6 * 13)
 
 
 class TestCoboundarySolve:

@@ -135,8 +135,6 @@ class TestSubstitute:
 
 
 class TestLinearSolve:
-    # rows are Fractions: SolvedSystem divides by pivots, and int rows would
-    # turn into floats
     def test_single_equation(self):
         system = SolvedSystem([[Q(2)]], 1)
         assert system.solve([Q(1)]) == [Q(1, 2)]
@@ -174,3 +172,30 @@ class TestLinearSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             SolvedSystem([[Q(1), Q(2)]], 2).solve([Q(1), Q(2)])
+
+    def test_int_rows_stay_exact(self):
+        """int and mixed int/Fraction rows give the rank, solution and
+        nullspace of the same rows as Fractions, all as Fractions."""
+        assert SolvedSystem([[2, 1], [1, 1]], 2).solve([1, 0]) == [Q(1), Q(-1)]
+        rng = random.Random(7)
+        for _ in range(300):
+            n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+            ints = [[rng.randrange(-3, 4) for _ in range(m)] for _ in range(n)]
+            mixed = [[Q(v) if rng.randrange(2) else v for v in row] for row in ints]
+            fracs = [[Q(v) for v in row] for row in ints]
+            b = [rng.randrange(-3, 4) for _ in range(n)]
+            want = SolvedSystem(fracs, m)
+            for rows in (ints, mixed):
+                got = SolvedSystem(rows, m)
+                assert got.rank == want.rank == matrix_rank(rows, m) == matrix_rank(fracs, m)
+                x = got.solve(b)
+                assert x == want.solve([Q(v) for v in b])
+                assert got.nullspace() == want.nullspace()
+                values = (x or []) + [v for vec in got.nullspace() for v in vec]
+                assert all(type(v) is Q for v in values)
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(UsageError):
+            SolvedSystem([[0.5, 1], [1, 1]], 2)
+        with pytest.raises(UsageError):
+            matrix_rank([[Q(1), Q(2)], [1.0, 3]], 2)
