@@ -253,31 +253,33 @@ class CatalogId:
 
 
 def parse_catalog_id(text: str) -> CatalogId:
-    try:
-        family, _, argstr = text.partition(":")
-        family = family.strip()
-        if family not in _FAMILIES:
-            raise UsageError(f"unknown cocycle family {family!r}")
-        args = {}
-        if argstr:
-            for chunk in argstr.split(","):
-                name, _, value = chunk.partition("=")
-                name = name.strip()
-                if name in args:
-                    raise UsageError(f"repeated key {name!r}")
-                args[name] = value.strip()
+    family, _, argstr = text.partition(":")
+    family = family.strip()
+    if family not in _FAMILIES:
+        raise UsageError(f"catalog id {text!r}: unknown cocycle family {family!r}")
+    args = {}
+    if argstr:
+        for chunk in argstr.split(","):
+            name, _, value = chunk.partition("=")
+            name = name.strip()
+            if name in args:
+                raise UsageError(f"catalog id {text!r}: repeated key {name!r}")
+            args[name] = value.strip()
+    if family in ("A", "Yprime"):
+        keys, usage = {"lambda"}, "lambda=p/q"
+    elif family in ("B", "C"):
+        keys, usage = {"m", "k"}, "m=<int>,k=<int>"
+    else:
+        keys, usage = {"k"}, "k=<int>"
+    if set(args) != keys:
+        raise UsageError(f"catalog id {text!r}: {family} takes exactly {usage}")
+    try:  # int() and parse_rational (a UsageError) both raise ValueError
         if family in ("A", "Yprime"):
-            if set(args) != {"lambda"}:
-                raise UsageError(f"{family} takes exactly lambda=p/q")
             return CatalogId(family, lam=parse_rational(args["lambda"]))
         if family in ("B", "C"):
-            if set(args) != {"m", "k"}:
-                raise UsageError(f"{family} takes m=<int>,k=<int>")
             return CatalogId(family, m=int(args["m"]), k=int(args["k"]))
-        if set(args) != {"k"}:
-            raise UsageError(f"{family} takes exactly k=<int>")
         return CatalogId(family, k=int(args["k"]))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed catalog id {text!r}") from exc
 
 

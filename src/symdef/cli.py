@@ -343,12 +343,14 @@ def render(report: dict, fmt: str) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    fmt = "text"
-    if "--format" in argv:
-        idx = argv.index("--format")
-        if idx + 1 < len(argv) and argv[idx + 1] in ("text", "json"):
-            fmt = argv[idx + 1]
     report, code = run(argv)
+    # parsed on its own, so a command line that fails to parse still gets it
+    fmt_parser = _CliParser(add_help=False)
+    fmt_parser.add_argument("--format", choices=("text", "json"), default="text")
+    try:
+        fmt = fmt_parser.parse_known_args(argv)[0].format
+    except UsageError:
+        fmt = "text"
     stream = sys.stderr if code in (USAGE, ENGINE_FAULT) else sys.stdout
     print(render(report, fmt), file=stream)
     return code

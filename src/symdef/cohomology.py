@@ -641,20 +641,13 @@ def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: i
     return cols
 
 
-def _densify(cols: list[dict], skip=frozenset()) -> tuple[list[list[Fraction]], dict]:
-    """Dense rows over the sorted row keys of `cols` (less `skip`), and the
-    row index.  Rows start from a shared zero; only nonzero entries are
-    written."""
-    keys = sorted({k for col in cols for k in col if k not in skip})
-    row_index = {k: n for n, k in enumerate(keys)}
-    zero = Fraction(0)
-    dense = [[zero] * len(cols) for _ in keys]
-    for cnum, col in enumerate(cols):
-        for k, v in col.items():
-            n = row_index.get(k)
-            if n is not None:
-                dense[n][cnum] = v
-    return dense, row_index
+def _rank(cols: list[dict], skip=frozenset()) -> int:
+    """Rank of the columns, less the row keys in `skip`.  Rank is invariant
+    under transposition, so each column goes in as one sparse row."""
+    index: dict = {}
+    rows = [[(index.setdefault(k, len(index)), v) for k, v in col.items() if k not in skip]
+            for col in cols]
+    return matrix_rank(rows, len(index))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +716,12 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: in
         cols = _differential_columns(cache, degree, basis, parity, convention)
         if lead is not None:
             cols.insert(0, lead)
-        dense, row_index = _densify(cols)
-        hit = (basis, row_index, SolvedSystem(dense, len(cols)))
+        by_key: dict = {}  # the sparse rows of the slice system, one per row key
+        for cnum, col in enumerate(cols):
+            for k, v in col.items():
+                by_key.setdefault(k, []).append((cnum, v))
+        row_index = {k: n for n, k in enumerate(by_key)}
+        hit = (basis, row_index, SolvedSystem(list(by_key.values()), len(cols)))
         if lead is None:
             _SOLVER_CACHE[full_key] = hit
     return hit
@@ -843,10 +840,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
         for col in _differential_columns(cache, degree, basis, parity, convention):
             boundary_cols.append({(key, rk): v for rk, v in col.items()})
-    rank_all = matrix_rank(_densify(cocycle_cols + boundary_cols)[0],
-                           len(cocycle_cols) + len(boundary_cols))
-    rank_bnd = matrix_rank(_densify(boundary_cols)[0], len(boundary_cols))
-    return rank_all == rank_bnd + len(cocycles)
+    return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +879,7 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
         for key in sorted(keys):
             basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
             cols = _differential_columns(cache, degree, basis, parity, convention)
-            ker = len(basis) - matrix_rank(_densify(cols)[0], len(basis))
+            ker = len(basis) - _rank(cols)
             if not ker:
                 continue
             # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
@@ -893,8 +887,7 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
             image = 0
             if prev_basis:
                 prev_cols = _differential_columns(cache, degree - 1, prev_basis, parity, convention)
-                image = (matrix_rank(_densify(prev_cols)[0], len(prev_cols))
-                         - matrix_rank(_densify(prev_cols, skip=set(basis))[0], len(prev_cols)))
+                image = _rank(prev_cols) - _rank(prev_cols, skip=set(basis))
             dim = ker - image
             if dim:
                 per_weight[key] = per_weight.get(key, 0) + dim

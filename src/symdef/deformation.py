@@ -171,6 +171,9 @@ class DeformationSpec:
     def from_json(payload: dict) -> "DeformationSpec":
         if not isinstance(payload, dict):
             raise UsageError("spec file must contain a JSON object")
+        unknown = sorted(set(payload) - {"flavor", "m", "delta", "window", "params"})
+        if unknown:
+            raise UsageError(f"spec has unknown keys {unknown}")
         flavor = payload.get("flavor")
         if flavor not in (CLASSICAL, SUPER):
             raise UsageError("spec.flavor must be 'classical' or 'super'")

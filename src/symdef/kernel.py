@@ -1,16 +1,20 @@
 """Exact scalar arithmetic: rationals, the parameter superalgebra, and
-dense rational linear algebra.
+sparse exact linear algebra.
 
 Every value in the engine bottoms out here.  There is no floating point
 anywhere: weights are ``Fraction``s, deformation parameters live in a
 supercommutative polynomial algebra over ``Fraction``, and all linear
-systems are solved by exact Gaussian elimination.
+systems go through one sparse, fraction-free elimination over the integers
+(Bareiss-style updates on primitive integer rows).  Its pivot columns are
+the earliest independent columns, which keeps solutions and nullspace
+bases canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 
@@ -423,139 +427,133 @@ def scalar_as_fraction(c: Scalar) -> Fraction:
 # Exact linear algebra
 # ---------------------------------------------------------------------------
 
+#: A sparse row: (column, value) pairs, values int or Fraction, zeros optional.
+SparseRow = Sequence[tuple[int, Union[int, Fraction]]]
 
-def _bitsize(x: Fraction) -> int:
-    """Pivot-choice size of an entry; every pivot candidate passes here, so
-    anything but an exact int or Fraction is refused before it is used."""
-    if not isinstance(x, (int, Fraction)):
-        raise UsageError(f"exact elimination needs int or Fraction entries, got {x!r}")
-    return x.numerator.bit_length() + x.denominator.bit_length()
+
+def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, int]]:
+    """(mult, div, row) with row = pairs * mult / div a primitive
+    integer vector.  Every entry passes here, so anything but an exact int
+    or Fraction, a column outside range(ncols) or a repeated column is
+    refused."""
+    row: dict[int, Union[int, Fraction]] = {}
+    for col, value in pairs:
+        if not isinstance(value, (int, Fraction)):
+            raise UsageError(f"exact elimination needs int or Fraction entries, got {value!r}")
+        if not 0 <= col < ncols or col in row:
+            raise UsageError(f"bad or repeated column {col!r} in a sparse row")
+        row[col] = value
+    den = lcm(*[value.denominator for value in row.values()])
+    ints = {col: n for col, value in row.items()
+            if (n := value.numerator * (den // value.denominator))}
+    content = gcd(*ints.values()) or 1
+    if content != 1:
+        ints = {col: n // content for col, n in ints.items()}
+    return den, content, ints
+
+
+def _echelon(rows: Sequence[SparseRow], ncols: int,
+             steps: Optional[list] = None) -> dict[int, dict[int, int]]:
+    """The one elimination: sparse, over the integers, fraction-free.
+
+    Rows are inserted one at a time.  While a row's leading column c holds
+    a pivot p, it becomes ``p[c]*v - v[c]*p`` (both divided by their gcd)
+    divided by its content, so every stored row stays a primitive integer
+    vector.  A row left nonzero becomes the pivot of its leading column.
+    Returns {pivot column: row}, each row zero left of its pivot.  Pivot
+    columns are the earliest independent columns whatever the row order,
+    which is what makes solutions and nullspace bases canonical.
+
+    With ``steps`` given, each input row appends (row number, mult, div,
+    ops, pivot column or None), with mult/div as in ``_primitive_row`` and
+    ops (c, b, a, content) meaning ``v <- (b*v - a*pivot[c]) / content``,
+    for right-hand sides to replay."""
+    pivots: dict[int, dict[int, int]] = {}
+    for number, pairs in enumerate(rows):
+        mult, div, row = _primitive_row(pairs, ncols)
+        ops = []
+        while row and (lead := min(row)) in pivots:
+            pivot = pivots[lead]
+            g = gcd(row[lead], pivot[lead])
+            a, b = row[lead] // g, pivot[lead] // g
+            if b != 1:
+                for col in row:
+                    row[col] *= b
+            for col, value in pivot.items():
+                n = row.get(col, 0) - a * value
+                if n:
+                    row[col] = n
+                else:
+                    del row[col]
+            content = gcd(*row.values()) or 1
+            if content > 1:
+                row = {col: value // content for col, value in row.items()}
+            ops.append((lead, b, a, content))
+        if row:
+            pivots[lead] = row
+        if steps is not None:
+            steps.append((number, mult, div, ops, lead if row else None))
+    return pivots
+
+
+def matrix_rank(rows: Sequence[SparseRow], ncols: int) -> int:
+    """Exact rank of the sparse rows (see ``_echelon``)."""
+    return len(_echelon(rows, ncols))
 
 
 class SolvedSystem:
-    """Row-reduced form of a matrix, reusable across many right-hand sides.
+    """Echelon form of a sparse matrix, reusable across right-hand sides.
 
-    Elimination happens once; each subsequent ``solve`` is a cheap
-    transform-and-back-substitute.  Pivots are chosen by smallest bit-size
-    to keep intermediate fractions small.  Entries are ints or Fractions;
-    results are Fractions either way.
+    Elimination happens once (``_echelon``), recording its row steps; each
+    ``solve`` replays them on b and back-substitutes.  Pivot columns are the
+    earliest independent columns, so the particular solution (free
+    variables 0) and the nullspace basis (one vector per free column, that
+    column 1 and the other free columns 0) are canonical.  Entries are ints
+    or Fractions; results are Fractions either way.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: int):
-        nrows = len(rows)
-        work = [list(row) for row in rows]
-        # transform matrix: solve() maps b through the same row operations
-        trans = [[Fraction(0)] * nrows for _ in range(nrows)]
-        for i in range(nrows):
-            trans[i][i] = Fraction(1)
-        pivot_cols: list[int] = []
-        pivot_rows: list[int] = []
-        used = [False] * nrows
-        for col in range(ncols):
-            best = -1
-            best_size = None
-            for r in range(nrows):
-                if used[r] or not work[r][col]:
-                    continue
-                size = _bitsize(work[r][col])
-                if best_size is None or size < best_size:
-                    best, best_size = r, size
-            if best < 0:
-                continue
-            used[best] = True
-            pivot_cols.append(col)
-            pivot_rows.append(best)
-            inv = Fraction(1) / work[best][col]
-            work[best] = [x * inv for x in work[best]]
-            trans[best] = [x * inv for x in trans[best]]
-            prow, ptrans = work[best], trans[best]
-            for r in range(nrows):
-                if r == best:
-                    continue
-                factor = work[r][col]
-                if not factor:
-                    continue
-                wr, tr = work[r], trans[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        wr[c] -= factor * prow[c]
-                for c in range(nrows):
-                    if ptrans[c]:
-                        tr[c] -= factor * ptrans[c]
+    def __init__(self, rows: Sequence[SparseRow], ncols: int):
         self.ncols = ncols
-        self.nrows = nrows
-        self.reduced = work
-        self.transform = trans
-        self.pivot_cols = pivot_cols
-        self.pivot_rows = pivot_rows
-        self.rank = len(pivot_cols)
+        self.nrows = len(rows)
+        self._steps: list = []
+        self._pivots = _echelon(rows, ncols, self._steps)
+        self.pivot_cols = sorted(self._pivots)
+        self.rank = len(self.pivot_cols)
         self._nullspace: Optional[list[list[Fraction]]] = None
 
+    def _back_substitute(self, rhs: Mapping[int, Fraction], x: list[Fraction]) -> list[Fraction]:
+        """Fill the pivot entries of x (free entries preset) so that each
+        pivot row dotted with x equals its entry of rhs."""
+        for col in reversed(self.pivot_cols):
+            row = self._pivots[col]
+            acc = rhs.get(col, 0) - sum(v * x[j] for j, v in row.items() if j != col and x[j])
+            x[col] = Fraction(acc) / row[col]
+        return x
+
     def solve(self, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """A particular solution of A x = b, or None if inconsistent."""
+        """The particular solution of A x = b with free variables 0, or None
+        if inconsistent."""
         if len(b) != self.nrows:
             raise UsageError("right-hand side has the wrong length")
-        pivot_row_set = set(self.pivot_rows)
-        transformed = []
-        for i in range(self.nrows):
-            acc = Fraction(0)
-            ti = self.transform[i]
-            for j, bj in enumerate(b):
-                if bj and ti[j]:
-                    acc += ti[j] * bj
-            transformed.append(acc)
-        for i in range(self.nrows):
-            if i not in pivot_row_set and transformed[i]:
+        rhs: dict[int, Fraction] = {}
+        for number, mult, div, ops, lead in self._steps:
+            r = Fraction(b[number] * mult, div) if b[number] else 0
+            for col, scale, factor, content in ops:
+                if r or rhs[col]:  # right-hand sides are mostly zero
+                    r = (scale * r - factor * rhs[col]) / content
+            if lead is not None:
+                rhs[lead] = r
+            elif r:
                 return None
-        x = [Fraction(0)] * self.ncols
-        for col, row in zip(self.pivot_cols, self.pivot_rows):
-            x[col] = transformed[row]
-        return x
+        return self._back_substitute(rhs, [Fraction(0)] * self.ncols)
 
     def nullspace(self) -> list[list[Fraction]]:
         if self._nullspace is None:
             basis = []
-            pivot_of_col = dict(zip(self.pivot_cols, self.pivot_rows))
             for free in range(self.ncols):
-                if free in pivot_of_col:
-                    continue
-                vec = [Fraction(0)] * self.ncols
-                vec[free] = Fraction(1)
-                for col, row in pivot_of_col.items():
-                    vec[col] = -self.reduced[row][free]
-                basis.append(vec)
+                if free not in self._pivots:
+                    x = [Fraction(0)] * self.ncols
+                    x[free] = Fraction(1)
+                    basis.append(self._back_substitute({}, x))
             self._nullspace = basis
         return self._nullspace
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    """Rank by plain forward elimination (no transform bookkeeping)."""
-    work = [list(r) for r in rows if any(r)]
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        best_size = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                size = _bitsize(work[r][col])
-                if best_size is None or size < best_size:
-                    pivot, best_size = r, size
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = Fraction(1) / prow[col]
-        if inv != 1:
-            work[rank] = prow = [x * inv for x in prow]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col]
-            if not factor:
-                continue
-            wr = work[r]
-            for c in range(col, ncols):
-                if prow[c]:
-                    wr[c] -= factor * prow[c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank

@@ -109,6 +109,7 @@ UNCOERCED_SPECS = [
     ({"flavor": "classical", "m": 3, "window": "x", "params": POINT}, "spec.window"),
     ({"flavor": "classical", "m": 3, "window": 8.5, "params": POINT}, "spec.window"),
     ({"flavor": "super", "m": 1.0, "params": {"a0": "1"}}, "spec.m"),
+    ({"flavor": "classical", "m": 3, "windw": 5, "params": {"a0": 1}}, "windw"),
 ]
 
 # command lines that must be rejected, never read as something else:
@@ -119,6 +120,11 @@ UNCOERCED_ARGS = [
     ("no-band-super-m0", ["obstruction", "--flavor", "super", "--m", "0"], "resonant band"),
     ("no-band-classical-m1", ["obstruction", "--flavor", "classical", "--m", "1"],
      "resonant band"),
+    ("id-repeated-key-reason", ["verify-cocycle", "--id", "B:m=5,k=3,k=4"], "repeated key 'k'"),
+    ("id-unknown-family", ["verify-cocycle", "--id", "Q:k=2"], "unknown cocycle family 'Q'"),
+    ("id-wrong-keys", ["verify-cocycle", "--id", "B:m=3"], "B takes exactly m=<int>,k=<int>"),
+    ("id-bad-int", ["verify-cocycle", "--id", "Phi:k=x"], "malformed catalog id 'Phi:k=x'"),
+    ("id-bad-rational", ["verify-cocycle", "--id", "A:lambda=1/0"], "malformed catalog id"),
 ]
 
 UNCOERCED_ROWS = [
@@ -135,6 +141,19 @@ def test_spec_fields_are_not_coerced(tmp_path, argv, payload, field):
     report, code = run(argv)
     assert code == USAGE
     assert field in report["error"]
+
+
+@pytest.mark.parametrize("argv", [["lemma23", "--k", "2"], ["lemma23", "--k", "0"]],
+                         ids=["report", "usage-error"])
+def test_format_equals_form(capsys, argv):
+    """`--format=json` is read like `--format json`: same streams, byte for byte."""
+    outputs = []
+    for fmt in (["--format=json"], ["--format", "json"]):
+        code = main(argv + fmt)
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    out, err = outputs[0][1:]
+    json.loads(out or err)
 
 
 def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):

@@ -134,17 +134,103 @@ class TestSubstitute:
         assert out == sym("a2")
 
 
+# ---------------------------------------------------------------------------
+# Exact linear algebra
+# ---------------------------------------------------------------------------
+
+
+def sparse(rows):
+    """Dense rows as the kernel's sparse rows of (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+class DenseReference:
+    """The dense Fraction Gauss-Jordan elimination the kernel used before
+    its sparse fraction-free core, kept as the oracle: rank, the solution
+    with free variables 0, and the nullspace basis read off the reduced
+    row echelon form, which any correct elimination must reproduce."""
+
+    def __init__(self, rows, ncols):
+        work = [[Q(x) for x in row] for row in rows]
+        nrows = len(work)
+        trans = [[Q(int(i == j)) for j in range(nrows)] for i in range(nrows)]
+        self.pivots = {}  # pivot column -> row
+        for col in range(ncols):
+            best = next((r for r in range(nrows)
+                         if r not in self.pivots.values() and work[r][col]), None)
+            if best is None:
+                continue
+            self.pivots[col] = best
+            inv = 1 / work[best][col]
+            work[best] = [x * inv for x in work[best]]
+            trans[best] = [x * inv for x in trans[best]]
+            for r in range(nrows):
+                factor = work[r][col]
+                if r != best and factor:
+                    work[r] = [x - factor * y for x, y in zip(work[r], work[best])]
+                    trans[r] = [x - factor * y for x, y in zip(trans[r], trans[best])]
+        self.ncols, self.reduced, self.transform = ncols, work, trans
+        self.rank = len(self.pivots)
+
+    def solve(self, b):
+        image = [sum((t * Q(bj) for t, bj in zip(row, b)), Q(0)) for row in self.transform]
+        if any(v for r, v in enumerate(image) if r not in self.pivots.values()):
+            return None
+        x = [Q(0)] * self.ncols
+        for col, row in self.pivots.items():
+            x[col] = image[row]
+        return x
+
+    def nullspace(self):
+        basis = []
+        for free in range(self.ncols):
+            if free not in self.pivots:
+                vec = [Q(int(j == free)) for j in range(self.ncols)]
+                for col, row in self.pivots.items():
+                    vec[col] = -self.reduced[row][free]
+                basis.append(vec)
+        return basis
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(-4, 4).map(Q),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """(dense rows, ncols, b): mostly-zero int/Fraction/mixed matrices,
+    some rows combinations of earlier ones so the rank often falls short."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(ENTRIES) if draw(st.integers(0, 2)) else 0 for _ in range(ncols)])
+    b = [draw(ENTRIES) for _ in range(nrows)]
+    if draw(st.booleans()):  # a consistent right-hand side
+        x = [draw(ENTRIES) for _ in range(ncols)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    return rows, ncols, b
+
+
 class TestLinearSolve:
     def test_single_equation(self):
-        system = SolvedSystem([[Q(2)]], 1)
+        system = SolvedSystem([[(0, Q(2))]], 1)
         assert system.solve([Q(1)]) == [Q(1, 2)]
         assert system.nullspace() == []
 
     def test_inconsistent(self):
-        assert SolvedSystem([[Q(0)]], 1).solve([Q(1)]) is None
+        assert SolvedSystem([[(0, Q(0))]], 1).solve([Q(1)]) is None
 
     def test_underdetermined(self):
-        system = SolvedSystem([[Q(1), Q(1)]], 2)
+        system = SolvedSystem([[(0, Q(1)), (1, Q(1))]], 2)
         assert system.solve([Q(1)]) == [Q(1), Q(0)]
         assert len(system.nullspace()) == 1
         v = system.nullspace()[0]
@@ -156,12 +242,12 @@ class TestLinearSolve:
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
             rows = [[Q(rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
             b = [Q(rng.randrange(-3, 4)) for _ in range(n)]
-            system = SolvedSystem(rows, m)
+            system = SolvedSystem(sparse(rows), m)
             x = system.solve(b)
             if x is None:
                 # rank([A|b]) must exceed rank(A)
                 aug = [row + [bv] for row, bv in zip(rows, b)]
-                assert matrix_rank(aug, m + 1) == matrix_rank(rows, m) + 1
+                assert matrix_rank(sparse(aug), m + 1) == matrix_rank(sparse(rows), m) + 1
             else:
                 for row, bv in zip(rows, b):
                     assert sum(r * xv for r, xv in zip(row, x)) == bv
@@ -171,12 +257,12 @@ class TestLinearSolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            SolvedSystem([[Q(1), Q(2)]], 2).solve([Q(1), Q(2)])
+            SolvedSystem([[(0, Q(1)), (1, Q(2))]], 2).solve([Q(1), Q(2)])
 
     def test_int_rows_stay_exact(self):
         """int and mixed int/Fraction rows give the rank, solution and
         nullspace of the same rows as Fractions, all as Fractions."""
-        assert SolvedSystem([[2, 1], [1, 1]], 2).solve([1, 0]) == [Q(1), Q(-1)]
+        assert SolvedSystem([[(0, 2), (1, 1)], [(0, 1), (1, 1)]], 2).solve([1, 0]) == [Q(1), Q(-1)]
         rng = random.Random(7)
         for _ in range(300):
             n, m = rng.randrange(1, 6), rng.randrange(1, 6)
@@ -184,10 +270,11 @@ class TestLinearSolve:
             mixed = [[Q(v) if rng.randrange(2) else v for v in row] for row in ints]
             fracs = [[Q(v) for v in row] for row in ints]
             b = [rng.randrange(-3, 4) for _ in range(n)]
-            want = SolvedSystem(fracs, m)
+            want = SolvedSystem(sparse(fracs), m)
             for rows in (ints, mixed):
-                got = SolvedSystem(rows, m)
-                assert got.rank == want.rank == matrix_rank(rows, m) == matrix_rank(fracs, m)
+                got = SolvedSystem(sparse(rows), m)
+                assert (got.rank == want.rank == matrix_rank(sparse(rows), m)
+                        == matrix_rank(sparse(fracs), m))
                 x = got.solve(b)
                 assert x == want.solve([Q(v) for v in b])
                 assert got.nullspace() == want.nullspace()
@@ -196,6 +283,32 @@ class TestLinearSolve:
 
     def test_float_entries_rejected(self):
         with pytest.raises(UsageError):
-            SolvedSystem([[0.5, 1], [1, 1]], 2)
+            SolvedSystem([[(0, 0.5), (1, 1)], [(0, 1), (1, 1)]], 2)
         with pytest.raises(UsageError):
-            matrix_rank([[Q(1), Q(2)], [1.0, 3]], 2)
+            matrix_rank([[(0, Q(1)), (1, Q(2))], [(0, 1.0), (1, 3)]], 2)
+
+    @pytest.mark.parametrize("row", [[(2, 1)], [(-1, 1)], [(0, 1), (0, 2)]],
+                             ids=["past-ncols", "negative", "repeated"])
+    def test_bad_columns_rejected(self, row):
+        with pytest.raises(UsageError):
+            matrix_rank([row], 2)
+        with pytest.raises(UsageError):
+            SolvedSystem([row], 2)
+
+    @given(rational_systems())
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    def test_matches_dense_reference(self, system):
+        """Rank, solve (value or None) and nullspace equal the dense
+        reference exactly, zero entries given or left out."""
+        rows, ncols, b = system
+        want = DenseReference(rows, ncols)
+        with_zeros = [list(enumerate(row)) for row in rows]
+        for sparse_rows in (sparse(rows), with_zeros):
+            assert matrix_rank(sparse_rows, ncols) == want.rank
+            got = SolvedSystem(sparse_rows, ncols)
+            assert got.rank == want.rank
+            x = got.solve(b)
+            assert x == want.solve(b)
+            assert got.nullspace() == want.nullspace()
+            values = (x or []) + [v for vec in got.nullspace() for v in vec]
+            assert all(type(v) is Q for v in values)
