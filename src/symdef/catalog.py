@@ -1,6 +1,7 @@
 """Constructors for the named cocycle families, id parsing for the CLI,
 the parity-decomposition identity for the odd 2-cocycle family, and the
-one-time sign-convention calibration.
+check that the fixed sign convention of ``cohomology`` makes every family
+a cocycle.
 
 Families (CLI ids in parentheses):
 
@@ -19,20 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .cohomology import (
-    Cochain1,
-    Cochain2,
-    DEFAULT_CONVENTION,
-    OSP12,
-    SL2,
-    SignConvention,
-    d1,
-    d2,
-    get_algebra,
-)
+from .cohomology import Cochain1, Cochain2, OSP12, SL2, get_algebra, is_cocycle
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
-from .kernel import UsageError, parse_rational
+from .kernel import InternalError, UsageError, parse_rational
 from .operators import DiffOp, RawOp, SuperDiffOp
 
 
@@ -145,7 +136,7 @@ def cocycle_Ytilde(k: int) -> Cochain1:
     +d/dx); at k = 1 the first term carries the scalar 0 and is dropped.
 
     Reading the inner derivation as the contact derivation itself does
-    NOT give a cocycle (the calibration suite fails loudly on it); the
+    NOT give a cocycle (the sign-convention check fails loudly on it); the
     companion reading is the one under which the family is exact."""
     if k < 1:
         raise UsageError("Ytilde requires k >= 1")
@@ -304,7 +295,7 @@ def build_cocycle(cid: Union[CatalogId, str]):
 
 
 # ---------------------------------------------------------------------------
-# Sign-convention calibration
+# Sign-convention check
 # ---------------------------------------------------------------------------
 
 _CALIBRATION_SAMPLES = (
@@ -314,33 +305,17 @@ _CALIBRATION_SAMPLES = (
 )
 
 
-def _convention_works(conv: SignConvention) -> bool:
-    for text in _CALIBRATION_SAMPLES:
-        c = build_cocycle(text)
-        if isinstance(c, Cochain1):
-            if not d1(c, conv).is_zero():
-                return False
-        else:
-            if any(d2(c, conv).values()):
-                return False
-    return True
-
-
 @lru_cache(maxsize=1)
-def calibrate_convention() -> tuple[SignConvention, dict]:
-    """Pick the sign toggles under which every catalog family is a cocycle.
+def calibrate_convention() -> dict:
+    """Check that every catalog family is a cocycle under the one sign
+    convention of ``cohomology``; the record is embedded in every report.
 
-    The stated convention is tried first; the calibration record is
-    embedded in every report so results stay reproducible."""
-    tried = []
-    for action in (1, -1):
-        for bracket in (1, -1):
-            conv = SignConvention(action, bracket)
-            tried.append(conv)
-            if _convention_works(conv):
-                return conv, {
-                    "convention": conv.to_json(),
-                    "calibrated_against": list(_CALIBRATION_SAMPLES),
-                    "is_default": conv == DEFAULT_CONVENTION,
-                }
-    raise UsageError("no sign convention makes the catalog families cocycles")
+    A failure is an engine fault (``InternalError``), never a verdict."""
+    for text in _CALIBRATION_SAMPLES:
+        if not is_cocycle(build_cocycle(text)):
+            raise InternalError(f"{text} is not a cocycle under the fixed sign convention")
+    return {
+        "convention": {"action_sign": 1, "bracket_sign": 1},
+        "calibrated_against": list(_CALIBRATION_SAMPLES),
+        "is_default": True,
+    }

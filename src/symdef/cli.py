@@ -20,13 +20,11 @@ from . import __version__
 from .catalog import build_cocycle, calibrate_convention, lemma23_check, parse_catalog_id
 from .cohomology import (
     BoundsSpec,
-    Cochain1,
     NoSolutionWithinBounds,
     Witness,
     cohomology_dim,
     coboundary_solve,
-    d1,
-    d2,
+    is_cocycle,
 )
 from .deformation import (
     DeformationSpec,
@@ -57,12 +55,11 @@ def _parse_bounds(text: Optional[str]) -> Optional[BoundsSpec]:
 
 
 def _report(command: str, inputs: dict, result: dict, verdict: str) -> dict:
-    _, calibration = calibrate_convention()
     return {
         "command": command,
         "input": inputs,
         "engine_version": __version__,
-        "sign_convention": calibration,
+        "sign_convention": calibrate_convention(),
         "result": result,
         "verdict": verdict,
     }
@@ -99,10 +96,7 @@ def _render_text(value, indent: int = 0) -> list[str]:
 def _cmd_verify_cocycle(args) -> tuple[dict, str]:
     cid = parse_catalog_id(args.id)
     cochain = build_cocycle(cid)
-    if isinstance(cochain, Cochain1):
-        closed = d1(cochain).is_zero()
-    else:
-        closed = all(not v for v in d2(cochain).values())
+    closed = is_cocycle(cochain)
     result: dict = {"id": str(cid), "is_cocycle": closed}
     if not closed:
         return result, "falsified"

@@ -13,10 +13,9 @@ parity p(c) and homogeneous arguments:
                    + (-1)^{p(Z)(p(w)+p(X)+p(Y))} rho(Z) w(X,Y)
                    - w([X,Y],Z) + (-1)^{p(Z)p(Y)} w([X,Z],Y) + w(X,[Y,Z])
 
-Two global sign toggles (one on the action sum, one on the bracket sum)
-are kept as configuration so the convention can be calibrated against the
-named cocycle families; the calibration lives in ``catalog`` and the
-record it produces is embedded in every report.
+Every named cocycle family of ``catalog`` is closed under this
+differential; ``catalog.calibrate_convention`` checks that in every run
+and its record is embedded in every report.
 
 All linear algebra is done exactly, sliced by the weight grading of the
 Euler element, under explicit operator-order and coefficient-degree
@@ -60,18 +59,6 @@ OSP12 = "osp12"
 
 
 @dataclass(frozen=True)
-class SignConvention:
-    action_sign: int = 1
-    bracket_sign: int = 1
-
-    def to_json(self) -> dict:
-        return {"action_sign": self.action_sign, "bracket_sign": self.bracket_sign}
-
-
-DEFAULT_CONVENTION = SignConvention(1, 1)
-
-
-@dataclass(frozen=True)
 class BoundsSpec:
     """Truncation bounds: witness operator order and coefficient degree caps."""
 
@@ -82,8 +69,8 @@ class BoundsSpec:
         if self.max_operator_order < 0 or self.max_coefficient_degree < 0:
             raise UsageError("bounds must be non-negative")
 
-    def bumped(self, extra: int = 2) -> "BoundsSpec":
-        return BoundsSpec(self.max_operator_order + extra, self.max_coefficient_degree + extra)
+    def bumped(self) -> "BoundsSpec":
+        return BoundsSpec(self.max_operator_order + 2, self.max_coefficient_degree + 2)
 
     def to_json(self) -> dict:
         return {"max_operator_order": self.max_operator_order,
@@ -257,7 +244,7 @@ class Cochain1:
 class Cochain2:
     """Degree-2 cochain stored on canonical pairs (i < j, odd diagonals).
 
-    Super-antisymmetry is a storage convention: evaluation at a swapped
+    Super-antisymmetry is kept by the storage: evaluation at a swapped
     pair flips by -(-1)^{p(X)p(Y)}, and diagonal images at even elements
     are identically zero.
     """
@@ -316,61 +303,58 @@ def _sign(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
 
-def d0(b: Cochain0, convention: SignConvention = DEFAULT_CONVENTION) -> Cochain1:
+def d0(b: Cochain0) -> Cochain1:
     """(d0 b)(X) = (-1)^{p(X)p(b)} rho(X) b."""
     ctx = get_algebra(b.algebra)
-    sa = convention.action_sign
     images = []
     for i in range(ctx.dim):
-        term = ctx.act(i, b.value).scale(sa * _sign(ctx.parities[i] * b.parity))
+        term = ctx.act(i, b.value).scale(_sign(ctx.parities[i] * b.parity))
         images.append(term)
     return Cochain1(b.algebra, images, (b.parity or 0))
 
 
-def d1(c: Cochain1, convention: SignConvention = DEFAULT_CONVENTION) -> Cochain2:
+def d1(c: Cochain1) -> Cochain2:
     ctx = get_algebra(c.algebra)
-    sa, sb = convention.action_sign, convention.bracket_sign
     p = c.parity
     par = ctx.parities
     images = {}
     for (i, j) in ctx.canonical_pairs():
-        term = ctx.act(i, c.images[j]).scale(sa * _sign(p * par[i]))
-        term = term - ctx.act(j, c.images[i]).scale(sa * _sign(par[j] * (p + par[i])))
+        term = ctx.act(i, c.images[j]).scale(_sign(p * par[i]))
+        term = term - ctx.act(j, c.images[i]).scale(_sign(par[j] * (p + par[i])))
         for g, coeff in enumerate(ctx.structure[(i, j)]):
             if coeff:
-                term = term - c.images[g].scale(sb * coeff)
+                term = term - c.images[g].scale(coeff)
         images[(i, j)] = term
     return Cochain2(c.algebra, images, p)
 
 
-def d2(w: Cochain2, convention: SignConvention = DEFAULT_CONVENTION) -> dict:
+def d2(w: Cochain2) -> dict:
     """Images of the degree-2 differential on canonical basis triples."""
     ctx = get_algebra(w.algebra)
-    sa, sb = convention.action_sign, convention.bracket_sign
     p = w.parity
     par = ctx.parities
     out = {}
     for (i, j, k) in ctx.canonical_triples():
-        term = ctx.act(i, w.at(j, k)).scale(sa * _sign(p * par[i]))
-        term = term - ctx.act(j, w.at(i, k)).scale(sa * _sign(par[j] * (p + par[i])))
-        term = term + ctx.act(k, w.at(i, j)).scale(sa * _sign(par[k] * (p + par[i] + par[j])))
+        term = ctx.act(i, w.at(j, k)).scale(_sign(p * par[i]))
+        term = term - ctx.act(j, w.at(i, k)).scale(_sign(par[j] * (p + par[i])))
+        term = term + ctx.act(k, w.at(i, j)).scale(_sign(par[k] * (p + par[i] + par[j])))
         for g, coeff in enumerate(ctx.structure[(i, j)]):
             if coeff:
-                term = term - w.at(g, k).scale(sb * coeff)
+                term = term - w.at(g, k).scale(coeff)
         for g, coeff in enumerate(ctx.structure[(i, k)]):
             if coeff:
-                term = term + w.at(g, j).scale(sb * coeff * _sign(par[k] * par[j]))
+                term = term + w.at(g, j).scale(coeff * _sign(par[k] * par[j]))
         for g, coeff in enumerate(ctx.structure[(j, k)]):
             if coeff:
-                term = term + w.at(i, g).scale(sb * coeff)
+                term = term + w.at(i, g).scale(coeff)
         out[(i, j, k)] = term
     return out
 
 
-def is_cocycle(c: Cochain, convention: SignConvention = DEFAULT_CONVENTION) -> bool:
+def is_cocycle(c: Cochain) -> bool:
     if isinstance(c, Cochain1):
-        return d1(c, convention).is_zero()
-    return all(not v for v in d2(c, convention).values())
+        return d1(c).is_zero()
+    return all(not v for v in d2(c).values())
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +463,6 @@ class BlockCache:
             return 2 * (mon[0] - mon[1])
         return 2 * mon[0] + mon[1] - mon[2]
 
-    @staticmethod
-    def monomial_parity(mon: tuple) -> int:
-        if len(mon) == 2:
-            return 0
-        return (mon[1] + mon[2]) & 1
-
     def monomials(self, bounds: BoundsSpec, key: Optional[int] = None,
                   parity: Optional[int] = None) -> list[tuple]:
         out = []
@@ -582,7 +560,7 @@ def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _ce_table(algebra: str, degree: int, parity: int, convention: SignConvention) -> dict:
+def _ce_table(algebra: str, degree: int, parity: int) -> dict:
     """The terms of d^degree on cochains of one parity, grouped by the
     input slot they read: slot -> [(output key, generator or None for the
     identity, coefficient)].
@@ -594,7 +572,6 @@ def _ce_table(algebra: str, degree: int, parity: int, convention: SignConvention
     """
     ctx = get_algebra(algebra)
     par = ctx.parities
-    sa, sb = convention.action_sign, convention.bracket_sign
     outputs = [(i,) for i in range(ctx.dim)] if degree == 0 else (
         ctx.canonical_pairs() if degree == 1 else ctx.canonical_triples())
     table: dict = {}
@@ -608,22 +585,21 @@ def _ce_table(algebra: str, degree: int, parity: int, convention: SignConvention
         out = xs[0] if degree == 0 else xs
         before = [sum(par[x] for x in xs[:a]) for a in range(len(xs))]
         for a, x in enumerate(xs):
-            add(out, x, sa * _sign(a + par[x] * (parity + before[a])), xs[:a] + xs[a + 1:])
+            add(out, x, _sign(a + par[x] * (parity + before[a])), xs[:a] + xs[a + 1:])
         for a in range(len(xs)):
             for b in range(a + 1, len(xs)):
                 koszul = par[xs[a]] * before[a] + par[xs[b]] * (before[b] - par[xs[a]])
                 rest = xs[:a] + xs[a + 1:b] + xs[b + 1:]
                 for g, coeff in enumerate(ctx.structure[(xs[a], xs[b])]):
-                    add(out, None, sb * coeff * _sign(a + b + koszul), (g,) + rest)
+                    add(out, None, coeff * _sign(a + b + koszul), (g,) + rest)
     return table
 
 
-def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int,
-                          convention: SignConvention) -> list[dict]:
+def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int) -> list[dict]:
     """Coordinates of d^degree on each basis cochain, {(output key, monomial): value}.
 
     Agreement with the typed d0/d1/d2 is pinned by tests."""
-    table = _ce_table(cache.ctx.name, degree, parity, convention)
+    table = _ce_table(cache.ctx.name, degree, parity)
     cols = []
     for item in basis:
         slot, mon = (None, item) if degree == 0 else item
@@ -673,14 +649,13 @@ class Decomposition:
     witness: Union[Cochain0, Cochain1]
 
 
-def default_witness_bounds(c: Cochain) -> BoundsSpec:
-    """Generous default truncation, relative to the cocycle's own size."""
-    lam, mu = cochain_block(c)
-    if isinstance(c, Cochain1):
-        orders = [im.order or 0 for im in c.images if im]
-    else:
-        orders = [im.order or 0 for im in c.images.values() if im]
-    order = max(orders, default=0)
+def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
+    """Generous default truncation, relative to the size of the given
+    cochains, which live on one block."""
+    lam, mu = cochain_block(cochains[0])
+    images = [im for c in cochains
+              for im in (c.images if isinstance(c, Cochain1) else c.images.values())]
+    order = max((im.order or 0 for im in images if im), default=0)
     n = order + 2 + math.ceil(abs(2 * (mu - lam))) + 2
     return BoundsSpec(n, 2 * n + 4)
 
@@ -705,15 +680,15 @@ _SOLVER_CACHE: dict[tuple, tuple] = {}
 
 
 def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: int, key: int,
-                  convention: SignConvention, lead: Optional[dict] = None):
+                  lead: Optional[dict] = None):
     """(basis, row index, SolvedSystem) of the slice system [lead | d^degree]
     at one weight key.  Only systems without a lead column are cached: they
     serve every cocycle of the block, while a lead column is one family's."""
-    full_key = (cache.ctx.name, cache.lam, cache.mu, degree, bounds, parity, key, convention)
+    full_key = (cache.ctx.name, cache.lam, cache.mu, degree, bounds, parity, key)
     hit = _SOLVER_CACHE.get(full_key) if lead is None else None
     if hit is None:
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-        cols = _differential_columns(cache, degree, basis, parity, convention)
+        cols = _differential_columns(cache, degree, basis, parity)
         if lead is not None:
             cols.insert(0, lead)
         by_key: dict = {}  # the sparse rows of the slice system, one per row key
@@ -727,8 +702,7 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: in
     return hit
 
 
-def _solve_by_weight(c: Cochain, bounds: BoundsSpec, convention: SignConvention,
-                     family: Optional[Cochain] = None):
+def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
     """Solve c = t * family + d(b) exactly, one weight key at a time, with b
     within bounds.  NoSolutionWithinBounds when some slice has no solution
     or the family is itself a bounded coboundary (t would not be unique)."""
@@ -754,8 +728,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, convention: SignConvention,
         except UsageError:
             raise UsageError("slice solving expects parameter-free coefficients")
         lead = _cochain_coords(family) if key == family_key else None
-        slice_basis, row_index, system = _slice_system(
-            cache, degree, bounds, c.parity, key, convention, lead)
+        slice_basis, row_index, system = _slice_system(cache, degree, bounds, c.parity, key, lead)
         if any(k not in row_index for k in rhs_coords):
             return NoSolutionWithinBounds(bounds)
         rhs = [Fraction(0)] * len(row_index)
@@ -771,8 +744,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, convention: SignConvention,
     return Decomposition(t, _assemble_witness(cache, degree, basis, vector))
 
 
-def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None,
-                     convention: SignConvention = DEFAULT_CONVENTION):
+def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
     """Solve d(b) = c with b constrained to the given bounds.
 
     Returns a Witness (whose coboundary is re-checked to equal c exactly)
@@ -781,20 +753,19 @@ def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None,
     """
     if bounds is None:
         bounds = default_witness_bounds(c)
-    if not is_cocycle(c, convention):
+    if not is_cocycle(c):
         raise UsageError("coboundary_solve expects a cocycle")
-    solved = _solve_by_weight(c, bounds, convention)
+    solved = _solve_by_weight(c, bounds)
     if isinstance(solved, NoSolutionWithinBounds):
         return solved
     witness = solved.witness
-    check = d0(witness, convention) if isinstance(witness, Cochain0) else d1(witness, convention)
+    check = d0(witness) if isinstance(witness, Cochain0) else d1(witness)
     if check.images != c.images:
         raise InternalError("witness failed the exact re-check")
     return Witness(witness)
 
 
-def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] = None,
-                      convention: SignConvention = DEFAULT_CONVENTION):
+def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] = None):
     """Write c = t * family + d(b) with b within bounds.
 
     The family must be nonzero, live on c's block and lie in a single
@@ -803,11 +774,10 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] 
     bounds or the family is itself a bounded coboundary."""
     if bounds is None:
         bounds = default_witness_bounds(c)
-    return _solve_by_weight(c, bounds, convention, family)
+    return _solve_by_weight(c, bounds, family)
 
 
-def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec] = None,
-                        convention: SignConvention = DEFAULT_CONVENTION) -> bool:
+def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec] = None) -> bool:
     """True when no nonzero rational combination of the given cocycles is a
     coboundary within bounds (in particular they are linearly independent
     in the truncated cohomology)."""
@@ -815,14 +785,13 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
         return True
     first = cocycles[0]
     if bounds is None:
-        bounds = max((default_witness_bounds(c) for c in cocycles),
-                     key=lambda b: (b.max_operator_order, b.max_coefficient_degree))
+        bounds = default_witness_bounds(*cocycles)
     lam, mu = cochain_block(first)
     cache = block_cache(get_algebra(first.algebra).name, lam, mu)
     degree = 1 if isinstance(first, Cochain2) else 0
     parity = first.parity
     for c in cocycles:
-        if not is_cocycle(c, convention):
+        if not is_cocycle(c):
             raise UsageError("classes_independent expects cocycles")
         if cochain_block(c) != (lam, mu) or c.parity != parity:
             raise UsageError("cocycles must share a block and parity")
@@ -838,7 +807,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     boundary_cols = []
     for key in keys:
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-        for col in _differential_columns(cache, degree, basis, parity, convention):
+        for col in _differential_columns(cache, degree, basis, parity):
             boundary_cols.append({(key, rk): v for rk, v in col.items()})
     return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
@@ -861,14 +830,13 @@ def default_dimension_bounds(lam, mu) -> BoundsSpec:
     return BoundsSpec(n, 2 * n + 4)
 
 
-def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
-                    convention: SignConvention) -> dict[int, int]:
+def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec) -> dict[int, int]:
     cache = block_cache(algebra, lam, mu)
     ctx = cache.ctx
     # Witnesses never need to outgrow the cocycles they bound (the Euler
     # contraction provides same-size witnesses off the critical weight),
     # but the witness space is padded a little so the image is not clipped.
-    witness_bounds = bounds.bumped(2)
+    witness_bounds = bounds.bumped()
     parities = (0,) if ctx.flavor == CLASSICAL else (0, 1)
     per_weight: dict[int, int] = {}
     for parity in parities:
@@ -878,7 +846,7 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
                 for mon in cache.monomials(bounds, parity=parity ^ slot_parity)}
         for key in sorted(keys):
             basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-            cols = _differential_columns(cache, degree, basis, parity, convention)
+            cols = _differential_columns(cache, degree, basis, parity)
             ker = len(basis) - _rank(cols)
             if not ker:
                 continue
@@ -886,7 +854,7 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
             prev_basis = _enumerate_cochain_basis(cache, degree - 1, witness_bounds, parity, key)
             image = 0
             if prev_basis:
-                prev_cols = _differential_columns(cache, degree - 1, prev_basis, parity, convention)
+                prev_cols = _differential_columns(cache, degree - 1, prev_basis, parity)
                 image = _rank(prev_cols) - _rank(prev_cols, skip=set(basis))
             dim = ker - image
             if dim:
@@ -895,8 +863,7 @@ def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec,
 
 
 def cohomology_dim(weights, degree: int, algebra: str,
-                   bounds: Optional[BoundsSpec] = None,
-                   convention: SignConvention = DEFAULT_CONVENTION) -> DimResult:
+                   bounds: Optional[BoundsSpec] = None) -> DimResult:
     """Truncated dim H^degree on one block, with a stabilization flag.
 
     The dimension is computed per Euler-weight component and summed;
@@ -908,8 +875,8 @@ def cohomology_dim(weights, degree: int, algebra: str,
     lam, mu = (Fraction(weights[0]), Fraction(weights[1]))
     if bounds is None:
         bounds = default_dimension_bounds(lam, mu)
-    first = _dimension_once(algebra, lam, mu, degree, bounds, convention)
-    second = _dimension_once(algebra, lam, mu, degree, bounds.bumped(), convention)
+    first = _dimension_once(algebra, lam, mu, degree, bounds)
+    second = _dimension_once(algebra, lam, mu, degree, bounds.bumped())
     dim = sum(first.values())
     stabilized = dim == sum(second.values())
     examined = tuple(sorted(first))

@@ -20,7 +20,6 @@ assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -39,13 +38,12 @@ from .cohomology import (
     BoundsSpec,
     Cochain1,
     Cochain2,
-    DEFAULT_CONVENTION,
     NoSolutionWithinBounds,
-    SignConvention,
     algebra_for_flavor,
     coboundary_solve,
     d1,
     decompose_cocycle,
+    default_witness_bounds,
 )
 from .geometry import CLASSICAL, SUPER
 from .kernel import (
@@ -56,7 +54,7 @@ from .kernel import (
     format_rational,
     parse_rational,
 )
-from .operators import DiffOp, GradedOp, SuperDiffOp, undeformed_action
+from .operators import DiffOp, GradedOp, SuperDiffOp, graded_identity, undeformed_action
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +72,11 @@ def _spec_int(payload: dict, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"spec.{name} must be an integer, got {value!r}")
     return value
+
+
+def _default_window(delta: Fraction) -> int:
+    """Room for the resonant band 2*delta = m: max(8, 2m + 2) components."""
+    return max(8, int(4 * delta) + 2) if _is_int(2 * delta) else 8
 
 
 @dataclass
@@ -160,7 +163,7 @@ class DeformationSpec:
     @staticmethod
     def resonant_spec(flavor: str, m: int, window: Optional[int] = None,
                       params: Optional[dict] = None) -> "DeformationSpec":
-        window = window if window is not None else max(8, 2 * m + 2)
+        window = window if window is not None else _default_window(Fraction(m, 2))
         assignment = None
         if params is not None:
             assignment = {k: parse_rational(v) if isinstance(v, str) else Fraction(v)
@@ -183,8 +186,7 @@ class DeformationSpec:
             delta = parse_rational(str(payload["delta"]))
         else:
             raise UsageError("spec needs either 'm' or 'delta'")
-        window = _spec_int(payload, "window") if "window" in payload else (
-            max(8, int(2 * delta) * 2 + 2 if _is_int(2 * delta) else 8))
+        window = _spec_int(payload, "window") if "window" in payload else _default_window(delta)
         params = payload.get("params")
         assignment = None
         if params is not None:
@@ -322,7 +324,7 @@ def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
     ctx = action.ctx
     li, lj = action.full(i), action.full(j)
     sign = -1 if (ctx.parities[i] and ctx.parities[j]) else 1
-    defect = li.compose(lj) - lj.compose(li).scale(sign)
+    defect = li.bracket(lj, sign)
     for g, coeff in enumerate(ctx.structure[(i, j)]):
         if coeff:
             defect = defect - action.full(g).scale(coeff)
@@ -441,15 +443,14 @@ class ObstructionReport:
     def condition_generators(self) -> list[ParamScalar]:
         return [b.class_coeff for b in self.blocks]
 
-    def verify_reassembly(self, action: DeformedAction,
-                          convention: SignConvention = DEFAULT_CONVENTION) -> bool:
+    def verify_reassembly(self, action: DeformedAction) -> bool:
         """Exact check: class*basis + d1(witness) reproduces every defect block."""
         ctx = action.ctx
         pairs = ctx.canonical_pairs()
         defects = {pair: bracket_defect(action, *pair) for pair in pairs}
         for entry in self.blocks:
             key = (entry.source_k, entry.target_k)
-            reassembled = entry.basis.scale(entry.class_coeff) + d1(entry.witness, convention)
+            reassembled = entry.basis.scale(entry.class_coeff) + d1(entry.witness)
             for pair in pairs:
                 if defects[pair].block(*key) != reassembled.images[pair]:
                     return False
@@ -479,8 +480,8 @@ def _recognized_blocks(spec: DeformationSpec) -> dict[tuple[int, int], tuple[str
     return out
 
 
-def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = None,
-                        convention: SignConvention = DEFAULT_CONVENTION) -> ObstructionReport:
+def obstruction_classes(action: DeformedAction,
+                        bounds: Optional[BoundsSpec] = None) -> ObstructionReport:
     """Decompose the quadratic defect of a first-order deformation.
 
     Per off-diagonal weight block the defect is written exactly as
@@ -510,7 +511,7 @@ def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = N
         j, i = key
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
-        use_bounds = bounds if bounds is not None else default_obstruction_bounds(block_cochain, basis)
+        use_bounds = bounds if bounds is not None else default_witness_bounds(block_cochain, basis)
         mons = set()
         for im in images.values():
             mons.update(_op_monomials(im))
@@ -522,7 +523,7 @@ def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = N
             mon_parity = len(mon[1]) & 1
             rhs_cochain = Cochain2(ctx.name, {p: _op_component(im, mon) for p, im in images.items()},
                                    parity=mon_parity if ctx.flavor == SUPER else 0)
-            split = decompose_cocycle(rhs_cochain, basis, use_bounds, convention)
+            split = decompose_cocycle(rhs_cochain, basis, use_bounds)
             if isinstance(split, NoSolutionWithinBounds):
                 solvable = False
                 break
@@ -561,15 +562,6 @@ def obstruction_classes(action: DeformedAction, bounds: Optional[BoundsSpec] = N
         verdict=verdict,
     )
     return report
-
-
-def default_obstruction_bounds(defect_block: Cochain2, basis: Cochain2) -> BoundsSpec:
-    lam, mu = defect_block.zero_value().lam, defect_block.zero_value().mu
-    orders = [im.order or 0 for im in defect_block.images.values() if im]
-    orders += [im.order or 0 for im in basis.images.values() if im]
-    order = max(orders, default=0)
-    n = order + 2 + math.ceil(abs(2 * (mu - lam))) + 2
-    return BoundsSpec(n, 2 * n + 4)
 
 
 def default_obstruction_bounds_from_spec(spec: DeformationSpec) -> BoundsSpec:
@@ -800,7 +792,7 @@ def gauge_transform(action: DeformedAction, gauge_terms: Sequence[tuple[int, Gra
     obstruction classes are invariant either way."""
     spec = action.spec
     ctx = action.ctx
-    ident = _graded_identity(spec)
+    ident = graded_identity(spec.flavor, spec.delta, spec.window)
     perturb = None
     for order, term in gauge_terms:
         if order < 1:
@@ -833,12 +825,6 @@ def gauge_transform(action: DeformedAction, gauge_terms: Sequence[tuple[int, Gra
         zero = GradedOp(spec.flavor, spec.delta, spec.window)
         terms[order] = [item if item is not None else zero for item in row]
     return DeformedAction(spec, terms, truncation_order=truncation_order)
-
-
-def _graded_identity(spec: DeformationSpec) -> GradedOp:
-    from .operators import graded_identity
-
-    return graded_identity(spec.flavor, spec.delta, spec.window)
 
 
 @dataclass

@@ -192,10 +192,6 @@ class SuperPoly:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def from_poly(p: Poly) -> "SuperPoly":
-        return SuperPoly(p, P_ZERO)
-
-    @staticmethod
     def const(c) -> "SuperPoly":
         return SuperPoly(Poly.const(c), P_ZERO)
 

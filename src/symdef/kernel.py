@@ -30,9 +30,6 @@ class InternalError(AssertionError):
 # Rationals
 # ---------------------------------------------------------------------------
 
-#: Exact rational scalar; always in lowest terms with positive denominator.
-Q = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
@@ -295,12 +292,6 @@ class ParamScalar:
             {m: c for m, c in self.terms.items() if _monomial_degree(m) <= max_degree},
         )
 
-    def component(self, degree: int) -> "ParamScalar":
-        return ParamScalar(
-            self.algebra,
-            {m: c for m, c in self.terms.items() if _monomial_degree(m) == degree},
-        )
-
     # -- evaluation ---------------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, Union[int, str, Fraction]]) -> "ParamScalar":
@@ -351,13 +342,6 @@ class ParamScalar:
     def monomials(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items())
 
-    def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for even, odd in self.terms:
-            out.update(name for name, _ in even)
-            out.update(odd)
-        return out
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -395,10 +379,6 @@ Scalar = Union[Fraction, ParamScalar]
 
 def scalar_is_zero(c: Scalar) -> bool:
     return not c
-
-
-def scalar_parity(c: Scalar) -> int:
-    return c.parity() if isinstance(c, ParamScalar) else 0
 
 
 def scalar_involute(c: Scalar) -> Scalar:

@@ -760,10 +760,6 @@ class GradedOp:
         """self o other - sign * other o self with an explicit Koszul sign."""
         return self.compose(other) - other.compose(self).scale(sign)
 
-    def supercommutator(self, other: "GradedOp") -> "GradedOp":
-        pa, pb = self.parity(), other.parity()
-        return self.bracket(other, -1 if (pa and pb) else 1)
-
     def substitute(self, assignment) -> "GradedOp":
         out = GradedOp(self.flavor, self.delta, self.kmax)
         for (j, i), op in self.blocks.items():

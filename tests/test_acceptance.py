@@ -89,7 +89,7 @@ def is_closed(cochain) -> bool:
 
 def test_criterion_1_cocycle_suite():
     start = time.time()
-    convention, record = calibrate_convention()
+    record = calibrate_convention()
     assert record["is_default"]
     for text in family_instances():
         assert is_closed(build_cocycle(text)), text

@@ -184,6 +184,7 @@ class TestCatalogIds:
 
 class TestCalibration:
     def test_default_convention_calibrates(self):
-        conv, record = calibrate_convention()
+        record = calibrate_convention()
+        assert list(record) == ["convention", "calibrated_against", "is_default"]
         assert record["is_default"]
-        assert conv.action_sign == 1 and conv.bracket_sign == 1
+        assert record["convention"] == {"action_sign": 1, "bracket_sign": 1}

@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+import symdef.catalog as catalog
 import symdef.cli as cli
 from symdef.cli import ENGINE_FAULT, FALSIFIED, USAGE, VERIFIED, main, render, run
+from symdef.cohomology import Cochain1
+from symdef.geometry import Poly
 from symdef.kernel import InternalError
+from symdef.operators import DiffOp
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -170,6 +174,28 @@ def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):
     assert report["verdict"] == "engine-fault"
     assert report["error_type"] == "InternalError"
     assert report["error"] == "invariant broke"
+
+
+@pytest.fixture
+def fresh_convention_check():
+    catalog.calibrate_convention.cache_clear()
+    yield
+    catalog.calibrate_convention.cache_clear()
+
+
+def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_convention_check):
+    build = catalog.build_cocycle
+
+    def not_closed_for_A1(cid):
+        if cid == "A:lambda=1":
+            return Cochain1("sl2", [DiffOp.partial(1, 1, 1, Poly.x_power(3))] * 3)
+        return build(cid)
+
+    monkeypatch.setattr(catalog, "build_cocycle", not_closed_for_A1)
+    report, code = run(["lemma23", "--k", "2"])
+    assert code == ENGINE_FAULT
+    assert report["verdict"] == "engine-fault"
+    assert report["error_type"] == "InternalError"
 
 
 class TestFlatDeform:

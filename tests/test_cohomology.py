@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi
 from symdef.cohomology import (
-    DEFAULT_CONVENTION,
     BlockCache,
     BoundsSpec,
     Cochain0,
@@ -19,7 +18,6 @@ from symdef.cohomology import (
     NoSolutionWithinBounds,
     OSP12,
     SL2,
-    SignConvention,
     Witness,
     block_cache,
     classes_independent,
@@ -173,41 +171,41 @@ class TestWeightSlicing:
     def test_specialized_columns_match_generic_d1(self):
         """The table-driven slice columns agree with the typed d0/d1/d2 on
         every one-slot basis cochain: degrees 0-2, both algebras, both
-        parities, default and toggled sign conventions."""
+        parities, every integer weight key from -5 to 4 (odd keys are
+        osp(1|2) slices; Omega:k lies in key 1-2k)."""
         blocks = [(SL2, Q(0), Q(1), 0), (SL2, Q(-1, 2), Q(3, 2), 0),
-                  (OSP12, Q(0), Q(1, 2), 0), (OSP12, Q(0), Q(1, 2), 1)]
-        conventions = [DEFAULT_CONVENTION, SignConvention(-1, 1), SignConvention(1, -1)]
+                  (OSP12, Q(0), Q(1, 2), 0), (OSP12, Q(0), Q(1, 2), 1),
+                  (OSP12, Q(-1), Q(3, 2), 0), (OSP12, Q(-1), Q(3, 2), 1)]
         bounds = BoundsSpec(3, 4)
         checked = 0
         for algebra, lam, mu, parity in blocks:
             cache = block_cache(algebra, lam, mu)
             for degree in (0, 1, 2):
-                for convention in conventions:
-                    for key in (-4, -2, 0, 2):
-                        basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-                        cols = _differential_columns(cache, degree, basis, parity, convention)
-                        for item, col in zip(basis, cols):
-                            want = typed_column(cache, degree, item, parity, convention)
-                            assert want == col, (algebra, parity, degree, convention, item)
-                            checked += 1
+                for key in range(-5, 5):
+                    basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
+                    cols = _differential_columns(cache, degree, basis, parity)
+                    for item, col in zip(basis, cols):
+                        want = typed_column(cache, degree, item, parity)
+                        assert want == col, (algebra, parity, degree, item)
+                        checked += 1
         assert checked > 1000
 
 
-def typed_column(cache, degree, item, parity, convention):
+def typed_column(cache, degree, item, parity):
     """Coordinates of the typed differential of a one-slot basis cochain."""
     ctx = cache.ctx
     if degree == 0:
-        images = enumerate(d0(Cochain0(ctx.name, cache.monomial_op(item), parity), convention).images)
+        images = enumerate(d0(Cochain0(ctx.name, cache.monomial_op(item), parity)).images)
     else:
         slot, mon = item
         zero = cache.monomial_op(mon).scale(0)
         if degree == 1:
             values = [cache.monomial_op(mon) if s == slot else zero for s in range(ctx.dim)]
-            images = d1(Cochain1(ctx.name, values, parity), convention).images.items()
+            images = d1(Cochain1(ctx.name, values, parity)).images.items()
         else:
             values = {pair: cache.monomial_op(mon) if pair == slot else zero
                       for pair in ctx.canonical_pairs()}
-            images = d2(Cochain2(ctx.name, values, parity), convention).items()
+            images = d2(Cochain2(ctx.name, values, parity)).items()
     return {(out, m2): fr for out, im in images for m2, fr in monomial_coords(im).items()}
 
 

@@ -1,5 +1,6 @@
-"""Golden JSON reports: the `--format json` stdout of fixed commands,
-compared byte for byte, and every README CLI line run verbatim."""
+"""Golden reports: the `--format json` stdout of fixed commands and the
+default `--format text` stdout of two of them, compared byte for byte, and
+every README CLI line run verbatim."""
 
 import json
 import re
@@ -27,6 +28,9 @@ CASES = [
     ("flat_deform_readme.json", ["flat-deform", "--spec", "spec.json"]),
 ]
 
+TEXT_CASES = [(name.replace(".json", ".txt"), argv) for name, argv in CASES
+              if name in ("obstruction_classical_m3.json", "verify_cocycle_phi2.json")]
+
 
 @pytest.fixture
 def spec_dir(tmp_path, monkeypatch):
@@ -40,6 +44,13 @@ def test_json_report_matches_golden(name, argv, spec_dir):
     report, code = run(argv + ["--format", "json"])
     assert code == 0
     assert render(report, "json") + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,argv", TEXT_CASES, ids=[name for name, _ in TEXT_CASES])
+def test_text_report_matches_golden(name, argv):
+    report, code = run(argv)
+    assert code == 0
+    assert render(report, "text") + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def readme_cli_lines() -> list[list[str]]:
