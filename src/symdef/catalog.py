@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .cohomology import Cochain1, Cochain2, OSP12, SL2, get_algebra, is_cocycle
+from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
 from .kernel import InternalError, UsageError, parse_rational
@@ -310,9 +310,14 @@ def calibrate_convention() -> dict:
     """Check that every catalog family is a cocycle under the one sign
     convention of ``cohomology``; the record is embedded in every report.
 
+    The check runs the typed d1/d2, so every run also exercises the typed
+    differential that witness re-checks and obstruction reassembly rely on.
     A failure is an engine fault (``InternalError``), never a verdict."""
     for text in _CALIBRATION_SAMPLES:
-        if not is_cocycle(build_cocycle(text)):
+        cochain = build_cocycle(text)
+        closed = (d1(cochain).is_zero() if isinstance(cochain, Cochain1)
+                  else not any(d2(cochain).values()))
+        if not closed:
             raise InternalError(f"{text} is not a cocycle under the fixed sign convention")
     return {
         "convention": {"action_sign": 1, "bracket_sign": 1},

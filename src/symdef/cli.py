@@ -251,6 +251,21 @@ class _CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# options whose value may start with '-': negative rationals, alpha lists
+_SIGNED_OPTIONS = ("--lambda", "--mu", "--alphas")
+
+
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    """`--lambda -1/2` as `--lambda=-1/2`; argparse reads `-1/2` as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="symdef", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,7 +317,7 @@ def run(argv: Sequence[str]) -> tuple[dict, int]:
     """Execute one CLI invocation; returns (report, exit_code)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_signed_values(argv))
         inputs = {
             key: value
             for key, value in sorted(vars(args).items())

@@ -352,9 +352,16 @@ def d2(w: Cochain2) -> dict:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    if isinstance(c, Cochain1):
-        return d1(c).is_zero()
-    return all(not v for v in d2(c).values())
+    """Exact d c = 0, read off the action tables: the coordinates of c go
+    through the loop behind every differential column (``_differential``).
+    The typed d1/d2 are its oracle in the tests.  UsageError while a
+    coefficient still holds formal parameters."""
+    try:
+        coords = _cochain_coords(c)
+    except UsageError:
+        raise UsageError("is_cocycle expects parameter-free coefficients")
+    table = _ce_table(c.algebra, 1 if isinstance(c, Cochain1) else 2, c.parity)
+    return not _differential(block_cache(c.algebra, *cochain_block(c)), table, coords.items())
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +602,14 @@ def _ce_table(algebra: str, degree: int, parity: int) -> dict:
     return table
 
 
-def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int) -> list[dict]:
-    """Coordinates of d^degree on each basis cochain, {(output key, monomial): value}.
-
-    Agreement with the typed d0/d1/d2 is pinned by tests."""
-    table = _ce_table(cache.ctx.name, degree, parity)
-    cols = []
-    for item in basis:
-        slot, mon = (None, item) if degree == 0 else item
-        col: dict = {}
+def _differential(cache: BlockCache, table: dict, coords) -> dict:
+    """Coordinates {(output key, monomial): value} of d applied to the cochain
+    with coordinates [((slot, monomial), value)], d given by its _ce_table."""
+    col: dict = {}
+    for (slot, mon), value in coords:
         for out, gen, coeff in table.get(slot, ()):
+            if value != 1:
+                coeff = coeff * value
             image = ((mon, 1),) if gen is None else cache.act_monomial(gen, mon)
             for mon2, val in image:
                 rkey = (out, mon2)
@@ -613,8 +618,16 @@ def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: i
                     col[rkey] = acc
                 else:
                     col.pop(rkey, None)
-        cols.append(col)
-    return cols
+    return col
+
+
+def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int) -> list[dict]:
+    """Coordinates of d^degree on each basis cochain, {(output key, monomial): value}.
+
+    Agreement with the typed d0/d1/d2 is pinned by tests."""
+    table = _ce_table(cache.ctx.name, degree, parity)
+    return [_differential(cache, table, ((((None, item) if degree == 0 else item), 1),))
+            for item in basis]
 
 
 def _rank(cols: list[dict], skip=frozenset()) -> int:

@@ -8,20 +8,29 @@ The deformed action on a window of the symbol module is
     resp.  sum_k  fb_k * Y_k + fc_k * Ytilde_k  (super, resonant)
 
 with even diagonal parameters and, in the super flavor, odd off-diagonal
-parameters.  With no higher-order terms the homomorphism defect
-[L_X, L_Y] - L_{[X,Y]} is exactly quadratic in the parameters; this module
-expands it mechanically, decomposes every off-diagonal block against the
-matching degree-2 family plus a coboundary, and outputs the per-block
-class coefficients as the engine-derived integrability conditions.  The
-published closed-form conditions are evaluated side by side and the
-report records whether the two agree up to a nonzero scalar; neither is
-assumed.
+parameters.  Writing it L = L0 + Phi, the homomorphism defect
+[L_X, L_Y] - L_{[X,Y]} of this first-order action is exactly the quadratic
+term [Phi_X, Phi_Y] (the second-order obstruction of Nijenhuis and
+Richardson): the L0 L0 part cancels because L0 is a homomorphism, and the
+linear part is d1(Phi) = 0 because every block of Phi is a catalog
+cocycle.  Neither fact is assumed.  L0 is checked to be a homomorphism on
+the action tables once per window, and every family instance placed in Phi
+is checked to be a cocycle once; a failed check is an ``InternalError``.
+Any other action (gauge-transformed, truncated, hand-built) has its defect
+expanded in full.
+
+Every off-diagonal defect block is decomposed against the matching
+degree-2 family plus a coboundary, and the per-block class coefficients
+are the engine-derived integrability conditions.  The published
+closed-form conditions are evaluated side by side and the report records
+whether the two agree up to a nonzero scalar; neither is assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .catalog import (
@@ -40,10 +49,12 @@ from .cohomology import (
     Cochain2,
     NoSolutionWithinBounds,
     algebra_for_flavor,
+    block_cache,
     coboundary_solve,
     d1,
     decompose_cocycle,
     default_witness_bounds,
+    is_cocycle,
 )
 from .geometry import CLASSICAL, SUPER
 from .kernel import (
@@ -54,7 +65,14 @@ from .kernel import (
     format_rational,
     parse_rational,
 )
-from .operators import DiffOp, GradedOp, SuperDiffOp, graded_identity, undeformed_action
+from .operators import (
+    DiffOp,
+    GradedOp,
+    SuperDiffOp,
+    graded_identity,
+    monomial_coords,
+    undeformed_action,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +123,13 @@ class DeformationSpec:
         if self.resonant and self.flavor == SUPER:
             if 2 * self.m - 1 > self.window:
                 raise UsageError("window too small for the resonant band")
+        if self.assignment is not None:
+            algebra = self.algebra()
+            for name, value in self.assignment.items():
+                if name not in algebra:
+                    raise UsageError(f"unknown parameter {name!r} for this deformation")
+                if name in algebra.odd and value != 0:
+                    raise UsageError(f"odd parameter {name!r} cannot take a nonzero numeric value")
 
     # -- resonance ----------------------------------------------------------
 
@@ -220,6 +245,8 @@ class DeformedAction:
     spec: DeformationSpec
     terms: dict[int, list[GradedOp]]  # parameter order -> per-basis-index term
     truncation_order: Optional[int] = None
+    # set by _assemble_first_order once L0 and every placed family are certified
+    _cocycle_terms: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def ctx(self):
@@ -237,8 +264,8 @@ class DeformedAction:
                 for _ in range(self.ctx.dim)]
 
     def undeformed(self, index: int) -> GradedOp:
-        return undeformed_action(self.ctx.basis[index], self.spec.flavor,
-                                 self.spec.delta, self.spec.window)
+        """L0 of basis element `index`, certified and shared: never mutate it."""
+        return _undeformed_window(self.spec.flavor, self.spec.delta, self.spec.window)[index]
 
     def full(self, index: int) -> GradedOp:
         acc = self.undeformed(index)
@@ -247,50 +274,89 @@ class DeformedAction:
         return acc
 
 
-def _diagonal_family(spec: DeformationSpec) -> Callable[[int], Cochain1]:
-    if spec.flavor == CLASSICAL:
-        return lambda comp: cocycle_A(spec.delta - comp)
-    return lambda comp: cocycle_Yprime(spec.delta - Fraction(comp, 2))
+def _coords_sum(pairs) -> dict:
+    """{monomial: value} summed over (monomial, value) pairs, zeros dropped."""
+    out: dict = {}
+    for mon, value in pairs:
+        out[mon] = out.get(mon, 0) + value
+    return {mon: value for mon, value in out.items() if value}
 
 
-def _off_diagonal_families(spec: DeformationSpec, k: int) -> tuple[Cochain1, Cochain1]:
-    if spec.flavor == CLASSICAL:
-        return cocycle_B(spec.m, k), cocycle_C(spec.m, k)
-    return cocycle_Y(k), cocycle_Ytilde(k)
+@lru_cache(maxsize=32)
+def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[GradedOp, ...]:
+    """The undeformed window action L0, one operator per basis element,
+    certified a homomorphism on the action tables.
+
+    For every window weight w and basis pair, act(X_i, L0^w_j) must equal
+    L0^w_{[X_i, X_j]} coordinate by coordinate; act(X_i, M) is
+    L^w_{X_i} o M - (-1)^{p(M)p(X_i)} M o L^w_{X_i}, the super bracket for an
+    odd pair.  A failure is an InternalError."""
+    ctx = algebra_for_flavor(flavor)
+    l0 = tuple(undeformed_action(x, flavor, delta, window) for x in ctx.basis)
+    for k in range(window + 1):
+        w = l0[0].weight_of(k)
+        cache = block_cache(ctx.name, w, w)
+        coords = [monomial_coords(op.block(k, k)) for op in l0]
+        for i in range(ctx.dim):
+            for j in range(ctx.dim):
+                lhs = _coords_sum((mon2, value * v) for mon, value in coords[j].items()
+                                  for mon2, v in cache.act_monomial(i, mon))
+                rhs = _coords_sum((mon, c * value) for g, c in enumerate(ctx.structure[(i, j)])
+                                  if c for mon, value in coords[g].items())
+                if lhs != rhs:
+                    raise InternalError(f"the undeformed {flavor} action on weight {w} is not "
+                                        f"a homomorphism on the pair ({i}, {j})")
+    return l0
+
+
+@lru_cache(maxsize=512)
+def _certified_family(build: Callable[..., Cochain1], *args) -> Cochain1:
+    """The catalog family instance build(*args) to be placed in Phi, checked
+    once to be a cocycle (``is_cocycle``, on the action tables);
+    InternalError otherwise."""
+    family = build(*args)
+    if not is_cocycle(family):
+        raise InternalError(f"{build.__name__}({', '.join(map(str, args))}) placed in the "
+                            "deformation is not a cocycle")
+    return family
 
 
 def _assemble_first_order(spec: DeformationSpec,
-                          coeff_of: Callable[[str], object]) -> list[GradedOp]:
-    """One graded operator per basis element: the parameter-weighted sum of
-    catalog cocycles placed at their window blocks."""
+                          coeff_of: Callable[[str], object]) -> DeformedAction:
+    """The first-order action: per basis element, the parameter-weighted sum
+    of catalog cocycles placed at their window blocks.
+
+    Every family placed is a certified cocycle and L0 a certified
+    homomorphism, so ``bracket_defect`` may take the defect as
+    [Phi_i, Phi_j]."""
+    _undeformed_window(spec.flavor, spec.delta, spec.window)
     ctx = algebra_for_flavor(spec.flavor)
-    diag = _diagonal_family(spec)
-    out = []
+    if spec.flavor == CLASSICAL:
+        diag, off_b, off_c, step = cocycle_A, cocycle_B, cocycle_C, 1
+    else:
+        diag, off_b, off_c, step = cocycle_Yprime, cocycle_Y, cocycle_Ytilde, Fraction(1, 2)
+    placed = []  # (block, coefficient, family), in the order they are summed
+    for comp in range(spec.window + 1):
+        coeff = coeff_of(spec.diagonal_param(comp))
+        if coeff:
+            placed.append(((comp, comp), coeff, _certified_family(diag, spec.delta - step * comp)))
+    for k in spec.resonant_range():
+        args = (spec.m, k) if spec.flavor == CLASSICAL else (k,)
+        for name, build in zip(spec.off_diagonal_params(k), (off_b, off_c)):
+            coeff = coeff_of(name)
+            if coeff:
+                placed.append((spec.off_diagonal_block(k), coeff, _certified_family(build, *args)))
+    terms = []
     for index in range(ctx.dim):
         g = GradedOp(spec.flavor, spec.delta, spec.window)
-        for comp in range(spec.window + 1):
-            coeff = coeff_of(spec.diagonal_param(comp))
-            if not coeff:
-                continue
-            image = diag(comp).images[index]
-            existing = g.blocks.get((comp, comp))
-            term = image.scale(coeff)
-            g.set_block(comp, comp, term if existing is None else existing + term)
-        for k in spec.resonant_range():
-            b_name, c_name = spec.off_diagonal_params(k)
-            src, tgt = spec.off_diagonal_block(k)
-            fam_b, fam_c = _off_diagonal_families(spec, k)
-            term = None
-            for coeff, family in ((coeff_of(b_name), fam_b), (coeff_of(c_name), fam_c)):
-                if not coeff:
-                    continue
-                piece = family.images[index].scale(coeff)
-                term = piece if term is None else term + piece
-            if term is not None and term:
-                existing = g.blocks.get((src, tgt))
-                g.set_block(src, tgt, term if existing is None else existing + term)
-        out.append(g)
-    return out
+        for (src, tgt), coeff, family in placed:
+            term = family.images[index].scale(coeff)
+            existing = g.blocks.get((src, tgt))
+            g.set_block(src, tgt, term if existing is None else existing + term)
+        terms.append(g)
+    action = DeformedAction(spec, {1: terms})
+    action._cocycle_terms = True
+    return action
 
 
 def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
@@ -307,23 +373,27 @@ def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
     if spec.assignment is None:
         coeff_of = formal
     else:
-        for name in spec.assignment:
-            if name not in algebra:
-                raise UsageError(f"unknown parameter {name!r} for this deformation")
-
         def coeff_of(name: str):
             if name in algebra.odd:
                 return formal(name)
             return spec.assignment.get(name, Fraction(0))
 
-    return DeformedAction(spec, {1: _assemble_first_order(spec, coeff_of)})
+    return _assemble_first_order(spec, coeff_of)
 
 
 def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
-    """[L_i, L_j] - L_{[e_i, e_j]}, expanded exactly in the parameters."""
+    """[L_i, L_j] - L_{[e_i, e_j]}, exact in the parameters.
+
+    For an action as ``_assemble_first_order`` built it this is
+    [Phi_i, Phi_j] = Phi_i o Phi_j - (-1)^{p_i p_j} Phi_j o Phi_i: the
+    L0 L0 part and the linear part d1(Phi) vanish, both certified when the
+    action was assembled.  Any other action is expanded in full."""
     ctx = action.ctx
-    li, lj = action.full(i), action.full(j)
     sign = -1 if (ctx.parities[i] and ctx.parities[j]) else 1
+    if action._cocycle_terms and set(action.terms) == {1} and action.truncation_order is None:
+        phi = action.terms[1]
+        return phi[i].bracket(phi[j], sign)
+    li, lj = action.full(i), action.full(j)
     defect = li.bracket(lj, sign)
     for g, coeff in enumerate(ctx.structure[(i, j)]):
         if coeff:
@@ -438,16 +508,25 @@ class ObstructionReport:
     diagonal_clean: bool
     unexpected_blocks: list
     verdict: str
+    # the action the report was built from and its defects; not serialized
+    _action: Optional[DeformedAction] = field(default=None, repr=False, compare=False)
+    _defects: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def condition_generators(self) -> list[ParamScalar]:
         return [b.class_coeff for b in self.blocks]
 
     def verify_reassembly(self, action: DeformedAction) -> bool:
-        """Exact check: class*basis + d1(witness) reproduces every defect block."""
+        """Exact check: class*basis + d1(witness) reproduces every defect block.
+
+        The defects are the ones the report was built on when `action` is
+        the action it was built from, and are recomputed otherwise."""
         ctx = action.ctx
         pairs = ctx.canonical_pairs()
-        defects = {pair: bracket_defect(action, *pair) for pair in pairs}
+        if action is self._action:
+            defects = self._defects
+        else:
+            defects = {pair: bracket_defect(action, *pair) for pair in pairs}
         for entry in self.blocks:
             key = (entry.source_k, entry.target_k)
             reassembled = entry.basis.scale(entry.class_coeff) + d1(entry.witness)
@@ -560,6 +639,8 @@ def obstruction_classes(action: DeformedAction,
         diagonal_clean=not diag_bad,
         unexpected_blocks=unexpected,
         verdict=verdict,
+        _action=action,
+        _defects=defects,
     )
     return report
 
@@ -613,17 +694,8 @@ def _complete_even_assignment(spec: DeformationSpec) -> dict[str, Fraction]:
     """Missing even parameters count as zero, matching build_infinitesimal."""
     if spec.assignment is None:
         raise UsageError("condition checking needs a numeric parameter assignment")
-    algebra = spec.algebra()
-    full = {name: Fraction(0) for name in algebra.even}
-    for name, value in spec.assignment.items():
-        if name not in algebra:
-            raise UsageError(f"unknown parameter {name!r} for this deformation")
-        if name in algebra.odd:
-            if value != 0:
-                raise UsageError(f"odd parameter {name!r} cannot take a nonzero numeric value")
-            full[name] = Fraction(0)
-        else:
-            full[name] = Fraction(value)
+    full = {name: Fraction(0) for name in spec.algebra().even}
+    full.update((name, Fraction(value)) for name, value in spec.assignment.items())
     return full
 
 
@@ -717,7 +789,7 @@ def _one_parameter_action(spec: DeformationSpec, a_mult: dict[str, Fraction],
     def coeff_of(name: str):
         return table.get(name, ParamScalar.const(0))
 
-    return DeformedAction(spec, {1: _assemble_first_order(spec, coeff_of)})
+    return _assemble_first_order(spec, coeff_of)
 
 
 def example1_family(m: int, alphas: Sequence[Union[int, str, Fraction]],

@@ -6,11 +6,14 @@ import pytest
 
 import symdef.catalog as catalog
 import symdef.cli as cli
+import symdef.cohomology as cohomology
+import symdef.deformation as deformation
+import symdef.operators as operators
 from symdef.cli import ENGINE_FAULT, FALSIFIED, USAGE, VERIFIED, main, render, run
 from symdef.cohomology import Cochain1
 from symdef.geometry import Poly
 from symdef.kernel import InternalError
-from symdef.operators import DiffOp
+from symdef.operators import DiffOp, SuperDiffOp
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -114,6 +117,7 @@ UNCOERCED_SPECS = [
     ({"flavor": "classical", "m": 3, "window": 8.5, "params": POINT}, "spec.window"),
     ({"flavor": "super", "m": 1.0, "params": {"a0": "1"}}, "spec.m"),
     ({"flavor": "classical", "m": 3, "windw": 5, "params": {"a0": 1}}, "windw"),
+    ({"flavor": "super", "m": 1, "params": {"a0": "1", "b1": "3"}}, "odd parameter 'b1'"),
 ]
 
 # command lines that must be rejected, never read as something else:
@@ -129,6 +133,8 @@ UNCOERCED_ARGS = [
     ("id-wrong-keys", ["verify-cocycle", "--id", "B:m=3"], "B takes exactly m=<int>,k=<int>"),
     ("id-bad-int", ["verify-cocycle", "--id", "Phi:k=x"], "malformed catalog id 'Phi:k=x'"),
     ("id-bad-rational", ["verify-cocycle", "--id", "A:lambda=1/0"], "malformed catalog id"),
+    ("lambda-without-value", ["cohomology-dim", "--algebra", "sl2", "--lambda", "--mu", "1",
+                              "--degree", "1"], "expected one argument"),
 ]
 
 UNCOERCED_ROWS = [
@@ -158,6 +164,25 @@ def test_format_equals_form(capsys, argv):
     assert outputs[0] == outputs[1]
     out, err = outputs[0][1:]
     json.loads(out or err)
+
+
+DIM_ARGS = ["cohomology-dim", "--algebra", "sl2", "--degree", "1", "--bounds", "4,10"]
+
+# a negative value after a space is read as its `=` form: (name, argv, `=` form)
+SIGNED_VALUES = [
+    ("lambda", DIM_ARGS + ["--lambda", "-1/2", "--mu=3/2"], DIM_ARGS + ["--lambda=-1/2", "--mu=3/2"]),
+    ("mu", DIM_ARGS + ["--lambda=-1/2", "--mu", "-3/2"], DIM_ARGS + ["--lambda=-1/2", "--mu=-3/2"]),
+    ("alphas", ["example1", "--m", "3", "--alphas", "-1,0,5"],
+     ["example1", "--m", "3", "--alphas=-1,0,5"]),
+]
+
+
+@pytest.mark.parametrize("argv,equals_form", [row[1:] for row in SIGNED_VALUES],
+                         ids=[row[0] for row in SIGNED_VALUES])
+def test_negative_value_after_a_space(argv, equals_form):
+    report, code = run(argv)
+    assert code != USAGE, report.get("error")
+    assert (report, code) == run(equals_form)
 
 
 def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):
@@ -196,6 +221,59 @@ def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_conventio
     assert code == ENGINE_FAULT
     assert report["verdict"] == "engine-fault"
     assert report["error_type"] == "InternalError"
+
+
+@pytest.fixture
+def fresh_certificates(monkeypatch):
+    """Deformation certificates and action tables built inside the test only."""
+    monkeypatch.setattr(cohomology, "_BLOCK_CACHES", {})
+    monkeypatch.setattr(cohomology, "_SOLVER_CACHE", {})
+    caches = (deformation._certified_family, deformation._undeformed_window)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def engine_fault(capsys, argv):
+    code = main(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == ENGINE_FAULT
+    assert out == ""
+    report = json.loads(err[err.index("\n{") + 1:])
+    assert report["error_type"] == "InternalError"
+    return report["error"]
+
+
+def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certificates):
+    build = deformation.cocycle_B
+
+    def not_closed(m, k):
+        family = build(m, k)
+        lam, mu = family.images[0].lam, family.images[0].mu
+        extra = DiffOp.partial(1, lam, mu, Poly.x_power(3))
+        return Cochain1("sl2", [family.images[0] + extra] + family.images[1:])
+
+    monkeypatch.setattr(deformation, "cocycle_B", not_closed)
+    error = engine_fault(capsys, ["obstruction", "--flavor", "classical", "--m", "3"])
+    assert error == "not_closed(3, 2) placed in the deformation is not a cocycle"
+
+
+def test_broken_undeformed_action_is_an_engine_fault(monkeypatch, capsys, tmp_path,
+                                                     fresh_certificates):
+    lie_op = operators.super_lie_op
+
+    def flipped(x, lam):  # the eta coefficient with the wrong sign
+        op = lie_op(x, lam)
+        return SuperDiffOp(op.lam, op.mu, [op.coefficient(0), -op.coefficient(1),
+                                           op.coefficient(2)])
+
+    monkeypatch.setattr(operators, "super_lie_op", flipped)
+    path = write_spec(tmp_path, {"flavor": "super", "m": 1,
+                                 "params": {"a0": "0", "a1": "0", "a-1": "4"}})
+    error = engine_fault(capsys, ["flat-deform", "--spec", path])
+    assert "not a homomorphism" in error
 
 
 class TestFlatDeform:

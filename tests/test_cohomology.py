@@ -31,10 +31,11 @@ from symdef.cohomology import (
     d2,
     decompose_cocycle,
     get_algebra,
+    is_cocycle,
 )
 from symdef.cohomology import _differential_columns, _enumerate_cochain_basis
 from symdef.geometry import Poly, SuperPoly
-from symdef.kernel import UsageError
+from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
 from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
 
 
@@ -255,6 +256,69 @@ class TestActionTables:
                     checked += 1
         # generators x monomials: (order + 1)(degree + 1), times 2 for theta
         assert checked == 3 * (3 * 11 * 25 + 7 * 17) + 5 * 2 * (4 * 9 + 6 * 13)
+
+
+def perturb(rng, c):
+    """c plus one nonzero monomial, of the right parity, at a random slot."""
+    ctx = get_algebra(c.algebra)
+    cache = block_cache(c.algebra, *cochain_block(c))
+    slots = list(range(ctx.dim)) if isinstance(c, Cochain1) else ctx.canonical_pairs()
+    slot = slots[rng.randrange(len(slots))]
+    slot_parity = sum(ctx.parities[s] for s in ((slot,) if isinstance(c, Cochain1) else slot)) & 1
+    d, i = rng.randrange(4), rng.randrange(4)
+    if c.algebra == SL2:
+        mon = (d, i)
+    else:
+        mon = (d, (c.parity + slot_parity + i) & 1, i)
+    term = cache.monomial_op(mon).scale(rng.choice((-2, -1, 1, 3)))
+    if isinstance(c, Cochain1):
+        return Cochain1(c.algebra, [im + term if s == slot else im
+                                    for s, im in enumerate(c.images)], c.parity)
+    return Cochain2(c.algebra, {s: im + term if s == slot else im
+                                for s, im in c.images.items()}, c.parity)
+
+
+class TestIsCocycle:
+    """is_cocycle reads d off the action tables; the typed d1/d2 are its oracle."""
+
+    @pytest.mark.parametrize("algebra,parity", [(SL2, 0), (OSP12, 0), (OSP12, 1)])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @settings(derandomize=True, deadline=None, max_examples=2)
+    @given(lam=st.fractions(-2, 2, max_denominator=2), shift=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_table_path_matches_typed_differential(self, algebra, parity, degree, perturbed,
+                                                   lam, shift, seed):
+        """On coboundaries d0(b), d1(c) and on perturbed ones."""
+        rng = random.Random(seed)
+        mu = lam + Q(shift, 2)
+        if degree == 1:
+            c = d0(random_cochain0(rng, algebra, lam, mu, parity))
+        else:
+            c = d1(random_cochain1(rng, algebra, lam, mu, parity))
+        if perturbed:
+            c = perturb(rng, c)
+        typed = d1(c).is_zero() if degree == 1 else not any(d2(c).values())
+        assert is_cocycle(c) == typed
+        assert typed or perturbed
+
+    def test_perturbed_families(self):
+        rng = random.Random(3)
+        closed = []
+        for family in (cocycle_A(Q(5, 3)), cocycle_Phi(2), cocycle_Omega(2)):
+            assert is_cocycle(family)
+            for _ in range(5):
+                broken = perturb(rng, family)
+                typed = (d1(broken).is_zero() if isinstance(broken, Cochain1)
+                         else not any(d2(broken).values()))
+                assert is_cocycle(broken) == typed
+                closed.append(typed)
+        assert closed.count(False) >= 12, closed
+
+    def test_parametric_cochain_refused(self):
+        t = ParamScalar.symbol(ParamAlgebra(even=("t",), odd=()), "t")
+        with pytest.raises(UsageError, match="parameter-free"):
+            is_cocycle(cocycle_A(1).scale(t))
 
 
 class TestCoboundarySolve:

@@ -3,14 +3,22 @@
 The bracket-defect checks are cross-validated against a density-level
 oracle written directly in this file: the deformed action is applied to
 monomial densities component by component using the raw formulas, with no
-operator composition machinery involved.
+operator composition machinery involved.  The defect [Phi_i, Phi_j] of an
+assembled first-order action is also compared with the full typed bracket
+of L0 + Phi.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import symdef.deformation as deformation
+from symdef.cohomology import Cochain1, block_cache, cochain_block, d1
 from symdef.deformation import (
     DeformationSpec,
     DeformedAction,
@@ -28,8 +36,8 @@ from symdef.deformation import (
     verify_homomorphism,
 )
 from symdef.geometry import CLASSICAL, SUPER, Poly
-from symdef.kernel import ParamScalar, UsageError
-from symdef.operators import DiffOp, GradedOp
+from symdef.kernel import InternalError, ParamScalar, UsageError
+from symdef.operators import DiffOp, GradedOp, undeformed_action
 
 X_NAMES = {0: [1], 1: [0, 1], 2: [0, 0, 1]}  # sl2 generator coefficient lists
 
@@ -419,3 +427,126 @@ class TestGauge:
             for b in obstruction_classes(DeformedAction(spec, {1: gauged.first_order})).blocks
         ]
         assert before == after
+
+
+# -- the fast defect against the full typed bracket ---------------------------
+
+
+def typed_defect(action, i, j):
+    """[L0_i + Phi_i, L0_j + Phi_j] - L_[i,j], with L0 built afresh and
+    every term composed in full."""
+    spec, ctx = action.spec, action.ctx
+
+    def full(g):
+        return (undeformed_action(ctx.basis[g], spec.flavor, spec.delta, spec.window)
+                + action.first_order[g])
+
+    sign = -1 if ctx.parities[i] and ctx.parities[j] else 1
+    defect = full(i).bracket(full(j), sign)
+    for g, coeff in enumerate(ctx.structure[(i, j)]):
+        if coeff:
+            defect = defect - full(g).scale(coeff)
+    return defect
+
+
+BUILDERS = {CLASSICAL: ("cocycle_A", "cocycle_B", "cocycle_C"),
+            SUPER: ("cocycle_Yprime", "cocycle_Y", "cocycle_Ytilde")}
+
+
+def perturbed(family):
+    """The family plus one monomial on the image of the first (even) basis
+    element: not a cocycle, which the typed d1 confirms."""
+    cache = block_cache(family.algebra, *cochain_block(family))
+    mon = (3, 1) if family.algebra == "sl2" else (3, family.parity, 0)
+    images = list(family.images)
+    images[0] = images[0] + cache.monomial_op(mon)
+    broken = Cochain1(family.algebra, images, family.parity)
+    assert not d1(broken).is_zero()
+    return broken
+
+
+@contextmanager
+def broken_family(name):
+    """Within the block, the named family builder of `deformation` returns a
+    non-cocycle; the per-instance certificates are cleared on both sides."""
+    deformation._certified_family.cache_clear()
+    try:
+        if name is None:
+            yield
+        else:
+            build = getattr(deformation, name)
+            with mock.patch.object(deformation, name, lambda *args: perturbed(build(*args))):
+                yield
+    finally:
+        deformation._certified_family.cache_clear()
+
+
+VALUES = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@pytest.mark.parametrize("flavor,m", [(CLASSICAL, m) for m in (2, 3, 4, 5)]
+                         + [(SUPER, m) for m in (1, 2, 3)])
+@settings(derandomize=True, deadline=None, max_examples=7)
+@given(data=st.data())
+def test_fast_defect_is_the_typed_bracket(flavor, m, data):
+    """The defect of an assembled action is [Phi_i, Phi_j], formal or at a
+    rational point (odd parameters stay formal), and a family that is not a
+    cocycle never reaches it: assembly raises InternalError instead."""
+    spec = DeformationSpec.resonant_spec(flavor, m)
+    if data.draw(st.booleans(), label="numeric"):
+        point = data.draw(st.fixed_dictionaries({name: VALUES for name in spec.algebra().even}),
+                          label="point")
+        spec = DeformationSpec.resonant_spec(flavor, m, params=point)
+    broken = data.draw(st.sampled_from((None,) + BUILDERS[flavor]), label="broken")
+    with broken_family(broken):
+        try:
+            action = build_infinitesimal(spec)
+        except InternalError:
+            assert broken is not None
+            return
+        for (i, j) in action.ctx.canonical_pairs():
+            assert bracket_defect(action, i, j) == typed_defect(action, i, j), (i, j)
+
+
+def test_fast_path_only_for_assembled_actions():
+    """A hand-built action with the same terms is expanded in full, and
+    agrees."""
+    action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
+    hand = DeformedAction(action.spec, {1: action.first_order})
+    assert action._cocycle_terms and not hand._cocycle_terms
+    for pair in action.ctx.canonical_pairs():
+        assert bracket_defect(action, *pair) == bracket_defect(hand, *pair)
+
+
+class TestReassemblyDefects:
+    def _counted(self, monkeypatch):
+        calls = []
+        original = deformation.bracket_defect
+
+        def counting(action, i, j):
+            calls.append((i, j))
+            return original(action, i, j)
+
+        monkeypatch.setattr(deformation, "bracket_defect", counting)
+        return calls
+
+    def test_kept_defects_serve_the_same_action(self, monkeypatch):
+        action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
+        report = obstruction_classes(action)
+        calls = self._counted(monkeypatch)
+        assert report.verify_reassembly(action)
+        assert calls == []
+
+    def test_other_action_is_recomputed(self, monkeypatch):
+        spec = DeformationSpec.resonant_spec(CLASSICAL, 3)
+        report = obstruction_classes(build_infinitesimal(spec))
+        calls = self._counted(monkeypatch)
+        pairs = report._action.ctx.canonical_pairs()
+        # an equal action built again: recomputed, and it agrees
+        assert report.verify_reassembly(build_infinitesimal(spec))
+        assert calls == pairs
+        # a numeric point has other defects: recomputed, and it disagrees
+        point = build_infinitesimal(DeformationSpec.resonant_spec(
+            CLASSICAL, 3, params={"a0": 1, "a2": 1, "b2": 1, "c2": 0}))
+        assert not report.verify_reassembly(point)
+        assert calls == pairs + pairs
