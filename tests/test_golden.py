@@ -24,6 +24,8 @@ CASES = [
       "--bounds", "6,16"]),
     ("obstruction_classical_m3.json", ["obstruction", "--flavor", "classical", "--m", "3"]),
     ("obstruction_super_m2.json", ["obstruction", "--flavor", "super", "--m", "2"]),
+    ("obstruction_super_m3.json", ["obstruction", "--flavor", "super", "--m", "3"]),
+    ("obstruction_classical_m5.json", ["obstruction", "--flavor", "classical", "--m", "5"]),
     ("verify_cocycle_phi2.json", ["verify-cocycle", "--id", "Phi:k=2"]),
     ("flat_deform_readme.json", ["flat-deform", "--spec", "spec.json"]),
 ]
