@@ -223,7 +223,10 @@ def _cmd_flat_deform(args) -> tuple[dict, str]:
 
 
 def _cmd_example1(args) -> tuple[dict, str]:
-    alphas = [parse_rational(chunk) for chunk in args.alphas.split(",") if chunk.strip()]
+    chunks = args.alphas.split(",")
+    if not all(chunk.strip() for chunk in chunks):
+        raise UsageError(f"--alphas has an empty entry: {args.alphas!r}")
+    alphas = [parse_rational(chunk) for chunk in chunks]
     report = example1_family(args.m, alphas, args.window)
     result = report.to_json()
     if not report.solved_flat:

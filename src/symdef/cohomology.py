@@ -21,6 +21,15 @@ All linear algebra is done exactly, sliced by the weight grading of the
 Euler element, under explicit operator-order and coefficient-degree
 bounds.  A failed solve is therefore always *within bounds*, never a
 claim about the untruncated complex.
+
+A cochain is read once as coordinates {parameter monomial: {(slot,
+monomial): Fraction}} (``_cochain_coords``); a parameter-free cochain has
+the single parameter monomial ((), ()).  Formal parameters are constants
+for the action, so d acts on each parameter monomial's coefficient cochain
+on its own, whose parity is the cochain's less the monomial's odd letters.
+``is_cocycle``, ``coboundary_solve`` and ``decompose_cocycle`` accept
+parametric cochains and split them by parameter monomial and weight key
+inside the one per-weight solver (``_solve_by_weight``).
 """
 
 from __future__ import annotations
@@ -41,7 +50,15 @@ from .geometry import (
     sl2_basis,
     vf_bracket,
 )
-from .kernel import InternalError, SolvedSystem, UsageError, matrix_rank, scalar_as_fraction
+from .kernel import (
+    _ONE_MON,
+    InternalError,
+    ParamScalar,
+    SolvedSystem,
+    UsageError,
+    matrix_rank,
+    scalar_as_fraction,
+)
 from .operators import (
     AnyOp,
     DiffOp,
@@ -352,83 +369,69 @@ def d2(w: Cochain2) -> dict:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """Exact d c = 0, read off the action tables: the coordinates of c go
-    through the loop behind every differential column (``_differential``).
-    The typed d1/d2 are its oracle in the tests.  UsageError while a
-    coefficient still holds formal parameters."""
-    try:
-        coords = _cochain_coords(c)
-    except UsageError:
-        raise UsageError("is_cocycle expects parameter-free coefficients")
-    table = _ce_table(c.algebra, 1 if isinstance(c, Cochain1) else 2, c.parity)
-    return not _differential(block_cache(c.algebra, *cochain_block(c)), table, coords.items())
+    """Exact d c = 0, read off the action tables: the coefficient cochain of
+    every parameter monomial goes through the loop behind every differential
+    column (``_differential``).  The typed d1/d2 are its oracle in the
+    tests."""
+    cache = block_cache(c.algebra, *cochain_block(c))
+    degree = 1 if isinstance(c, Cochain1) else 2
+    for pmon, coords in _cochain_coords(c).items():
+        table = _ce_table(c.algebra, degree, _component_parity(c, pmon))
+        if _differential(cache, table, coords.items()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# Weight grading
+# Coordinates and the weight grading
 # ---------------------------------------------------------------------------
 
 
-def op_weight_split(op: AnyOp) -> dict[int, AnyOp]:
-    """Split an operator into Euler-weight components (doubled integer keys).
+def _cochain_coords(c: Cochain) -> dict[tuple, dict]:
+    """{parameter monomial: {(slot, monomial): Fraction}}, the coefficient
+    cochain of each parameter monomial of c; {((), ()): {}} when c is zero."""
+    out: dict = {}
+    images = enumerate(c.images) if isinstance(c, Cochain1) else c.images.items()
+    for slot, im in images:
+        for mon, value in monomial_coords(im).items():
+            terms = value.terms.items() if isinstance(value, ParamScalar) else ((_ONE_MON, value),)
+            for pmon, fr in terms:
+                out.setdefault(pmon, {})[(slot, mon)] = fr
+    return out or {_ONE_MON: {}}
 
-    A classical monomial x^d d_x^i has key 2(d - i); a super monomial
-    x^d theta^eps eta^i has key 2d + eps - i.  The module action of the
-    Euler element is diagonal with these keys up to a block constant.
-    """
-    out: dict[int, AnyOp] = {}
-    if isinstance(op, DiffOp):
-        for i, poly in enumerate(op.coeffs):
-            for dpow, c in enumerate(poly.coeffs):
-                if not c:
-                    continue
-                key = 2 * (dpow - i)
-                tgt = out.setdefault(key, DiffOp.zero(op.lam, op.mu))
-                out[key] = tgt + DiffOp.partial(i, op.lam, op.mu, Poly.x_power(dpow, c))
-        return out
-    if isinstance(op, SuperDiffOp):
-        for i, sp in enumerate(op.coeffs):
-            for eps, poly in ((0, sp.f0), (1, sp.f1)):
-                for dpow, c in enumerate(poly.coeffs):
-                    if not c:
-                        continue
-                    key = 2 * dpow + eps - i
-                    piece = SuperDiffOp.eta_power_term(
-                        SuperPoly.x_power(dpow, c, theta=bool(eps)), i, op.lam, op.mu
-                    )
-                    tgt = out.get(key)
-                    out[key] = piece if tgt is None else tgt + piece
-        return out
-    raise UsageError("weight splitting is defined for single-block operators")
+
+def _parameter_free_coords(c: Cochain, refusal: str) -> dict:
+    """{(slot, monomial): Fraction} of a parameter-free c; UsageError(refusal)
+    otherwise."""
+    coords = _cochain_coords(c)
+    if set(coords) != {_ONE_MON}:
+        raise UsageError(refusal)
+    return coords[_ONE_MON]
+
+
+def _component_parity(c: Cochain, pmon: tuple) -> int:
+    """Parity of the coefficient cochain of parameter monomial `pmon` in c:
+    c's parity XOR the monomial's odd letters (sl(2) cochains are even)."""
+    return (c.parity ^ len(pmon[1])) & 1 if get_algebra(c.algebra).flavor == SUPER else 0
+
+
+def _by_weight_key(c: Cochain, coords: dict) -> dict[int, dict]:
+    """Coordinates grouped by Euler-weight key (doubled integers): a classical
+    monomial x^d d_x^i has key 2(d - i), a super monomial x^d theta^eps eta^i
+    key 2d + eps - i, and a coordinate's key is its monomial's less the
+    weight of its slot.  The Euler element acts diagonally with these keys
+    up to a block constant, so d preserves them."""
+    degree = 1 if isinstance(c, Cochain1) else 2
+    weight = {slot: wt for slot, wt, _ in _cochain_slots(get_algebra(c.algebra), degree)}
+    out: dict = {}
+    for (slot, mon), value in coords.items():
+        out.setdefault(BlockCache.monomial_key(mon) - weight[slot], {})[(slot, mon)] = value
+    return out
 
 
 def cochain_weight_keys(c: Cochain) -> list[int]:
-    ctx = get_algebra(c.algebra)
-    keys = set()
-    if isinstance(c, Cochain1):
-        for idx, im in enumerate(c.images):
-            for k in op_weight_split(im):
-                keys.add(k - ctx.weights2[idx])
-    else:
-        for (i, j), im in c.images.items():
-            for k in op_weight_split(im):
-                keys.add(k - ctx.weights2[i] - ctx.weights2[j])
-    return sorted(keys)
-
-
-def cochain_weight_slice(c: Cochain, key: int) -> Cochain:
-    ctx = get_algebra(c.algebra)
-    if isinstance(c, Cochain1):
-        images = []
-        for idx, im in enumerate(c.images):
-            comp = op_weight_split(im).get(key + ctx.weights2[idx])
-            images.append(comp if comp is not None else im.scale(0))
-        return Cochain1(c.algebra, images, c.parity)
-    images = {}
-    for (i, j), im in c.images.items():
-        comp = op_weight_split(im).get(key + ctx.weights2[i] + ctx.weights2[j])
-        images[(i, j)] = comp if comp is not None else im.scale(0)
-    return Cochain2(c.algebra, images, c.parity)
+    return sorted({key for coords in _cochain_coords(c).values()
+                   for key in _by_weight_key(c, coords)})
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +676,14 @@ def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
     return BoundsSpec(n, 2 * n + 4)
 
 
-def _cochain_coords(c: Cochain) -> dict:
-    images = enumerate(c.images) if isinstance(c, Cochain1) else c.images.items()
-    return {(slot, mon): fr for slot, im in images for mon, fr in monomial_coords(im).items()}
-
-
-def _assemble_witness(cache: BlockCache, degree: int, basis, vector) -> Union[Cochain0, Cochain1]:
+def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Union[Cochain0, Cochain1]:
+    """The cochain with coefficients {basis item: scalar} on the block."""
     ctx = cache.ctx
     zero = cache.monomial_op((0, 0) if ctx.flavor == CLASSICAL else (0, 0, 0)).scale(0)
     images = [zero] * (1 if degree == 0 else ctx.dim)
-    for item, coeff in zip(basis, vector):
-        if coeff:
-            slot, mon = (0, item) if degree == 0 else item
-            images[slot] = images[slot] + cache.monomial_op(mon).scale(coeff)
+    for item, coeff in coeffs.items():
+        slot, mon = (0, item) if degree == 0 else item
+        images[slot] = images[slot] + cache.monomial_op(mon).scale(coeff)
     return Cochain0(ctx.name, images[0]) if degree == 0 else Cochain1(ctx.name, images)
 
 
@@ -716,53 +714,66 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: in
 
 
 def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
-    """Solve c = t * family + d(b) exactly, one weight key at a time, with b
-    within bounds.  NoSolutionWithinBounds when some slice has no solution
-    or the family is itself a bounded coboundary (t would not be unique)."""
+    """Solve c = t * family + d(b) exactly, one (parameter monomial, weight
+    key) at a time, with b within bounds.  For parametric c, t and b carry
+    c's parameter monomials; for parameter-free c, t is a Fraction.
+    NoSolutionWithinBounds when some slice has no solution or the family is
+    itself a bounded coboundary (t would not be unique)."""
     lam, mu = cochain_block(c)
     cache = block_cache(c.algebra, lam, mu)
     degree = 1 if isinstance(c, Cochain2) else 0
-    keys = set(cochain_weight_keys(c))
-    family_key = None
+    coords = _cochain_coords(c)
+    lead = family_key = None
     if family is not None:
-        family_keys = cochain_weight_keys(family)
+        lead = _parameter_free_coords(family, "the family must be parameter-free")
+        family_keys = list(_by_weight_key(family, lead))
         if len(family_keys) != 1:
             raise UsageError("the family must be nonzero and lie in a single weight key")
         if cochain_block(family) != (lam, mu) or family.algebra != c.algebra:
             raise UsageError("the family must live on the cochain's block")
         family_key = family_keys[0]
-        keys.add(family_key)
-    t = Fraction(0)
-    basis: list = []
-    vector: list[Fraction] = []
-    for key in sorted(keys):
-        try:
-            rhs_coords = _cochain_coords(cochain_weight_slice(c, key))
-        except UsageError:
-            raise UsageError("slice solving expects parameter-free coefficients")
-        lead = _cochain_coords(family) if key == family_key else None
-        slice_basis, row_index, system = _slice_system(cache, degree, bounds, c.parity, key, lead)
-        if any(k not in row_index for k in rhs_coords):
-            return NoSolutionWithinBounds(bounds)
-        rhs = [Fraction(0)] * len(row_index)
-        for k, v in rhs_coords.items():
-            rhs[row_index[k]] = v
-        solution = system.solve(rhs)
-        if solution is None or (lead is not None and any(null[0] for null in system.nullspace())):
-            return NoSolutionWithinBounds(bounds)
-        if lead is not None:
-            t, solution = solution[0], solution[1:]
-        basis.extend(slice_basis)
-        vector.extend(solution)
-    return Decomposition(t, _assemble_witness(cache, degree, basis, vector))
+    parametric = set(coords) != {_ONE_MON}
+    t = ParamScalar(None, {}) if parametric else Fraction(0)
+    witness: dict = {}
+    systems: dict = {}  # (parity, key) -> slice system, built once per call
+    for pmon, pm_coords in sorted(coords.items()):
+        parity = _component_parity(c, pmon)
+        pieces = _by_weight_key(c, pm_coords)
+        if family is not None:
+            pieces.setdefault(family_key, {})
+        for key, rhs_coords in sorted(pieces.items()):
+            key_lead = lead if key == family_key else None
+            hit = systems.get((parity, key))
+            if hit is None:
+                hit = systems[(parity, key)] = _slice_system(cache, degree, bounds, parity, key,
+                                                             key_lead)
+            slice_basis, row_index, system = hit
+            if any(k not in row_index for k in rhs_coords):
+                return NoSolutionWithinBounds(bounds)
+            rhs = [Fraction(0)] * len(row_index)
+            for k, v in rhs_coords.items():
+                rhs[row_index[k]] = v
+            solution = system.solve(rhs)
+            if solution is None or (key_lead is not None
+                                    and any(null[0] for null in system.nullspace())):
+                return NoSolutionWithinBounds(bounds)
+            if key_lead is not None:
+                t_part, solution = solution[0], solution[1:]
+                t = t + (ParamScalar(None, {pmon: t_part}) if parametric else t_part)
+            for item, v in zip(slice_basis, solution):
+                if v:
+                    witness[item] = witness.get(item, 0) + (
+                        ParamScalar(None, {pmon: v}) if parametric else v)
+    return Decomposition(t, _assemble_witness(cache, degree, witness))
 
 
 def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
     """Solve d(b) = c with b constrained to the given bounds.
 
-    Returns a Witness (whose coboundary is re-checked to equal c exactly)
-    or NoSolutionWithinBounds.  The input must be an exact cocycle with
-    parameter-free coefficients.
+    The input must be an exact cocycle; its coefficients may hold formal
+    parameters, and then so does the witness.  Returns a Witness (whose
+    typed coboundary is re-checked to equal c exactly) or
+    NoSolutionWithinBounds.
     """
     if bounds is None:
         bounds = default_witness_bounds(c)
@@ -781,7 +792,9 @@ def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
 def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] = None):
     """Write c = t * family + d(b) with b within bounds.
 
-    The family must be nonzero, live on c's block and lie in a single
+    c may hold formal parameters; t and b then carry its parameter
+    monomials, one exact solve per monomial and weight key.  The family
+    must be nonzero, parameter-free, live on c's block and lie in a single
     weight key (Phi:k lies in key -2k, Omega:k in 1-2k).  Returns a
     Decomposition, or NoSolutionWithinBounds when no split exists within
     bounds or the family is itself a bounded coboundary."""
@@ -791,9 +804,9 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] 
 
 
 def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec] = None) -> bool:
-    """True when no nonzero rational combination of the given cocycles is a
-    coboundary within bounds (in particular they are linearly independent
-    in the truncated cohomology)."""
+    """True when no nonzero rational combination of the given parameter-free
+    cocycles is a coboundary within bounds (in particular they are linearly
+    independent in the truncated cohomology)."""
     if not cocycles:
         return True
     first = cocycles[0]
@@ -803,25 +816,20 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     cache = block_cache(get_algebra(first.algebra).name, lam, mu)
     degree = 1 if isinstance(first, Cochain2) else 0
     parity = first.parity
+    cocycle_cols = []
     for c in cocycles:
+        coords = _parameter_free_coords(c, "classes_independent expects parameter-free cocycles")
         if not is_cocycle(c):
             raise UsageError("classes_independent expects cocycles")
         if cochain_block(c) != (lam, mu) or c.parity != parity:
             raise UsageError("cocycles must share a block and parity")
+        cocycle_cols.append(coords)
+    # a row key (slot, monomial) fixes its weight key, so the slices stack
     keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
-    cocycle_cols = []
-    for c in cocycles:
-        col = {}
-        for key in keys:
-            coords = _cochain_coords(cochain_weight_slice(c, key))
-            for rk, v in coords.items():
-                col[(key, rk)] = v
-        cocycle_cols.append(col)
     boundary_cols = []
     for key in keys:
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-        for col in _differential_columns(cache, degree, basis, parity):
-            boundary_cols.append({(key, rk): v for rk, v in col.items()})
+        boundary_cols.extend(_differential_columns(cache, degree, basis, parity))
     return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
 

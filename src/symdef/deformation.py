@@ -65,14 +65,7 @@ from .kernel import (
     format_rational,
     parse_rational,
 )
-from .operators import (
-    DiffOp,
-    GradedOp,
-    SuperDiffOp,
-    graded_identity,
-    monomial_coords,
-    undeformed_action,
-)
+from .operators import GradedOp, graded_identity, monomial_coords, undeformed_action
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +83,15 @@ def _spec_int(payload: dict, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"spec.{name} must be an integer, got {value!r}")
     return value
+
+
+def _spec_rational(value, name: str) -> Fraction:
+    """A spec value that must be a rational string or a JSON integer; a
+    float (already rounded by the JSON reader) or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise UsageError(f"spec.{name} must be a rational string like \"5/3\" or an integer, "
+                         f"got {value!r}")
+    return parse_rational(str(value))
 
 
 def _default_window(delta: Fraction) -> int:
@@ -208,7 +210,7 @@ class DeformationSpec:
         if "m" in payload:
             delta = Fraction(_spec_int(payload, "m"), 2)
         elif "delta" in payload:
-            delta = parse_rational(str(payload["delta"]))
+            delta = _spec_rational(payload["delta"], "delta")
         else:
             raise UsageError("spec needs either 'm' or 'delta'")
         window = _spec_int(payload, "window") if "window" in payload else _default_window(delta)
@@ -217,9 +219,8 @@ class DeformationSpec:
         if params is not None:
             if not isinstance(params, dict):
                 raise UsageError("spec.params must be an object")
-            assignment = {}
-            for name, raw in params.items():
-                assignment[name] = parse_rational(str(raw))
+            assignment = {name: _spec_rational(raw, f"params.{name}")
+                          for name, raw in params.items()}
         return DeformationSpec(flavor, delta, window, assignment)
 
     def to_json(self) -> dict:
@@ -430,50 +431,6 @@ def verify_homomorphism(action: DeformedAction) -> HomomorphismReport:
 # ---------------------------------------------------------------------------
 
 
-_UNIT_MONOMIAL = ((), ())
-
-
-def _op_monomials(op) -> set:
-    mons = set()
-    polys = []
-    if isinstance(op, DiffOp):
-        polys = list(op.coeffs)
-    else:
-        for sp in op.coeffs:
-            polys.extend([sp.f0, sp.f1])
-    for poly in polys:
-        for c in poly.coeffs:
-            if isinstance(c, ParamScalar):
-                mons.update(c.terms)
-            elif c:
-                mons.add(_UNIT_MONOMIAL)
-    return mons
-
-
-def _op_component(op, mon) -> object:
-    """Extract the exact rational coefficient operator of one parameter monomial."""
-
-    def pick(c):
-        if isinstance(c, ParamScalar):
-            return c.terms.get(mon, Fraction(0))
-        return Fraction(c) if mon == _UNIT_MONOMIAL else Fraction(0)
-
-    if isinstance(op, DiffOp):
-        from .geometry import Poly
-
-        return DiffOp(op.lam, op.mu, [Poly([pick(c) for c in p.coeffs]) for p in op.coeffs])
-    from .geometry import Poly, SuperPoly
-
-    return SuperDiffOp(
-        op.lam,
-        op.mu,
-        [
-            SuperPoly(Poly([pick(c) for c in sp.f0.coeffs]), Poly([pick(c) for c in sp.f1.coeffs]))
-            for sp in op.coeffs
-        ],
-    )
-
-
 @dataclass
 class BlockObstruction:
     k: int
@@ -564,8 +521,9 @@ def obstruction_classes(action: DeformedAction,
     """Decompose the quadratic defect of a first-order deformation.
 
     Per off-diagonal weight block the defect is written exactly as
-    (class coefficient) * (degree-2 family) + d1(witness), one rational
-    solve per parameter monomial; the class coefficients are the derived
+    (class coefficient) * (degree-2 family) + d1(witness) by one
+    ``decompose_cocycle`` call, which splits the block by parameter monomial
+    and weight key; the class coefficients are the derived
     integrability-condition generators."""
     if action.higher_terms():
         raise UsageError("obstruction analysis expects a first-order action")
@@ -591,32 +549,10 @@ def obstruction_classes(action: DeformedAction,
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
         use_bounds = bounds if bounds is not None else default_witness_bounds(block_cochain, basis)
-        mons = set()
-        for im in images.values():
-            mons.update(_op_monomials(im))
-        algebra = spec.algebra()
-        class_terms: dict = {}
-        witness_total: Optional[Cochain1] = None
-        solvable = True
-        for mon in sorted(mons):
-            mon_parity = len(mon[1]) & 1
-            rhs_cochain = Cochain2(ctx.name, {p: _op_component(im, mon) for p, im in images.items()},
-                                   parity=mon_parity if ctx.flavor == SUPER else 0)
-            split = decompose_cocycle(rhs_cochain, basis, use_bounds)
-            if isinstance(split, NoSolutionWithinBounds):
-                solvable = False
-                break
-            if split.coeff:
-                class_terms[mon] = split.coeff
-            mon_scalar = ParamScalar(algebra, {mon: Fraction(1)})
-            scaled = split.witness.scale(mon_scalar)
-            witness_total = scaled if witness_total is None else witness_total + scaled
-        if not solvable:
+        split = decompose_cocycle(block_cochain, basis, use_bounds)
+        if isinstance(split, NoSolutionWithinBounds):
             verdict = "inconclusive"
             continue
-        if witness_total is None:
-            zero = basis.zero_value()
-            witness_total = Cochain1(ctx.name, [zero] * ctx.dim)
         entries.append(
             BlockObstruction(
                 k=k,
@@ -624,8 +560,8 @@ def obstruction_classes(action: DeformedAction,
                 target_k=i,
                 basis_id=basis_id,
                 basis=basis,
-                class_coeff=ParamScalar(algebra, class_terms),
-                witness=witness_total,
+                class_coeff=ParamScalar(spec.algebra(), {}) + split.coeff,  # in the spec's alphabet
+                witness=split.witness,
                 bounds=use_bounds,
                 verdict="decomposed",
             )
@@ -924,30 +860,19 @@ def trivialize_second_order(action: DeformedAction,
     truncation = action.truncation_order or max(2, max(action.terms, default=1))
     if not second or not any(second):
         return GradedOp(spec.flavor, spec.delta, spec.window), action
-    # solve d0(T) = second-order term, block by block and monomial by monomial
+    # solve d0(T) = second-order term, one block at a time
     gauge = GradedOp(spec.flavor, spec.delta, spec.window)
     blocks: set[tuple[int, int]] = set()
     for g in second:
         blocks.update(g.blocks)
-    algebra = spec.algebra()
     for (j, i) in sorted(blocks):
-        mons = set()
-        for g in second:
-            mons.update(_op_monomials(g.block(j, i)))
-        accum = None
-        for mon in sorted(mons):
-            images = [_op_component(g.block(j, i), mon) for g in second]
-            cochain = Cochain1(ctx.name, images)
-            result = coboundary_solve(cochain, bounds)
-            if isinstance(result, NoSolutionWithinBounds):
-                return NotTrivializable(
-                    reason="second-order term is not a bounded coboundary", classes=live
-                )
-            mon_scalar = ParamScalar(algebra, {mon: Fraction(1)})
-            piece = result.cochain.value.scale(mon_scalar)
-            accum = piece if accum is None else accum + piece
-        if accum is not None and accum:
-            gauge.set_block(j, i, accum)
+        result = coboundary_solve(Cochain1(ctx.name, [g.block(j, i) for g in second]), bounds)
+        if isinstance(result, NoSolutionWithinBounds):
+            return NotTrivializable(
+                reason="second-order term is not a bounded coboundary", classes=live
+            )
+        if result.cochain.value:
+            gauge.set_block(j, i, result.cochain.value)
     transformed = gauge_transform(action, [(2, gauge)], truncation_order=truncation)
     if transformed.terms.get(2) and any(transformed.terms[2]):
         raise InternalError("gauge failed to cancel the second-order term")

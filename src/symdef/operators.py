@@ -10,7 +10,7 @@ presentation over ``(d_x, d_theta)`` is kept for cross-checks and for the
 parity-decomposition identities of the odd 2-cocycle family.
 
 The cohomology engine reads operators as sparse coordinates
-``{monomial: Fraction}`` (``monomial_coords``), a monomial being
+``{monomial: coefficient}`` (``monomial_coords``), a monomial being
 ``(d, i)`` for ``x^d d_x^i`` or ``(d, eps, i)`` for ``x^d theta^eps eta^i``.
 ``monomial_action`` is its fast path: the Lie-derivative action on a single
 monomial, evaluated on those coordinates with the two commutation rules
@@ -37,7 +37,7 @@ from .geometry import (
     VectorField,
     eta_bar,
 )
-from .kernel import UsageError, scalar_as_fraction
+from .kernel import Scalar, UsageError
 
 
 class DiffOp:
@@ -536,21 +536,21 @@ def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
 # ---------------------------------------------------------------------------
 
 
-def monomial_coords(op: AnyOp) -> dict[tuple, Fraction]:
-    """{(d, i) or (d, eps, i): Fraction} of a parameter-free operator;
-    UsageError while a coefficient still holds formal parameters."""
+def monomial_coords(op: AnyOp) -> dict[tuple, Scalar]:
+    """{(d, i) or (d, eps, i): coefficient} of an operator's nonzero
+    coefficients, each a Fraction or a ParamScalar as stored."""
     out = {}
     if isinstance(op, DiffOp):
         for i, poly in enumerate(op.coeffs):
             for d, c in enumerate(poly.coeffs):
                 if c:
-                    out[(d, i)] = scalar_as_fraction(c)
+                    out[(d, i)] = c
         return out
     for i, sp in enumerate(op.coeffs):
         for eps, poly in ((0, sp.f0), (1, sp.f1)):
             for d, c in enumerate(poly.coeffs):
                 if c:
-                    out[(d, eps, i)] = scalar_as_fraction(c)
+                    out[(d, eps, i)] = c
     return out
 
 

@@ -118,6 +118,10 @@ UNCOERCED_SPECS = [
     ({"flavor": "super", "m": 1.0, "params": {"a0": "1"}}, "spec.m"),
     ({"flavor": "classical", "m": 3, "windw": 5, "params": {"a0": 1}}, "windw"),
     ({"flavor": "super", "m": 1, "params": {"a0": "1", "b1": "3"}}, "odd parameter 'b1'"),
+    ({"flavor": "classical", "delta": 1.6666666666666667, "params": {"a0": "1"}}, "spec.delta"),
+    ({"flavor": "classical", "delta": True, "params": {"a0": "1"}}, "spec.delta"),
+    ({"flavor": "classical", "m": 3, "params": {"a0": 0.5}}, "spec.params.a0"),
+    ({"flavor": "classical", "m": 3, "params": {**POINT, "a1": False}}, "spec.params.a1"),
 ]
 
 # command lines that must be rejected, never read as something else:
@@ -133,6 +137,8 @@ UNCOERCED_ARGS = [
     ("id-wrong-keys", ["verify-cocycle", "--id", "B:m=3"], "B takes exactly m=<int>,k=<int>"),
     ("id-bad-int", ["verify-cocycle", "--id", "Phi:k=x"], "malformed catalog id 'Phi:k=x'"),
     ("id-bad-rational", ["verify-cocycle", "--id", "A:lambda=1/0"], "malformed catalog id"),
+    ("alphas-empty-entry", ["example1", "--m", "3", "--alphas", "1,,0,5"], "--alphas"),
+    ("alphas-trailing-comma", ["example1", "--m", "3", "--alphas", "1,0,5,"], "--alphas"),
     ("lambda-without-value", ["cohomology-dim", "--algebra", "sl2", "--lambda", "--mu", "1",
                               "--degree", "1"], "expected one argument"),
 ]

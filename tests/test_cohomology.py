@@ -22,7 +22,6 @@ from symdef.cohomology import (
     block_cache,
     classes_independent,
     cochain_weight_keys,
-    cochain_weight_slice,
     coboundary_solve,
     cochain_block,
     cohomology_dim,
@@ -33,7 +32,13 @@ from symdef.cohomology import (
     get_algebra,
     is_cocycle,
 )
-from symdef.cohomology import _differential_columns, _enumerate_cochain_basis
+from symdef.cohomology import (
+    _assemble_witness,
+    _by_weight_key,
+    _cochain_coords,
+    _differential_columns,
+    _enumerate_cochain_basis,
+)
 from symdef.geometry import Poly, SuperPoly
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
 from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
@@ -138,36 +143,40 @@ class TestDifferentialExamples:
             d1(Cochain1(OSP12, images))
 
 
+def weight_slices(c):
+    """{weight key: typed slice} of a parameter-free Cochain1, cut on its
+    coordinates and rebuilt as a cochain."""
+    cache = block_cache(c.algebra, *cochain_block(c))
+    (coords,) = _cochain_coords(c).values()
+    return {key: _assemble_witness(cache, 1, piece)
+            for key, piece in _by_weight_key(c, coords).items()}
+
+
 class TestWeightSlicing:
     def test_slices_reassemble(self):
         rng = random.Random(17)
         for algebra, lam, mu, parity in [(SL2, Q(0), Q(2), 0), (OSP12, Q(0), Q(1, 2), 1)]:
             c = random_cochain1(rng, algebra, lam, mu, parity)
-            keys = cochain_weight_keys(c)
+            slices = weight_slices(c)
+            assert sorted(slices) == cochain_weight_keys(c) and len(slices) > 1
             total = None
-            for key in keys:
-                part = cochain_weight_slice(c, key)
+            for part in slices.values():
                 total = part if total is None else total + part
             assert total == c
 
     def test_slicing_commutes_with_d1(self):
+        """The slice of d1(c) at a key, cut on d1(c)'s own coordinates, is the
+        typed d1 of c's slice at that key."""
         rng = random.Random(19)
         for algebra, lam, mu, parity in [(SL2, Q(1, 2), Q(1, 2), 0), (OSP12, Q(0), Q(1, 2), 1)]:
             c = random_cochain1(rng, algebra, lam, mu, parity)
             full = d1(c)
-            for key in cochain_weight_keys(c):
-                sliced = d1(cochain_weight_slice(c, key))
-                for pair in sliced.images:
-                    # the slice of d1(c) at this key equals d1 of the slice
-                    from symdef.cohomology import op_weight_split
-
-                    ctx = get_algebra(algebra)
-                    want = key + ctx.weights2[pair[0]] + ctx.weights2[pair[1]]
-                    got = op_weight_split(full.images[pair]).get(want)
-                    if got is None:
-                        assert not sliced.images[pair]
-                    else:
-                        assert sliced.images[pair] == got
+            (full_coords,) = _cochain_coords(full).values()
+            full_slices = _by_weight_key(full, full_coords)
+            for key, part in weight_slices(c).items():
+                (sliced,) = _cochain_coords(d1(part)).values()
+                assert sliced == full_slices.get(key, {}), (algebra, key)
+            assert set(full_slices) <= set(weight_slices(c))
 
     def test_specialized_columns_match_generic_d1(self):
         """The table-driven slice columns agree with the typed d0/d1/d2 on
@@ -258,8 +267,13 @@ class TestActionTables:
         assert checked == 3 * (3 * 11 * 25 + 7 * 17) + 5 * 2 * (4 * 9 + 6 * 13)
 
 
-def perturb(rng, c):
-    """c plus one nonzero monomial, of the right parity, at a random slot."""
+def scalar_parity(q):
+    return q.parity() if isinstance(q, ParamScalar) else 0
+
+
+def perturb(rng, c, scalar=Q(1)):
+    """c plus one nonzero monomial times `scalar`, of the right parity, at a
+    random slot."""
     ctx = get_algebra(c.algebra)
     cache = block_cache(c.algebra, *cochain_block(c))
     slots = list(range(ctx.dim)) if isinstance(c, Cochain1) else ctx.canonical_pairs()
@@ -269,8 +283,8 @@ def perturb(rng, c):
     if c.algebra == SL2:
         mon = (d, i)
     else:
-        mon = (d, (c.parity + slot_parity + i) & 1, i)
-    term = cache.monomial_op(mon).scale(rng.choice((-2, -1, 1, 3)))
+        mon = (d, (c.parity + scalar_parity(scalar) + slot_parity + i) & 1, i)
+    term = cache.monomial_op(mon).scale(rng.choice((-2, -1, 1, 3)) * scalar)
     if isinstance(c, Cochain1):
         return Cochain1(c.algebra, [im + term if s == slot else im
                                     for s, im in enumerate(c.images)], c.parity)
@@ -315,10 +329,85 @@ class TestIsCocycle:
                 closed.append(typed)
         assert closed.count(False) >= 12, closed
 
-    def test_parametric_cochain_refused(self):
-        t = ParamScalar.symbol(ParamAlgebra(even=("t",), odd=()), "t")
+
+PARAMS = ParamAlgebra(even=("s", "u"), odd=("beta", "gamma"))
+S, U, BETA, GAMMA = (ParamScalar.symbol(PARAMS, name) for name in ("s", "u", "beta", "gamma"))
+# parameter monomials of both parities, the unit among them
+MONOMIALS = [Q(1), S, S * U, BETA * GAMMA, BETA, S * GAMMA]
+
+
+def parametric_cochain(rng, degree, algebra, lam, mu, parity):
+    """sum over three parameter monomials q of q times a random rational
+    cochain of degree 0 or 1, each of the parity that makes the sum's `parity`."""
+    total = None
+    for q in rng.sample(MONOMIALS, 3):
+        part_parity = parity ^ scalar_parity(q) if algebra == OSP12 else 0
+        if degree == 0:
+            value = random_cochain0(rng, algebra, lam, mu, part_parity).value.scale(q)
+            total = Cochain0(algebra, value if total is None else total.value + value)
+        else:
+            part = random_cochain1(rng, algebra, lam, mu, part_parity).scale(q)
+            total = part if total is None else total + part
+    return total
+
+
+class TestParametricCochains:
+    """Cochains whose coefficients hold even and odd formal parameters: the
+    table path splits them by parameter monomial, the typed d0/d1/d2 and the
+    typed witness re-check are the oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(algebra=st.sampled_from([SL2, OSP12]), degree=st.sampled_from([1, 2]),
+           parity=st.integers(0, 1), perturbed=st.booleans(),
+           lam=st.fractions(-2, 2, max_denominator=2), shift=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_typed_differential(self, algebra, degree, parity, perturbed, lam, shift,
+                                        seed):
+        """is_cocycle agrees with the typed d on d(b) and on perturbed d(b),
+        and coboundary_solve(d b) returns a parametric witness w with typed
+        d(w) = d(b)."""
+        rng = random.Random(seed)
+        parity = parity if algebra == OSP12 else 0
+        mu = lam + Q(shift, 2)
+        b = parametric_cochain(rng, degree - 1, algebra, lam, mu, parity)
+        c = d0(b) if degree == 1 else d1(b)
+        if perturbed:
+            c = perturb(rng, c, rng.choice(MONOMIALS))
+        typed = d1(c).is_zero() if degree == 1 else not any(d2(c).values())
+        assert is_cocycle(c) == typed
+        if perturbed:
+            return
+        assert typed
+        result = coboundary_solve(c)
+        assert isinstance(result, Witness)
+        w = result.cochain
+        assert (d0(w) if degree == 1 else d1(w)).images == c.images
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(algebra=st.sampled_from([SL2, OSP12]), odd_class=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_decomposition_recovers_parametric_class(self, algebra, odd_class, seed):
+        """decompose_cocycle(t * family + d1(b)) returns t exactly, for t and b
+        holding even and odd parameters."""
+        rng = random.Random(seed)
+        family = cocycle_Phi(2) if algebra == SL2 else cocycle_Omega(2)
+        t = (BETA - S * GAMMA * Q(2, 3)) if odd_class else (S * 3 - S * U + BETA * GAMMA)
+        parity = family.parity ^ scalar_parity(t) if algebra == OSP12 else 0
+        b = parametric_cochain(rng, 1, algebra, *cochain_block(family), parity)
+        c = family.scale(t) + d1(b)
+        result = decompose_cocycle(c, family)
+        assert isinstance(result, Decomposition)
+        assert result.coeff == t
+        assert family.scale(result.coeff) + d1(result.witness) == c
+
+    @pytest.mark.parametrize("call", [
+        lambda: classes_independent([cocycle_A(1).scale(S)]),
+        lambda: classes_independent([cocycle_A(1), cocycle_A(1).scale(S)]),
+        lambda: decompose_cocycle(cocycle_Phi(2), cocycle_Phi(2).scale(S)),
+    ], ids=["classes-independent", "classes-independent-mixed", "decompose-family"])
+    def test_parametric_input_refused(self, call):
         with pytest.raises(UsageError, match="parameter-free"):
-            is_cocycle(cocycle_A(1).scale(t))
+            call()
 
 
 class TestCoboundarySolve:
@@ -401,9 +490,10 @@ class TestDecomposition:
         rng = random.Random(41)
         lam, mu = cochain_block(cocycle_Phi(2))
         b = random_cochain1(rng, SL2, lam, mu)
+        # d1 keeps weight keys, so d1 of one slice of b is one slice of d1(b)
         key = cochain_weight_keys(d1(b))[0]
-        family = cochain_weight_slice(d1(b), key)
-        assert not family.is_zero()
+        family = d1(weight_slices(b)[key])
+        assert not family.is_zero() and cochain_weight_keys(family) == [key]
         result = decompose_cocycle(family.scale(2), family)
         assert isinstance(result, NoSolutionWithinBounds)
 
@@ -412,7 +502,8 @@ class TestDecomposition:
         phi = cocycle_Phi(2)
         b = random_cochain1(rng, SL2, *cochain_block(phi))
         other = next(k for k in cochain_weight_keys(d1(b)) if k != -4)
-        family = phi + cochain_weight_slice(d1(b), other)
+        family = phi + d1(weight_slices(b)[other])
+        assert cochain_weight_keys(family) == sorted([-4, other])
         with pytest.raises(UsageError):
             decompose_cocycle(phi, family)
 
