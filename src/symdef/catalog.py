@@ -23,7 +23,7 @@ from typing import Optional, Union
 from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
-from .kernel import InternalError, UsageError, parse_rational
+from .kernel import InternalError, UsageError, format_rational, parse_rational
 from .operators import DiffOp, RawOp, SuperDiffOp
 
 
@@ -234,8 +234,6 @@ class CatalogId:
     k: Optional[int] = None
 
     def __str__(self) -> str:
-        from .kernel import format_rational
-
         if self.family in ("A", "Yprime"):
             return f"{self.family}:lambda={format_rational(self.lam)}"
         if self.family in ("B", "C"):

@@ -68,6 +68,7 @@ from .operators import (
     lie_derivative_op,
     monomial_action,
     monomial_coords,
+    op_class,
     super_lie_derivative_op,
 )
 
@@ -679,7 +680,7 @@ def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
 def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Union[Cochain0, Cochain1]:
     """The cochain with coefficients {basis item: scalar} on the block."""
     ctx = cache.ctx
-    zero = cache.monomial_op((0, 0) if ctx.flavor == CLASSICAL else (0, 0, 0)).scale(0)
+    zero = op_class(ctx.flavor).zero(cache.lam, cache.mu)
     images = [zero] * (1 if degree == 0 else ctx.dim)
     for item, coeff in coeffs.items():
         slot, mon = (0, item) if degree == 0 else item

@@ -86,9 +86,9 @@ def _spec_int(payload: dict, name: str) -> int:
 
 
 def _spec_rational(value, name: str) -> Fraction:
-    """A spec value that must be a rational string or a JSON integer; a
-    float (already rounded by the JSON reader) or a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+    """A spec value that must be a rational string, an integer or a
+    Fraction; a float (already rounded) or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise UsageError(f"spec.{name} must be a rational string like \"5/3\" or an integer, "
                          f"got {value!r}")
     return parse_rational(str(value))
@@ -193,8 +193,7 @@ class DeformationSpec:
         window = window if window is not None else _default_window(Fraction(m, 2))
         assignment = None
         if params is not None:
-            assignment = {k: parse_rational(v) if isinstance(v, str) else Fraction(v)
-                          for k, v in params.items()}
+            assignment = {k: _spec_rational(v, f"params.{k}") for k, v in params.items()}
         return DeformationSpec(flavor, Fraction(m, 2), window, assignment)
 
     @staticmethod

@@ -25,7 +25,6 @@ from .kernel import (
     UsageError,
     format_rational,
     scalar_involute,
-    scalar_is_zero,
     scalar_str,
     scalar_substitute,
     scalar_truncate,
@@ -47,7 +46,7 @@ class Poly:
 
     def __init__(self, coeffs: Sequence = ()):
         cs = [_as_scalar(c) for c in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -103,10 +102,10 @@ class Poly:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if scalar_is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                if scalar_is_zero(b):
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
@@ -114,7 +113,7 @@ class Poly:
     def scale(self, s) -> "Poly":
         """Left multiplication by a scalar (order matters for odd scalars)."""
         s = _as_scalar(s)
-        if scalar_is_zero(s):
+        if not s:
             return Poly()
         return Poly([s * c for c in self.coeffs])
 
@@ -134,7 +133,7 @@ class Poly:
     def coefficient_parities(self) -> set:
         out = set()
         for c in self.coeffs:
-            if not scalar_is_zero(c):
+            if c:
                 if isinstance(c, ParamScalar):
                     out.update(len(m[1]) & 1 for m in c.terms)
                 else:
@@ -151,7 +150,7 @@ class Poly:
             return "0"
         chunks = []
         for i, c in enumerate(self.coeffs):
-            if scalar_is_zero(c):
+            if not c:
                 continue
             body = scalar_str(c)
             if "+" in body or (body.count("-") and not body.startswith("-")):

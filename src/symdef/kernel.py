@@ -377,10 +377,6 @@ Scalar = Union[Fraction, ParamScalar]
 
 # -- helpers over mixed Fraction / ParamScalar coefficients -----------------
 
-def scalar_is_zero(c: Scalar) -> bool:
-    return not c
-
-
 def scalar_involute(c: Scalar) -> Scalar:
     return c.involute() if isinstance(c, ParamScalar) else c
 

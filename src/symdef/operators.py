@@ -1,12 +1,17 @@
 """Differential operators between density modules, their normal forms,
 and the Lie-derivative actions on them.
 
-Classical operators are stored as ``sum_i p_i(x) d_x^i``.  Super operators
-are stored in eta-normal form ``sum_i q_i(x,theta) eta^i`` with
-coefficients on the left; the powers of the contact derivation form a free
-basis over superfunction coefficients (``eta^2`` acts as ``-d_x``), so the
-stored form is canonical and equality is coefficient-wise.  A second
-presentation over ``(d_x, d_theta)`` is kept for cross-checks and for the
+Both flavors share one normal form, ``sum_i c_i D^i`` with coefficients
+on the left, written once.  A flavor chooses the derivation ``D`` and its
+twist, so that ``D o mult(u) = mult(D u) + mult(twist u) D``; composition
+and application are each one loop over that rule.  Classical operators
+(``DiffOp``) take ``D = d_x`` with the identity twist (Leibniz) and
+coefficients ``p_i(x)``.  Super operators (``SuperDiffOp``) take the
+contact derivation ``D = eta`` with the parity involution ``u -> u^`` and
+coefficients ``q_i(x,theta)``; the powers of ``eta`` form a free basis over
+superfunction coefficients (``eta^2`` acts as ``-d_x``), so the stored form
+is canonical and equality is coefficient-wise.  A second presentation over
+``(d_x, d_theta)`` is kept for cross-checks and for the
 parity-decomposition identities of the odd 2-cocycle family.
 
 The cohomology engine reads operators as sparse coordinates
@@ -37,40 +42,42 @@ from .geometry import (
     VectorField,
     eta_bar,
 )
-from .kernel import Scalar, UsageError
+from .kernel import Scalar, UsageError, format_rational
 
 
-class DiffOp:
-    """Finite-order differential operator from F_lam to F_mu."""
+class _NormalFormOp:
+    """Finite-order operator ``sum_i c_i D^i`` from F_lam to F_mu, with its
+    coefficients on the left of the powers of a derivation ``D``.
+
+    A subclass fixes the coefficient ring (``_ring``, with zero ``_zero``),
+    the derivation (``_derive``) and its twist (``_twist``), chosen so that
+    ``D o mult(u) = mult(D u) + mult(twist u) D``.  Everything else about
+    the normal form is written here once.
+    """
 
     __slots__ = ("lam", "mu", "coeffs")
 
-    def __init__(self, lam, mu, coeffs: Sequence[Poly] = ()):
+    def __init__(self, lam, mu, coeffs: Sequence = ()):
         self.lam = Fraction(lam)
         self.mu = Fraction(mu)
-        cs = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
+        cs = [c if isinstance(c, self._ring) else self._coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     # -- constructors --------------------------------------------------------
 
-    @staticmethod
-    def zero(lam, mu) -> "DiffOp":
-        return DiffOp(lam, mu)
+    @classmethod
+    def zero(cls, lam, mu) -> "_NormalFormOp":
+        return cls(lam, mu)
 
-    @staticmethod
-    def multiplication(p: Poly, lam, mu) -> "DiffOp":
-        return DiffOp(lam, mu, [p])
+    @classmethod
+    def multiplication(cls, c, lam, mu) -> "_NormalFormOp":
+        return cls(lam, mu, [c])
 
-    @staticmethod
-    def partial(order: int, lam, mu, coeff: Poly = None) -> "DiffOp":
-        top = coeff if coeff is not None else Poly([1])
-        return DiffOp(lam, mu, [P_ZERO] * order + [top])
-
-    @staticmethod
-    def identity(lam) -> "DiffOp":
-        return DiffOp(lam, lam, [Poly([1])])
+    @classmethod
+    def identity(cls, lam) -> "_NormalFormOp":
+        return cls(lam, lam, [cls._ring.const(1)])
 
     # -- structure -----------------------------------------------------------
 
@@ -82,67 +89,89 @@ class DiffOp:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.lam, self.mu) == (other.lam, other.mu) and self.coeffs == other.coeffs
 
-    def coefficient(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else P_ZERO
-
-    def parity(self) -> Optional[int]:
-        return 0 if self.coeffs else None
+    def coefficient(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check_same_block(self, other: "DiffOp"):
+    def _check_same_block(self, other: "_NormalFormOp"):
+        if type(other) is not type(self):
+            raise UsageError("cannot combine operators of different flavors")
         if (self.lam, self.mu) != (other.lam, other.mu):
             raise UsageError("operators act between different density modules")
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def __add__(self, other: "_NormalFormOp") -> "_NormalFormOp":
         self._check_same_block(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(self.lam, self.mu, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return type(self)(self.lam, self.mu, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
 
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.lam, self.mu, [-c for c in self.coeffs])
+    def __neg__(self) -> "_NormalFormOp":
+        return type(self)(self.lam, self.mu, [-c for c in self.coeffs])
 
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
+    def __sub__(self, other: "_NormalFormOp") -> "_NormalFormOp":
         return self + (-other)
 
-    def scale(self, s) -> "DiffOp":
-        return DiffOp(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
+    def scale(self, s) -> "_NormalFormOp":
+        return type(self)(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
 
-    def apply_poly(self, f: Poly) -> Poly:
-        out = P_ZERO
-        der = f
-        for i, p in enumerate(self.coeffs):
+    def apply_to(self, f):
+        """The operator applied to a function of its coefficient ring."""
+        out = self._zero
+        power = f
+        for i, c in enumerate(self.coeffs):
             if i:
-                der = der.derivative()
-            if p:
-                out = out + p * der
+                power = self._derive(power)
+            if c:
+                out = out + c * power
         return out
 
-    def substitute(self, assignment) -> "DiffOp":
-        return DiffOp(self.lam, self.mu, [c.substitute(assignment) for c in self.coeffs])
+    def substitute(self, assignment) -> "_NormalFormOp":
+        return type(self)(self.lam, self.mu, [c.substitute(assignment) for c in self.coeffs])
 
-    def truncate_params(self, max_degree: int) -> "DiffOp":
-        return DiffOp(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
+    def truncate_params(self, max_degree: int) -> "_NormalFormOp":
+        return type(self)(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
 
     def max_param_degree(self) -> int:
         return max((c.max_param_degree() for c in self.coeffs), default=0)
 
     def __repr__(self):
+        name = type(self).__name__
         if not self.coeffs:
-            return "DiffOp(0)"
+            return f"{name}(0)"
         parts = []
+        d = self._symbol
         for i, c in enumerate(self.coeffs):
             if c:
-                parts.append(f"({c})" + ("" if i == 0 else f" dx^{i}" if i > 1 else " dx"))
-        return "DiffOp(" + " + ".join(parts) + ")"
+                parts.append(f"({c})" + ("" if i == 0 else f" {d}^{i}" if i > 1 else f" {d}"))
+        return f"{name}(" + " + ".join(parts) + ")"
+
+
+class DiffOp(_NormalFormOp):
+    """Finite-order differential operator ``sum_i p_i(x) d_x^i`` from F_lam
+    to F_mu: D = d_x, with the identity twist (Leibniz)."""
+
+    __slots__ = ()
+    flavor = CLASSICAL
+    _ring = Poly
+    _zero = P_ZERO
+    _coerce = Poly
+    _derive = staticmethod(Poly.derivative)
+    _twist = staticmethod(lambda u: u)
+    _symbol = "dx"
+
+    @staticmethod
+    def partial(order: int, lam, mu, coeff: Poly = None) -> "DiffOp":
+        top = coeff if coeff is not None else Poly([1])
+        return DiffOp(lam, mu, [P_ZERO] * order + [top])
+
+    def parity(self) -> Optional[int]:
+        return 0 if self.coeffs else None
 
     def to_json(self) -> dict:
-        from .kernel import format_rational
-
         return {
             "lambda": format_rational(self.lam),
             "mu": format_rational(self.mu),
@@ -150,53 +179,25 @@ class DiffOp:
         }
 
 
-class SuperDiffOp:
-    """Super differential operator in eta-normal form."""
+class SuperDiffOp(_NormalFormOp):
+    """Super differential operator ``sum_i q_i(x,theta) eta^i`` in eta-normal
+    form: D = eta, twisted by the parity involution."""
 
-    __slots__ = ("lam", "mu", "coeffs")
-
-    def __init__(self, lam, mu, coeffs: Sequence[SuperPoly] = ()):
-        self.lam = Fraction(lam)
-        self.mu = Fraction(mu)
-        cs = [c if isinstance(c, SuperPoly) else SuperPoly(*c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- constructors --------------------------------------------------------
+    __slots__ = ()
+    flavor = SUPER
+    _ring = SuperPoly
+    _zero = SP_ZERO
+    _derive = staticmethod(eta_bar)
+    _twist = staticmethod(SuperPoly.involute)
+    _symbol = "eta"
 
     @staticmethod
-    def zero(lam, mu) -> "SuperDiffOp":
-        return SuperDiffOp(lam, mu)
-
-    @staticmethod
-    def multiplication(q: SuperPoly, lam, mu) -> "SuperDiffOp":
-        return SuperDiffOp(lam, mu, [q])
+    def _coerce(c) -> SuperPoly:
+        return SuperPoly(*c)
 
     @staticmethod
     def eta_power_term(q: SuperPoly, power: int, lam, mu) -> "SuperDiffOp":
         return SuperDiffOp(lam, mu, [SP_ZERO] * power + [q])
-
-    @staticmethod
-    def identity(lam) -> "SuperDiffOp":
-        return SuperDiffOp(lam, lam, [SuperPoly.const(1)])
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def order(self) -> Optional[int]:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperDiffOp):
-            return NotImplemented
-        return (self.lam, self.mu) == (other.lam, other.mu) and self.coeffs == other.coeffs
-
-    def coefficient(self, i: int) -> SuperPoly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else SP_ZERO
 
     def parity(self) -> Optional[int]:
         """Total parity (coefficient parity + eta exponent); None for zero."""
@@ -211,57 +212,7 @@ class SuperDiffOp:
             raise UsageError("super operator is not parity-homogeneous")
         return parities.pop()
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check_same_block(self, other: "SuperDiffOp"):
-        if (self.lam, self.mu) != (other.lam, other.mu):
-            raise UsageError("operators act between different density modules")
-
-    def __add__(self, other: "SuperDiffOp") -> "SuperDiffOp":
-        self._check_same_block(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SuperDiffOp(self.lam, self.mu, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    def __neg__(self) -> "SuperDiffOp":
-        return SuperDiffOp(self.lam, self.mu, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "SuperDiffOp") -> "SuperDiffOp":
-        return self + (-other)
-
-    def scale(self, s) -> "SuperDiffOp":
-        return SuperDiffOp(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
-
-    def apply_super(self, f: SuperPoly) -> SuperPoly:
-        out = SP_ZERO
-        power = f
-        for i, q in enumerate(self.coeffs):
-            if i:
-                power = eta_bar(power)
-            if q:
-                out = out + q * power
-        return out
-
-    def substitute(self, assignment) -> "SuperDiffOp":
-        return SuperDiffOp(self.lam, self.mu, [c.substitute(assignment) for c in self.coeffs])
-
-    def truncate_params(self, max_degree: int) -> "SuperDiffOp":
-        return SuperDiffOp(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
-
-    def max_param_degree(self) -> int:
-        return max((c.max_param_degree() for c in self.coeffs), default=0)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "SuperDiffOp(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"({c})" + ("" if i == 0 else f" eta^{i}" if i > 1 else " eta"))
-        return "SuperDiffOp(" + " + ".join(parts) + ")"
-
     def to_json(self) -> dict:
-        from .kernel import format_rational
-
         parity = self.parity()
         return {
             "lambda": format_rational(self.lam),
@@ -286,6 +237,11 @@ class SuperDiffOp:
                 out.add_term(q.scale(sign), half, 1)
                 out.add_term((q * SuperPoly(P_ZERO, Poly([1]))).scale(-sign), half + 1, 0)
         return out
+
+
+def op_class(flavor: str) -> type:
+    """The operator class of a flavor."""
+    return DiffOp if flavor == CLASSICAL else SuperDiffOp
 
 
 AnyOp = Union[DiffOp, SuperDiffOp]
@@ -395,57 +351,29 @@ class RawOp:
 # ---------------------------------------------------------------------------
 
 
-def _compose_classical(a: DiffOp, b: DiffOp) -> DiffOp:
+def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
+    """a o b for two operators of one flavor, in normal form."""
+    cls = type(a)
     if b.mu != a.lam:
         raise UsageError("compose: inner target weight must match outer source weight")
     if not a.coeffs or not b.coeffs:
-        return DiffOp.zero(b.lam, a.mu)
-    out: dict[int, Poly] = {}
-    for i, p in enumerate(a.coeffs):
-        if not p:
-            continue
-        for j, r in enumerate(b.coeffs):
-            if not r:
-                continue
-            # d_x^i o mult(r) = sum_s C(i,s) mult(r^{(s)}) d_x^{i-s}
-            der = r
-            for s in range(i + 1):
-                if s:
-                    der = der.derivative()
-                if not der:
-                    break
-                term = p * der.scale(comb(i, s))
-                key = i - s + j
-                out[key] = out.get(key, P_ZERO) + term
-    top = max(out, default=-1)
-    return DiffOp(b.lam, a.mu, [out.get(k, P_ZERO) for k in range(top + 1)])
-
-
-def _compose_super(a: SuperDiffOp, b: SuperDiffOp) -> SuperDiffOp:
-    if b.mu != a.lam:
-        raise UsageError("compose: inner target weight must match outer source weight")
-    if not a.coeffs or not b.coeffs:
-        return SuperDiffOp.zero(b.lam, a.mu)
-    out: dict[int, SuperPoly] = {}
+        return cls.zero(b.lam, a.mu)
+    out: dict = {}
     for j, r in enumerate(b.coeffs):
         if not r:
             continue
-        # table[e] holds c_e with eta^i o mult(r) = sum_e mult(c_e) eta^e,
-        # built one application of eta o mult(u) = mult(eta u) + mult(u^) eta
+        # table[e] holds c_e with D^i o mult(r) = sum_e mult(c_e) D^e,
+        # built one application of D o mult(u) = mult(D u) + mult(twist u) D
         # at a time.
-        table: dict[int, SuperPoly] = {0: r}
+        table = {0: r}
         for i, q in enumerate(a.coeffs):
             if i:
-                new_table: dict[int, SuperPoly] = {}
+                new_table: dict = {}
                 for e, c in table.items():
-                    bumped = eta_bar(c)
-                    if bumped:
-                        acc = new_table.get(e)
-                        new_table[e] = bumped if acc is None else acc + bumped
-                    inv = c.involute()
-                    if inv:
-                        acc = new_table.get(e + 1)
-                        new_table[e + 1] = inv if acc is None else acc + inv
+                    for key, moved in ((e, cls._derive(c)), (e + 1, cls._twist(c))):
+                        if moved:
+                            acc = new_table.get(key)
+                            new_table[key] = moved if acc is None else acc + moved
                 table = new_table
             if not q:
                 continue
@@ -456,31 +384,23 @@ def _compose_super(a: SuperDiffOp, b: SuperDiffOp) -> SuperDiffOp:
                     acc = out.get(key)
                     out[key] = term if acc is None else acc + term
     top = max(out, default=-1)
-    return SuperDiffOp(b.lam, a.mu, [out.get(k, SP_ZERO) for k in range(top + 1)])
+    return cls(b.lam, a.mu, [out.get(k, cls._zero) for k in range(top + 1)])
 
 
 def compose(a: AnyOp, b: AnyOp) -> AnyOp:
     """Normal-form product: apply(compose(a, b), d) == apply(a, apply(b, d))."""
-    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
-        return _compose_classical(a, b)
-    if isinstance(a, SuperDiffOp) and isinstance(b, SuperDiffOp):
-        return _compose_super(a, b)
-    raise UsageError("cannot compose operators of different flavors")
+    if not isinstance(a, _NormalFormOp) or type(a) is not type(b):
+        raise UsageError("cannot compose operators of different flavors")
+    return _compose(a, b)
 
 
 def apply(a: AnyOp, d: Density) -> Density:
     """Apply an operator to a density of its source weight."""
-    if isinstance(a, DiffOp):
-        if d.flavor != CLASSICAL:
-            raise UsageError("classical operator applied to a super density")
-        if d.weight != a.lam:
-            raise UsageError("density weight does not match the operator's source weight")
-        return Density(a.mu, a.apply_poly(d.value), CLASSICAL)
-    if d.flavor != SUPER:
-        raise UsageError("super operator applied to a classical density")
+    if not isinstance(a, op_class(d.flavor)):
+        raise UsageError(f"{a.flavor} operator applied to a {d.flavor} density")
     if d.weight != a.lam:
         raise UsageError("density weight does not match the operator's source weight")
-    return Density(a.mu, a.apply_super(d.value), SUPER)
+    return Density(a.mu, a.apply_to(d.value), d.flavor)
 
 
 def supercommutator(a: AnyOp, b: AnyOp) -> AnyOp:
@@ -517,7 +437,7 @@ def super_lie_op(x: ContactField, lam) -> SuperDiffOp:
 
 def lie_derivative_op(x: VectorField, a: DiffOp) -> DiffOp:
     """Action on operator modules: L^mu_X o A - A o L^lam_X."""
-    return _compose_classical(lie_op(x, a.mu), a) - _compose_classical(a, lie_op(x, a.lam))
+    return _compose(lie_op(x, a.mu), a) - _compose(a, lie_op(x, a.lam))
 
 
 def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
@@ -526,8 +446,8 @@ def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
     if pa is None:
         return a
     sign = -1 if (pa and x.parity) else 1
-    left = _compose_super(super_lie_op(x, a.mu), a)
-    right = _compose_super(a, super_lie_op(x, a.lam))
+    left = _compose(super_lie_op(x, a.mu), a)
+    right = _compose(a, super_lie_op(x, a.lam))
     return left - right.scale(sign)
 
 
@@ -689,8 +609,7 @@ class GradedOp:
         op = self.blocks.get((j, i))
         if op is not None:
             return op
-        zero = DiffOp.zero if self.flavor == CLASSICAL else SuperDiffOp.zero
-        return zero(self.weight_of(j), self.weight_of(i))
+        return op_class(self.flavor).zero(self.weight_of(j), self.weight_of(i))
 
     def _check_compatible(self, other: "GradedOp"):
         if (self.flavor, self.delta, self.kmax) != (other.flavor, other.delta, other.kmax):
@@ -790,8 +709,6 @@ class GradedOp:
         return f"GradedOp[{self.flavor}, delta={self.delta}, K={self.kmax}]{{{body}}}"
 
     def to_json(self) -> dict:
-        from .kernel import format_rational
-
         return {
             "flavor": self.flavor,
             "delta": format_rational(self.delta),
@@ -805,9 +722,8 @@ class GradedOp:
 
 def graded_identity(flavor: str, delta, kmax: int) -> GradedOp:
     out = GradedOp(flavor, delta, kmax)
-    ident = DiffOp.identity if flavor == CLASSICAL else SuperDiffOp.identity
     for k in range(kmax + 1):
-        out.set_block(k, k, ident(out.weight_of(k)))
+        out.set_block(k, k, op_class(flavor).identity(out.weight_of(k)))
     return out
 
 

@@ -161,6 +161,16 @@ class TestBuildInfinitesimal:
         diag = action.first_order[1].block(0, 0)
         assert diag == DiffOp.multiplication(Poly([2]), Q(3, 2), Q(3, 2))
 
+    @pytest.mark.parametrize("value,expected", [("5/3", Q(5, 3)), (Q(5, 3), Q(5, 3)),
+                                                (0.1, None), (True, None)])
+    def test_param_values_are_not_coerced(self, value, expected):
+        if expected is None:
+            with pytest.raises(UsageError, match="params.a0"):
+                DeformationSpec.resonant_spec(CLASSICAL, 3, params={"a0": value})
+        else:
+            spec = DeformationSpec.resonant_spec(CLASSICAL, 3, params={"a0": value})
+            assert spec.assignment == {"a0": expected}
+
 
 class TestBracketDefect:
     def test_all_parameters_zero(self):
@@ -190,7 +200,7 @@ class TestBracketDefect:
         for n in range(6):
             f = [Q(0)] * n + [Q(1)]
             got = oracle_defect(params, 3, X_NAMES[1], X_NAMES[2], 2, f, 8)
-            want = block.apply_poly(Poly(f))
+            want = block.apply_to(Poly(f))
             if want:
                 assert got == {0: list(want.coeffs)}
             else:
@@ -229,7 +239,7 @@ class TestBracketDefect:
                         got = oracle_defect(params, 3, X_NAMES[i], X_NAMES[j], comp, f, 8)
                         for tgt in range(numeric.spec.window + 1):
                             blk = defect.block(comp, tgt)
-                            want = blk.apply_poly(Poly(f))
+                            want = blk.apply_to(Poly(f))
                             assert list(want.coeffs) == got.get(tgt, []), (i, j, comp, tgt)
 
 

@@ -1,5 +1,6 @@
 """Operator algebra suite: normal forms, Lie-derivative actions, symbols."""
 
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -138,6 +139,15 @@ class TestCompose:
             a, b, c = ops
             assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
+    @pytest.mark.parametrize("combine", [operator.add, operator.sub, compose],
+                             ids=["add", "sub", "compose"])
+    def test_flavors_do_not_mix(self, combine):
+        classical, odd = DiffOp.identity(0), SuperDiffOp.identity(0)
+        for a, b in ((classical, odd), (odd, classical)):
+            with pytest.raises(UsageError):
+                combine(a, b)
+            assert a != b
+
 
 class TestSupercommutator:
     def test_ddx_with_mult_x(self):
@@ -263,7 +273,7 @@ class TestNormalFormUniqueness:
             a = DiffOp(0, 0, coeffs)
             recovered = []
             for n in range(len(a.coeffs)):
-                acc = a.apply_poly(Poly.x_power(n))
+                acc = a.apply_to(Poly.x_power(n))
                 fact_n = 1
                 for t in range(1, n + 1):
                     fact_n *= t
@@ -284,7 +294,7 @@ class TestNormalFormUniqueness:
             ]
             a = SuperDiffOp(0, 0, coeffs)
             probes = [SuperPoly.x_power(j, theta=t) for j in range(4) for t in (False, True)]
-            killed = all(not a.apply_super(f) for f in probes)
+            killed = all(not a.apply_to(f) for f in probes)
             assert killed == (not a)
 
 
