@@ -46,6 +46,7 @@ from .operators import (  # noqa: F401
 )
 from .cohomology import (  # noqa: F401
     BoundsSpec,
+    Cochain,
     Cochain0,
     Cochain1,
     Cochain2,

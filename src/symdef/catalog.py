@@ -313,7 +313,7 @@ def calibrate_convention() -> dict:
     A failure is an engine fault (``InternalError``), never a verdict."""
     for text in _CALIBRATION_SAMPLES:
         cochain = build_cocycle(text)
-        closed = (d1(cochain).is_zero() if isinstance(cochain, Cochain1)
+        closed = (d1(cochain).is_zero() if cochain.degree == 1
                   else not any(d2(cochain).values()))
         if not closed:
             raise InternalError(f"{text} is not a cocycle under the fixed sign convention")

@@ -22,6 +22,10 @@ Euler element, under explicit operator-order and coefficient-degree
 bounds.  A failed solve is therefore always *within bounds*, never a
 claim about the untruncated complex.
 
+Cochains of degrees 0, 1 and 2 are one class, ``Cochain``, with one image
+per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
+``Cochain0``/``Cochain1``/``Cochain2`` only fix the degree and input shape.
+
 A cochain is read once as coordinates {parameter monomial: {(slot,
 monomial): Fraction}} (``_cochain_coords``); a parameter-free cochain has
 the single parameter monomial ((), ()).  Formal parameters are constants
@@ -192,7 +196,7 @@ def algebra_for_flavor(flavor: str) -> AlgebraContext:
 # ---------------------------------------------------------------------------
 
 
-def _infer_parity(values, slot_parities, declared: Optional[int]) -> int:
+def _infer_parity(values, declared: Optional[int]) -> int:
     inferred = set()
     for value, slot_parity in values:
         if not value:
@@ -211,110 +215,97 @@ def _infer_parity(values, slot_parities, declared: Optional[int]) -> int:
     return declared if declared is not None else 0
 
 
-class Cochain0:
-    """Degree-0 cochain: a single operator value."""
+class Cochain:
+    """A cochain of degree 0, 1 or 2: one operator value per slot of
+    ``_cochain_slots``, held as ``images`` {slot: value} in slot order.
 
-    def __init__(self, algebra: str, value, parity: Optional[int] = None):
-        self.algebra = algebra
-        self.value = value
-        self.parity = _infer_parity([(value, 0)], None, parity)
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-
-class Cochain1:
-    """Degree-1 cochain: one operator value per algebra basis element."""
-
-    def __init__(self, algebra: str, images: Sequence, parity: Optional[int] = None):
-        ctx = get_algebra(algebra)
-        images = list(images)
-        if len(images) != ctx.dim:
-            raise UsageError(f"expected {ctx.dim} images for {algebra}")
-        self.algebra = algebra
-        self.images = images
-        self.parity = _infer_parity(zip(images, ctx.parities), None, parity)
-
-    def zero_value(self):
-        return self.images[0].scale(0)
-
-    def is_zero(self) -> bool:
-        return not any(self.images)
-
-    def __add__(self, other: "Cochain1") -> "Cochain1":
-        if self.algebra != other.algebra:
-            raise UsageError("cochains over different algebras")
-        return Cochain1(self.algebra, [a + b for a, b in zip(self.images, other.images)], None)
-
-    def __sub__(self, other: "Cochain1") -> "Cochain1":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "Cochain1":
-        # parity is re-inferred: scaling by an odd parameter flips it
-        return Cochain1(self.algebra, [im.scale(s) for im in self.images])
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain1):
-            return NotImplemented
-        return self.algebra == other.algebra and self.images == other.images
-
-
-class Cochain2:
-    """Degree-2 cochain stored on canonical pairs (i < j, odd diagonals).
-
-    Super-antisymmetry is kept by the storage: evaluation at a swapped
-    pair flips by -(-1)^{p(X)p(Y)}, and diagonal images at even elements
-    are identically zero.
+    A degree-2 cochain is stored on canonical pairs (i < j, odd diagonals);
+    ``at`` reads it at any pair through the super-antisymmetry of
+    ``_canonical_slot``.  The parity is inferred from the images and their
+    slot parities, or taken as declared when every image is zero.
     """
 
-    def __init__(self, algebra: str, images: dict, parity: Optional[int] = None):
-        ctx = get_algebra(algebra)
-        expected = set(ctx.canonical_pairs())
-        if set(images) != expected:
-            raise UsageError("degree-2 cochain must provide every canonical pair image")
+    def __init__(self, algebra: str, degree: int, images: dict,
+                 parity: Optional[int] = None):
+        slots = _cochain_slots(get_algebra(algebra), degree)
+        if set(images) != {slot for slot, _, _ in slots}:
+            raise UsageError(f"a degree-{degree} cochain on {algebra} needs one image "
+                             "at every slot")
         self.algebra = algebra
-        self.images = dict(images)
-        slot_parities = {(i, j): (ctx.parities[i] + ctx.parities[j]) & 1 for (i, j) in expected}
-        self.parity = _infer_parity(
-            [(v, slot_parities[k]) for k, v in images.items()], None, parity
-        )
+        self.degree = degree
+        self.images = {slot: images[slot] for slot, _, _ in slots}
+        self.parity = _infer_parity([(images[slot], p) for slot, _, p in slots], parity)
+
+    def _like(self, images: dict) -> "Cochain":
+        """A cochain of self's class, algebra and degree with these images;
+        the parity is re-inferred, since scaling by an odd parameter flips it."""
+        out = object.__new__(type(self))
+        Cochain.__init__(out, self.algebra, self.degree, images)
+        return out
+
+    @property
+    def block(self) -> tuple[Fraction, Fraction]:
+        first = next(iter(self.images.values()))
+        return (first.lam, first.mu)
 
     def zero_value(self):
         return next(iter(self.images.values())).scale(0)
 
-    def at(self, i: int, j: int):
-        ctx = get_algebra(self.algebra)
-        if (i, j) in self.images:
-            return self.images[(i, j)]
-        if (j, i) in self.images:
-            sign = -1 if not (ctx.parities[i] and ctx.parities[j]) else 1
-            return self.images[(j, i)].scale(sign)
-        return self.zero_value()  # even diagonal
+    def at(self, *args):
+        """The image at basis arguments `args` (one per degree)."""
+        hit = _canonical_slot(get_algebra(self.algebra).parities, args)
+        if hit is None:
+            return self.zero_value()  # even diagonal
+        slot, sign = hit
+        return self.images[slot] if sign == 1 else self.images[slot].scale(sign)
 
     def is_zero(self) -> bool:
         return not any(self.images.values())
 
-    def __add__(self, other: "Cochain2") -> "Cochain2":
-        if self.algebra != other.algebra:
-            raise UsageError("cochains over different algebras")
-        return Cochain2(
-            self.algebra, {k: v + other.images[k] for k, v in self.images.items()}, None
-        )
+    def __add__(self, other: "Cochain") -> "Cochain":
+        if not isinstance(other, Cochain) or (other.algebra, other.degree) != (
+                self.algebra, self.degree):
+            raise UsageError("cochains of different degrees or algebras do not add")
+        return self._like({k: v + other.images[k] for k, v in self.images.items()})
 
-    def __sub__(self, other: "Cochain2") -> "Cochain2":
+    def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
-    def scale(self, s) -> "Cochain2":
-        # parity is re-inferred: scaling by an odd parameter flips it
-        return Cochain2(self.algebra, {k: v.scale(s) for k, v in self.images.items()})
+    def scale(self, s) -> "Cochain":
+        return self._like({k: v.scale(s) for k, v in self.images.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, Cochain2):
+        if not isinstance(other, Cochain):
             return NotImplemented
         return self.algebra == other.algebra and self.images == other.images
 
 
-Cochain = Union[Cochain1, Cochain2]
+class Cochain0(Cochain):
+    """Degree-0 cochain: a single operator value."""
+
+    def __init__(self, algebra: str, value, parity: Optional[int] = None):
+        super().__init__(algebra, 0, {None: value}, parity)
+
+    @property
+    def value(self):
+        return self.images[None]
+
+
+class Cochain1(Cochain):
+    """Degree-1 cochain: one operator value per algebra basis element, given
+    in basis order or as {index: value}."""
+
+    def __init__(self, algebra: str, images: Union[Sequence, dict], parity: Optional[int] = None):
+        if not isinstance(images, dict):
+            images = dict(enumerate(images))
+        super().__init__(algebra, 1, images, parity)
+
+
+class Cochain2(Cochain):
+    """Degree-2 cochain: {canonical pair: value}."""
+
+    def __init__(self, algebra: str, images: dict, parity: Optional[int] = None):
+        super().__init__(algebra, 2, images, parity)
 
 
 def _sign(exponent: int) -> int:
@@ -374,10 +365,9 @@ def is_cocycle(c: Cochain) -> bool:
     every parameter monomial goes through the loop behind every differential
     column (``_differential``).  The typed d1/d2 are its oracle in the
     tests."""
-    cache = block_cache(c.algebra, *cochain_block(c))
-    degree = 1 if isinstance(c, Cochain1) else 2
+    cache = block_cache(c.algebra, *c.block)
     for pmon, coords in _cochain_coords(c).items():
-        table = _ce_table(c.algebra, degree, _component_parity(c, pmon))
+        table = _ce_table(c.algebra, c.degree, _component_parity(c, pmon))
         if _differential(cache, table, coords.items()):
             return False
     return True
@@ -392,8 +382,7 @@ def _cochain_coords(c: Cochain) -> dict[tuple, dict]:
     """{parameter monomial: {(slot, monomial): Fraction}}, the coefficient
     cochain of each parameter monomial of c; {((), ()): {}} when c is zero."""
     out: dict = {}
-    images = enumerate(c.images) if isinstance(c, Cochain1) else c.images.items()
-    for slot, im in images:
+    for slot, im in c.images.items():
         for mon, value in monomial_coords(im).items():
             terms = value.terms.items() if isinstance(value, ParamScalar) else ((_ONE_MON, value),)
             for pmon, fr in terms:
@@ -422,8 +411,7 @@ def _by_weight_key(c: Cochain, coords: dict) -> dict[int, dict]:
     key 2d + eps - i, and a coordinate's key is its monomial's less the
     weight of its slot.  The Euler element acts diagonally with these keys
     up to a block constant, so d preserves them."""
-    degree = 1 if isinstance(c, Cochain1) else 2
-    weight = {slot: wt for slot, wt, _ in _cochain_slots(get_algebra(c.algebra), degree)}
+    weight = {slot: wt for slot, wt, _ in _cochain_slots(get_algebra(c.algebra), c.degree)}
     out: dict = {}
     for (slot, mon), value in coords.items():
         out.setdefault(BlockCache.monomial_key(mon) - weight[slot], {})[(slot, mon)] = value
@@ -523,11 +511,6 @@ def block_cache(algebra: str, lam, mu) -> BlockCache:
         cache = BlockCache(algebra, Fraction(lam), Fraction(mu))
         _BLOCK_CACHES[key] = cache
     return cache
-
-
-def cochain_block(c: Cochain) -> tuple[Fraction, Fraction]:
-    v = c.zero_value() if isinstance(c, Cochain2) else c.images[0].scale(0)
-    return (v.lam, v.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +633,7 @@ def _rank(cols: list[dict], skip=frozenset()) -> int:
 
 @dataclass
 class Witness:
-    cochain: Union[Cochain0, Cochain1]
+    cochain: Cochain
 
 
 @dataclass
@@ -663,55 +646,44 @@ class Decomposition:
     """c = coeff * family + d(witness), exactly."""
 
     coeff: Fraction
-    witness: Union[Cochain0, Cochain1]
+    witness: Cochain
 
 
 def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
     """Generous default truncation, relative to the size of the given
     cochains, which live on one block."""
-    lam, mu = cochain_block(cochains[0])
-    images = [im for c in cochains
-              for im in (c.images if isinstance(c, Cochain1) else c.images.values())]
+    lam, mu = cochains[0].block
+    images = [im for c in cochains for im in c.images.values()]
     order = max((im.order or 0 for im in images if im), default=0)
     n = order + 2 + math.ceil(abs(2 * (mu - lam))) + 2
     return BoundsSpec(n, 2 * n + 4)
 
 
-def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Union[Cochain0, Cochain1]:
+def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
     """The cochain with coefficients {basis item: scalar} on the block."""
     ctx = cache.ctx
     zero = op_class(ctx.flavor).zero(cache.lam, cache.mu)
-    images = [zero] * (1 if degree == 0 else ctx.dim)
+    images = {slot: zero for slot, _, _ in _cochain_slots(ctx, degree)}
     for item, coeff in coeffs.items():
-        slot, mon = (0, item) if degree == 0 else item
+        slot, mon = (None, item) if degree == 0 else item
         images[slot] = images[slot] + cache.monomial_op(mon).scale(coeff)
-    return Cochain0(ctx.name, images[0]) if degree == 0 else Cochain1(ctx.name, images)
-
-
-_SOLVER_CACHE: dict[tuple, tuple] = {}
+    return Cochain0(ctx.name, images[None]) if degree == 0 else Cochain1(ctx.name, images)
 
 
 def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: int, key: int,
                   lead: Optional[dict] = None):
     """(basis, row index, SolvedSystem) of the slice system [lead | d^degree]
-    at one weight key.  Only systems without a lead column are cached: they
-    serve every cocycle of the block, while a lead column is one family's."""
-    full_key = (cache.ctx.name, cache.lam, cache.mu, degree, bounds, parity, key)
-    hit = _SOLVER_CACHE.get(full_key) if lead is None else None
-    if hit is None:
-        basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-        cols = _differential_columns(cache, degree, basis, parity)
-        if lead is not None:
-            cols.insert(0, lead)
-        by_key: dict = {}  # the sparse rows of the slice system, one per row key
-        for cnum, col in enumerate(cols):
-            for k, v in col.items():
-                by_key.setdefault(k, []).append((cnum, v))
-        row_index = {k: n for n, k in enumerate(by_key)}
-        hit = (basis, row_index, SolvedSystem(list(by_key.values()), len(cols)))
-        if lead is None:
-            _SOLVER_CACHE[full_key] = hit
-    return hit
+    at one weight key."""
+    basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
+    cols = _differential_columns(cache, degree, basis, parity)
+    if lead is not None:
+        cols.insert(0, lead)
+    by_key: dict = {}  # the sparse rows of the slice system, one per row key
+    for cnum, col in enumerate(cols):
+        for k, v in col.items():
+            by_key.setdefault(k, []).append((cnum, v))
+    row_index = {k: n for n, k in enumerate(by_key)}
+    return basis, row_index, SolvedSystem(list(by_key.values()), len(cols))
 
 
 def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
@@ -720,9 +692,9 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
     c's parameter monomials; for parameter-free c, t is a Fraction.
     NoSolutionWithinBounds when some slice has no solution or the family is
     itself a bounded coboundary (t would not be unique)."""
-    lam, mu = cochain_block(c)
+    lam, mu = c.block
     cache = block_cache(c.algebra, lam, mu)
-    degree = 1 if isinstance(c, Cochain2) else 0
+    degree = c.degree - 1
     coords = _cochain_coords(c)
     lead = family_key = None
     if family is not None:
@@ -730,7 +702,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
         family_keys = list(_by_weight_key(family, lead))
         if len(family_keys) != 1:
             raise UsageError("the family must be nonzero and lie in a single weight key")
-        if cochain_block(family) != (lam, mu) or family.algebra != c.algebra:
+        if family.block != (lam, mu) or family.algebra != c.algebra:
             raise UsageError("the family must live on the cochain's block")
         family_key = family_keys[0]
     parametric = set(coords) != {_ONE_MON}
@@ -784,7 +756,7 @@ def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
     if isinstance(solved, NoSolutionWithinBounds):
         return solved
     witness = solved.witness
-    check = d0(witness) if isinstance(witness, Cochain0) else d1(witness)
+    check = d0(witness) if witness.degree == 0 else d1(witness)
     if check.images != c.images:
         raise InternalError("witness failed the exact re-check")
     return Witness(witness)
@@ -813,16 +785,16 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     first = cocycles[0]
     if bounds is None:
         bounds = default_witness_bounds(*cocycles)
-    lam, mu = cochain_block(first)
-    cache = block_cache(get_algebra(first.algebra).name, lam, mu)
-    degree = 1 if isinstance(first, Cochain2) else 0
+    lam, mu = first.block
+    cache = block_cache(first.algebra, lam, mu)
+    degree = first.degree - 1
     parity = first.parity
     cocycle_cols = []
     for c in cocycles:
         coords = _parameter_free_coords(c, "classes_independent expects parameter-free cocycles")
         if not is_cocycle(c):
             raise UsageError("classes_independent expects cocycles")
-        if cochain_block(c) != (lam, mu) or c.parity != parity:
+        if c.block != (lam, mu) or c.parity != parity:
             raise UsageError("cocycles must share a block and parity")
         cocycle_cols.append(coords)
     # a row key (slot, monomial) fixes its weight key, so the slices stack

@@ -450,7 +450,7 @@ class BlockObstruction:
             "class": str(self.class_coeff),
             "bounds": self.bounds.to_json(),
             "witness": {
-                "images": [op.to_json() for op in self.witness.images],
+                "images": [op.to_json() for op in self.witness.images.values()],
             },
             "verdict": self.verdict,
         }
@@ -736,6 +736,8 @@ def example1_family(m: int, alphas: Sequence[Union[int, str, Fraction]],
     condition for c_k and reports whether the two families coincide and
     whether each is exactly flat in t."""
     spec = DeformationSpec.resonant_spec(CLASSICAL, m, window)
+    if not spec.resonant_range():
+        raise UsageError("example1 needs a resonant band: --m >= 2")
     alphas = [parse_rational(a) if isinstance(a, str) else Fraction(a) for a in alphas]
     if len(alphas) < m:
         raise UsageError(f"need at least {m} alpha values for m={m}")

@@ -26,7 +26,6 @@ from .kernel import (
     format_rational,
     scalar_involute,
     scalar_str,
-    scalar_substitute,
     scalar_truncate,
 )
 
@@ -123,9 +122,6 @@ class Poly:
     def involute(self) -> "Poly":
         """Apply the scalar-parity involution to every coefficient."""
         return Poly([scalar_involute(c) for c in self.coeffs])
-
-    def substitute(self, assignment) -> "Poly":
-        return Poly([scalar_substitute(c, assignment) for c in self.coeffs])
 
     def truncate_params(self, max_degree: int) -> "Poly":
         return Poly([scalar_truncate(c, max_degree) for c in self.coeffs])
@@ -259,9 +255,6 @@ class SuperPoly:
     def involute(self) -> "SuperPoly":
         """Total-parity involution (scalars and theta both count)."""
         return SuperPoly(self.f0.involute(), -self.f1.involute())
-
-    def substitute(self, assignment) -> "SuperPoly":
-        return SuperPoly(self.f0.substitute(assignment), self.f1.substitute(assignment))
 
     def truncate_params(self, max_degree: int) -> "SuperPoly":
         return SuperPoly(self.f0.truncate_params(max_degree), self.f1.truncate_params(max_degree))

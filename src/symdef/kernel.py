@@ -244,14 +244,6 @@ class ParamScalar:
             return NotImplemented
         return other * self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative powers are not defined here")
-        out = ParamScalar.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -383,10 +375,6 @@ def scalar_involute(c: Scalar) -> Scalar:
 
 def scalar_str(c: Scalar) -> str:
     return str(c) if isinstance(c, ParamScalar) else format_rational(c)
-
-
-def scalar_substitute(c: Scalar, assignment: Mapping[str, Union[int, str, Fraction]]) -> Scalar:
-    return c.substitute(assignment) if isinstance(c, ParamScalar) else c
 
 
 def scalar_truncate(c: Scalar, max_degree: int) -> Scalar:

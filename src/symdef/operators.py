@@ -11,8 +11,8 @@ contact derivation ``D = eta`` with the parity involution ``u -> u^`` and
 coefficients ``q_i(x,theta)``; the powers of ``eta`` form a free basis over
 superfunction coefficients (``eta^2`` acts as ``-d_x``), so the stored form
 is canonical and equality is coefficient-wise.  A second presentation over
-``(d_x, d_theta)`` is kept for cross-checks and for the
-parity-decomposition identities of the odd 2-cocycle family.
+``(d_x, d_theta)`` is kept for the parity-decomposition identity of the odd
+2-cocycle family.
 
 The cohomology engine reads operators as sparse coordinates
 ``{monomial: coefficient}`` (``monomial_coords``), a monomial being
@@ -128,9 +128,6 @@ class _NormalFormOp:
             if c:
                 out = out + c * power
         return out
-
-    def substitute(self, assignment) -> "_NormalFormOp":
-        return type(self)(self.lam, self.mu, [c.substitute(assignment) for c in self.coeffs])
 
     def truncate_params(self, max_degree: int) -> "_NormalFormOp":
         return type(self)(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
@@ -250,9 +247,9 @@ AnyOp = Union[DiffOp, SuperDiffOp]
 class RawOp:
     """Operator on the superline presented as ``sum q_{i,e} d_x^i d_theta^e``.
 
-    Used for cross-checks: contact-field composition, the parity
-    decomposition of odd 2-cocycles, and as the target of the eta-form
-    conversion.  Not weight-tagged; it is a plain operator on functions.
+    The target of the eta-form conversion ``SuperDiffOp.to_raw``, in which
+    ``catalog.lemma23_check`` states the parity decomposition of the odd
+    2-cocycle family.  Not weight-tagged; it is a plain operator on functions.
     """
 
     __slots__ = ("terms",)
@@ -270,10 +267,6 @@ class RawOp:
             else:
                 self.terms.pop(key, None)
         return self
-
-    @staticmethod
-    def multiplication(q: SuperPoly) -> "RawOp":
-        return RawOp().add_term(q, 0, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -299,41 +292,6 @@ class RawOp:
 
     def __sub__(self, other: "RawOp") -> "RawOp":
         return self + other.scale(-1)
-
-    def compose(self, other: "RawOp") -> "RawOp":
-        out = RawOp()
-        for (i, e), q in self.terms.items():
-            for (j, d), r in other.terms.items():
-                if e and d:
-                    continue  # d_theta^2 = 0
-                # move d_x^i d_theta^e across mult(r)
-                if e:
-                    moved = [(r.partial_theta(), 0), (r.involute(), 1)]
-                else:
-                    moved = [(r, 0)]
-                for base, extra_theta in moved:
-                    # now move d_x^i across mult(base) by Leibniz
-                    der = base
-                    for s in range(i + 1):
-                        if s:
-                            der = der.derivative_x()
-                        if not der:
-                            continue
-                        coeff = q * der.scale(comb(i, s))
-                        out.add_term(coeff, i - s + j, extra_theta + d)
-        return out
-
-    def apply_super(self, f: SuperPoly) -> SuperPoly:
-        out = SP_ZERO
-        for (i, e), q in self.terms.items():
-            g = f
-            for _ in range(i):
-                g = g.derivative_x()
-            if e:
-                g = g.partial_theta()
-        # note: d_x and d_theta commute, order irrelevant
-            out = out + q * g
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -679,12 +637,6 @@ class GradedOp:
         """self o other - sign * other o self with an explicit Koszul sign."""
         return self.compose(other) - other.compose(self).scale(sign)
 
-    def substitute(self, assignment) -> "GradedOp":
-        out = GradedOp(self.flavor, self.delta, self.kmax)
-        for (j, i), op in self.blocks.items():
-            out.set_block(j, i, op.substitute(assignment))
-        return out
-
     def truncate_params(self, max_degree: int) -> "GradedOp":
         out = GradedOp(self.flavor, self.delta, self.kmax)
         for (j, i), op in self.blocks.items():
@@ -707,17 +659,6 @@ class GradedOp:
     def __repr__(self):
         body = ", ".join(f"({j}->{i}): {op!r}" for (j, i), op in sorted(self.blocks.items()))
         return f"GradedOp[{self.flavor}, delta={self.delta}, K={self.kmax}]{{{body}}}"
-
-    def to_json(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "delta": format_rational(self.delta),
-            "window": self.kmax,
-            "blocks": [
-                {"source_k": j, "target_k": i, "op": op.to_json()}
-                for (j, i), op in sorted(self.blocks.items())
-            ],
-        }
 
 
 def graded_identity(flavor: str, delta, kmax: int) -> GradedOp:

@@ -132,6 +132,9 @@ UNCOERCED_ARGS = [
     ("no-band-super-m0", ["obstruction", "--flavor", "super", "--m", "0"], "resonant band"),
     ("no-band-classical-m1", ["obstruction", "--flavor", "classical", "--m", "1"],
      "resonant band"),
+    ("example1-no-band-m1", ["example1", "--m", "1", "--alphas", "1"], "resonant band"),
+    ("example1-no-band-m0", ["example1", "--m", "0", "--alphas", "1"], "resonant band"),
+    ("example1-no-band-negative-m", ["example1", "--m", "-2", "--alphas", "1,2"], "resonant band"),
     ("id-repeated-key-reason", ["verify-cocycle", "--id", "B:m=5,k=3,k=4"], "repeated key 'k'"),
     ("id-unknown-family", ["verify-cocycle", "--id", "Q:k=2"], "unknown cocycle family 'Q'"),
     ("id-wrong-keys", ["verify-cocycle", "--id", "B:m=3"], "B takes exactly m=<int>,k=<int>"),
@@ -233,7 +236,6 @@ def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_conventio
 def fresh_certificates(monkeypatch):
     """Deformation certificates and action tables built inside the test only."""
     monkeypatch.setattr(cohomology, "_BLOCK_CACHES", {})
-    monkeypatch.setattr(cohomology, "_SOLVER_CACHE", {})
     caches = (deformation._certified_family, deformation._undeformed_window)
     for cache in caches:
         cache.cache_clear()
@@ -259,7 +261,7 @@ def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certif
         family = build(m, k)
         lam, mu = family.images[0].lam, family.images[0].mu
         extra = DiffOp.partial(1, lam, mu, Poly.x_power(3))
-        return Cochain1("sl2", [family.images[0] + extra] + family.images[1:])
+        return Cochain1("sl2", {**family.images, 0: family.images[0] + extra})
 
     monkeypatch.setattr(deformation, "cocycle_B", not_closed)
     error = engine_fault(capsys, ["obstruction", "--flavor", "classical", "--m", "3"])

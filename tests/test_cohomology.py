@@ -1,5 +1,6 @@
 """Differential structure, coboundary solving, truncated dimensions."""
 
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi
+from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi, cocycle_Yprime
 from symdef.cohomology import (
     BlockCache,
     BoundsSpec,
+    Cochain,
     Cochain0,
     Cochain1,
     Cochain2,
@@ -23,7 +25,6 @@ from symdef.cohomology import (
     classes_independent,
     cochain_weight_keys,
     coboundary_solve,
-    cochain_block,
     cohomology_dim,
     d0,
     d1,
@@ -143,10 +144,50 @@ class TestDifferentialExamples:
             d1(Cochain1(OSP12, images))
 
 
+ONE = DiffOp.identity(1)
+
+# (id, left, right): cochains that cannot be added or subtracted
+MIXED = [
+    ("degree-2-and-1", lambda: cocycle_Phi(2), lambda: cocycle_A(1)),
+    ("degree-0-and-1", lambda: Cochain0(SL2, ONE), lambda: cocycle_A(1)),
+    ("sl2-and-osp12", lambda: cocycle_A(1), lambda: cocycle_Yprime(1)),
+]
+
+# (id, constructor): a cochain whose images miss or exceed its slots
+WRONG_SLOTS = [
+    ("degree-0-index-slot", lambda: Cochain(SL2, 0, {0: ONE})),
+    ("degree-1-short", lambda: Cochain1(SL2, [ONE, ONE])),
+    ("degree-1-long", lambda: Cochain1(SL2, [ONE] * 4)),
+    ("degree-1-pair-keys", lambda: Cochain(SL2, 1, {(0, 1): ONE, (0, 2): ONE, (1, 2): ONE})),
+    ("degree-2-missing-pair", lambda: Cochain2(SL2, {(0, 1): ONE, (0, 2): ONE})),
+    ("degree-2-even-diagonal", lambda: Cochain2(
+        SL2, {(0, 1): ONE, (0, 2): ONE, (1, 2): ONE, (1, 1): ONE})),
+    ("degree-3", lambda: Cochain(SL2, 3, {})),
+]
+
+
+class TestCochainShape:
+    """Misuse of the one cochain class is bad input (UsageError), never a
+    Python error that the CLI would report as an engine fault."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    @pytest.mark.parametrize("left,right", [row[1:] for row in MIXED],
+                             ids=[row[0] for row in MIXED])
+    def test_mixed_arithmetic_refused(self, op, left, right):
+        with pytest.raises(UsageError):
+            op(left(), right())
+
+    @pytest.mark.parametrize("build", [row[1] for row in WRONG_SLOTS],
+                             ids=[row[0] for row in WRONG_SLOTS])
+    def test_wrong_slots_refused(self, build):
+        with pytest.raises(UsageError):
+            build()
+
+
 def weight_slices(c):
     """{weight key: typed slice} of a parameter-free Cochain1, cut on its
     coordinates and rebuilt as a cochain."""
-    cache = block_cache(c.algebra, *cochain_block(c))
+    cache = block_cache(c.algebra, *c.block)
     (coords,) = _cochain_coords(c).values()
     return {key: _assemble_witness(cache, 1, piece)
             for key, piece in _by_weight_key(c, coords).items()}
@@ -205,7 +246,7 @@ def typed_column(cache, degree, item, parity):
     """Coordinates of the typed differential of a one-slot basis cochain."""
     ctx = cache.ctx
     if degree == 0:
-        images = enumerate(d0(Cochain0(ctx.name, cache.monomial_op(item), parity)).images)
+        images = d0(Cochain0(ctx.name, cache.monomial_op(item), parity)).images.items()
     else:
         slot, mon = item
         zero = cache.monomial_op(mon).scale(0)
@@ -275,7 +316,7 @@ def perturb(rng, c, scalar=Q(1)):
     """c plus one nonzero monomial times `scalar`, of the right parity, at a
     random slot."""
     ctx = get_algebra(c.algebra)
-    cache = block_cache(c.algebra, *cochain_block(c))
+    cache = block_cache(c.algebra, *c.block)
     slots = list(range(ctx.dim)) if isinstance(c, Cochain1) else ctx.canonical_pairs()
     slot = slots[rng.randrange(len(slots))]
     slot_parity = sum(ctx.parities[s] for s in ((slot,) if isinstance(c, Cochain1) else slot)) & 1
@@ -285,11 +326,8 @@ def perturb(rng, c, scalar=Q(1)):
     else:
         mon = (d, (c.parity + scalar_parity(scalar) + slot_parity + i) & 1, i)
     term = cache.monomial_op(mon).scale(rng.choice((-2, -1, 1, 3)) * scalar)
-    if isinstance(c, Cochain1):
-        return Cochain1(c.algebra, [im + term if s == slot else im
-                                    for s, im in enumerate(c.images)], c.parity)
-    return Cochain2(c.algebra, {s: im + term if s == slot else im
-                                for s, im in c.images.items()}, c.parity)
+    return type(c)(c.algebra, {s: im + term if s == slot else im
+                               for s, im in c.images.items()}, c.parity)
 
 
 class TestIsCocycle:
@@ -393,7 +431,7 @@ class TestParametricCochains:
         family = cocycle_Phi(2) if algebra == SL2 else cocycle_Omega(2)
         t = (BETA - S * GAMMA * Q(2, 3)) if odd_class else (S * 3 - S * U + BETA * GAMMA)
         parity = family.parity ^ scalar_parity(t) if algebra == OSP12 else 0
-        b = parametric_cochain(rng, 1, algebra, *cochain_block(family), parity)
+        b = parametric_cochain(rng, 1, algebra, *family.block, parity)
         c = family.scale(t) + d1(b)
         result = decompose_cocycle(c, family)
         assert isinstance(result, Decomposition)
@@ -469,7 +507,7 @@ class TestDecomposition:
     def test_recovers_class_coefficient_and_witness(self):
         rng = random.Random(31)
         for family in (cocycle_Phi(2), cocycle_Omega(2)):
-            lam, mu = cochain_block(family)
+            lam, mu = family.block
             b = random_cochain1(rng, family.algebra, lam, mu, family.parity)
             assert len(cochain_weight_keys(d1(b))) > 1  # the witness spans several keys
             c = family.scale(3) + d1(b)
@@ -481,14 +519,14 @@ class TestDecomposition:
     def test_pure_coboundary_has_zero_class(self):
         rng = random.Random(37)
         family = cocycle_Phi(2)
-        b = random_cochain1(rng, SL2, *cochain_block(family))
+        b = random_cochain1(rng, SL2, *family.block)
         result = decompose_cocycle(d1(b), family)
         assert isinstance(result, Decomposition)
         assert result.coeff == 0 and d1(result.witness) == d1(b)
 
     def test_family_that_is_a_coboundary_has_no_solution(self):
         rng = random.Random(41)
-        lam, mu = cochain_block(cocycle_Phi(2))
+        lam, mu = cocycle_Phi(2).block
         b = random_cochain1(rng, SL2, lam, mu)
         # d1 keeps weight keys, so d1 of one slice of b is one slice of d1(b)
         key = cochain_weight_keys(d1(b))[0]
@@ -500,7 +538,7 @@ class TestDecomposition:
     def test_family_spanning_two_keys_rejected(self):
         rng = random.Random(43)
         phi = cocycle_Phi(2)
-        b = random_cochain1(rng, SL2, *cochain_block(phi))
+        b = random_cochain1(rng, SL2, *phi.block)
         other = next(k for k in cochain_weight_keys(d1(b)) if k != -4)
         family = phi + d1(weight_slices(b)[other])
         assert cochain_weight_keys(family) == sorted([-4, other])

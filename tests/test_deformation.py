@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symdef.deformation as deformation
-from symdef.cohomology import Cochain1, block_cache, cochain_block, d1
+from symdef.cohomology import Cochain1, block_cache, d1
 from symdef.deformation import (
     DeformationSpec,
     DeformedAction,
@@ -466,9 +466,9 @@ BUILDERS = {CLASSICAL: ("cocycle_A", "cocycle_B", "cocycle_C"),
 def perturbed(family):
     """The family plus one monomial on the image of the first (even) basis
     element: not a cocycle, which the typed d1 confirms."""
-    cache = block_cache(family.algebra, *cochain_block(family))
+    cache = block_cache(family.algebra, *family.block)
     mon = (3, 1) if family.algebra == "sl2" else (3, family.parity, 0)
-    images = list(family.images)
+    images = dict(family.images)
     images[0] = images[0] + cache.monomial_op(mon)
     broken = Cochain1(family.algebra, images, family.parity)
     assert not d1(broken).is_zero()
