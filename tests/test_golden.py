@@ -22,6 +22,12 @@ CASES = [
     ("cohomology_dim_sl2_degree2.json",
      ["cohomology-dim", "--algebra", "sl2", "--lambda=-1/2", "--mu=3/2", "--degree", "2",
       "--bounds", "6,16"]),
+    ("cohomology_dim_osp12_degree1.json",
+     ["cohomology-dim", "--algebra", "osp12", "--lambda=-1", "--mu=3/2", "--degree", "1",
+      "--bounds", "5,12"]),
+    ("cohomology_dim_sl2_degree1.json",
+     ["cohomology-dim", "--algebra", "sl2", "--lambda=1/3", "--mu=2/3", "--degree", "1",
+      "--bounds", "10,24"]),
     ("obstruction_classical_m3.json", ["obstruction", "--flavor", "classical", "--m", "3"]),
     ("obstruction_super_m2.json", ["obstruction", "--flavor", "super", "--m", "2"]),
     ("obstruction_super_m3.json", ["obstruction", "--flavor", "super", "--m", "3"]),
