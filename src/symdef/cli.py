@@ -3,7 +3,8 @@ deterministic output, and meaningful exit codes.
 
 Exit codes: 0 verified, 1 falsified, 2 inconclusive within the stated
 bounds, 64 usage error, 70 engine fault (an unexpected exception; its report
-and traceback go to stderr, never a verdict).  The JSON report is the
+and traceback go to stderr, never a verdict; also a report stream closed
+before the report was written).  The JSON report is the
 contract; the text format renders the same payload for reading.  Identical inputs produce
 byte-identical JSON (no timestamps, no environment lookups).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -129,11 +131,17 @@ def _cmd_cohomology_dim(args) -> tuple[dict, str]:
     return result, "verified" if outcome.stabilized else "inconclusive"
 
 
+def _require_resonant_band(spec: DeformationSpec, command: str, m: str) -> None:
+    """UsageError unless the spec has a resonant band: without one there is
+    no condition to derive or check, and a verdict would be vacuous."""
+    if not spec.resonant_range():
+        raise UsageError(f"{command} needs a resonant band: {m} >= 2 (classical) "
+                         f"or {m} >= 1 (super)")
+
+
 def _cmd_obstruction(args) -> tuple[dict, str]:
     spec = DeformationSpec.resonant_spec(args.flavor, args.m, args.window)
-    if not spec.resonant_range():
-        raise UsageError("obstruction needs a resonant band: --m >= 2 (classical) "
-                         "or --m >= 1 (super)")
+    _require_resonant_band(spec, "obstruction", "--m")
     action = build_infinitesimal(spec)
     report = obstruction_classes(action, _parse_bounds(args.bounds))
     reassembled = report.verify_reassembly(action)
@@ -175,6 +183,7 @@ def _cmd_integrability(args) -> tuple[dict, str]:
     spec = _load_spec(args.spec)
     if spec.assignment is None:
         raise UsageError("integrability needs spec.params with numeric even parameters")
+    _require_resonant_band(spec, "integrability", "spec.m")
     formal = build_infinitesimal(DeformationSpec(spec.flavor, spec.delta, spec.window))
     published = check_published_conditions(spec)
     derived = derived_condition_verdicts(formal, spec, _parse_bounds(args.bounds))
@@ -364,7 +373,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError:
         fmt = "text"
     stream = sys.stderr if code in (USAGE, ENGINE_FAULT) else sys.stdout
-    print(render(report, fmt), file=stream)
+    try:
+        print(render(report, fmt), file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader left before the report was written: no verdict was
+        # delivered, so this must not exit 1 ("falsified") with a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        print("symdef: the report stream was closed before the report was written",
+              file=sys.stderr)
+        return ENGINE_FAULT
     return code
 
 

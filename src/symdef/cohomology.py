@@ -363,8 +363,8 @@ def d2(w: Cochain2) -> dict:
 def is_cocycle(c: Cochain) -> bool:
     """Exact d c = 0, read off the action tables: the coefficient cochain of
     every parameter monomial goes through the loop behind every differential
-    column (``_differential``).  The typed d1/d2 are its oracle in the
-    tests."""
+    column (``_differential``), whose scale s != 0 does not matter for a zero
+    test.  The typed d1/d2 are its oracle in the tests."""
     cache = block_cache(c.algebra, *c.block)
     for pmon, coords in _cochain_coords(c).items():
         table = _ce_table(c.algebra, c.degree, _component_parity(c, pmon))
@@ -429,21 +429,27 @@ def cochain_weight_keys(c: Cochain) -> list[int]:
 
 
 class BlockCache:
-    """Monomial enumeration and memoized module action on one block.
+    """Bounded monomial bases and the memoized module action on one block.
 
     The action of each basis generator on each normal-form monomial is
-    tabled once as sorted sparse coordinates [(monomial, Fraction)], read off
-    the commutation rules d_x^i o x^n (Leibniz) and
-    eta o mult(u) = mult(eta u) + mult(u^) eta without building an operator
-    (``act_monomial``); the generic composition is the oracle in the tests.
+    tabled once as sorted sparse integer coordinates [(monomial, int)], over
+    one block denominator ``den`` (D): an entry is D times the true
+    coefficient.  It is read off the commutation rules d_x^i o x^n (Leibniz)
+    and eta o mult(u) = mult(eta u) + mult(u^) eta without building an
+    operator (``act_monomial``); the generic composition is the oracle in the
+    tests.  The bounded monomials are enumerated once per (bounds, parity),
+    grouped by weight key (``monomials``).
     """
 
     def __init__(self, algebra: str, lam: Fraction, mu: Fraction):
         self.ctx = get_algebra(algebra)
         self.lam = lam
         self.mu = mu
-        self._act: dict[tuple[int, tuple], list[tuple[tuple, Fraction]]] = {}
-        self._actions = [monomial_action(x, lam, mu) for x in self.ctx.basis]
+        self._act: dict[tuple[int, tuple], list[tuple[tuple, int]]] = {}
+        actions = [monomial_action(x, lam, mu) for x in self.ctx.basis]
+        self.den = math.lcm(*(den for den, _ in actions))
+        self._actions = [(act, self.den // den) for den, act in actions]
+        self._monomials: dict[tuple, dict[int, list[tuple]]] = {}
 
     # -- monomials ----------------------------------------------------------
 
@@ -462,28 +468,29 @@ class BlockCache:
             return 2 * (mon[0] - mon[1])
         return 2 * mon[0] + mon[1] - mon[2]
 
-    def monomials(self, bounds: BoundsSpec, key: Optional[int] = None,
-                  parity: Optional[int] = None) -> list[tuple]:
-        out = []
-        if self.ctx.flavor == CLASSICAL:
-            if parity not in (None, 0):
-                return []
+    def monomials(self, bounds: BoundsSpec, parity: Optional[int] = None) -> dict[int, list]:
+        """{weight key: monomials} within bounds, of one parity (None: all),
+        each key's monomials in order of operator order, theta, degree;
+        enumerated once per (bounds, parity)."""
+        hit = self._monomials.get((bounds, parity))
+        if hit is None:
+            hit = self._monomials[(bounds, parity)] = {}
+            if self.ctx.flavor == CLASSICAL:  # every classical monomial is even
+                thetas = [()] if parity in (None, 0) else []
+            else:
+                thetas = [(0,), (1,)]
             for i in range(bounds.max_operator_order + 1):
-                for d in range(bounds.max_coefficient_degree + 1):
-                    if key is None or 2 * (d - i) == key:
-                        out.append((d, i))
-            return out
-        for i in range(bounds.max_operator_order + 1):
-            for eps in (0, 1):
-                if parity is not None and ((eps + i) & 1) != parity:
-                    continue
-                for d in range(bounds.max_coefficient_degree + 1):
-                    if key is None or 2 * d + eps - i == key:
-                        out.append((d, eps, i))
-        return out
+                for theta in thetas:
+                    if theta and parity is not None and (theta[0] + i) & 1 != parity:
+                        continue
+                    for d in range(bounds.max_coefficient_degree + 1):
+                        mon = (d, *theta, i)
+                        hit.setdefault(self.monomial_key(mon), []).append(mon)
+        return hit
 
-    def act_monomial(self, gen: int, mon: tuple) -> list[tuple[tuple, Fraction]]:
-        """The tabled action of basis element `gen` on monomial `mon`.
+    def act_monomial(self, gen: int, mon: tuple) -> list[tuple[tuple, int]]:
+        """The tabled action of basis element `gen` on monomial `mon`: sorted
+        integer coordinates, D (``den``) times the true ones.
 
         Built by ``operators.monomial_action`` on coordinates, with
 
@@ -492,12 +499,12 @@ class BlockCache:
 
         Its oracle is the generic composition
         ``monomial_coords(ctx.act(gen, monomial_op(mon)))``, which the tests
-        compare entry by entry."""
+        compare entry by entry against the table over D."""
         keyed = (gen, mon)
         cached = self._act.get(keyed)
         if cached is None:
-            cached = self._actions[gen](mon)
-            self._act[keyed] = cached
+            act, scale = self._actions[gen]
+            cached = self._act[keyed] = act(mon, scale)
         return cached
 
 
@@ -537,7 +544,7 @@ def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
     degree 0, (slot, monomial) pairs otherwise."""
     return [mon if slot is None else (slot, mon)
             for slot, wt, slot_parity in _cochain_slots(cache.ctx, degree)
-            for mon in cache.monomials(bounds, key=key + wt, parity=parity ^ slot_parity)]
+            for mon in cache.monomials(bounds, parity ^ slot_parity).get(key + wt, ())]
 
 
 def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
@@ -554,10 +561,11 @@ def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _ce_table(algebra: str, degree: int, parity: int) -> dict:
-    """The terms of d^degree on cochains of one parity, grouped by the
-    input slot they read: slot -> [(output key, generator or None for the
-    identity, coefficient)].
+def _ce_table(algebra: str, degree: int, parity: int) -> tuple[int, dict]:
+    """(T, terms): the terms of d^degree on cochains of one parity, grouped
+    by the input slot they read, slot -> [(output key, generator or None for
+    the identity, coefficient)], each coefficient an integer, T times the
+    true one (T clears the halves of the osp(1|2) structure constants).
 
     This is the formula of the module docstring: action term a reads w with
     x_a omitted, with sign (-1)^a times the Koszul sign of moving x_a past w
@@ -586,18 +594,24 @@ def _ce_table(algebra: str, degree: int, parity: int) -> dict:
                 rest = xs[:a] + xs[a + 1:b] + xs[b + 1:]
                 for g, coeff in enumerate(ctx.structure[(xs[a], xs[b])]):
                     add(out, None, coeff * _sign(a + b + koszul), (g,) + rest)
-    return table
+    scale = math.lcm(*(coeff.denominator for terms in table.values() for _, _, coeff in terms))
+    return scale, {slot: [(out, gen, int(coeff * scale)) for out, gen, coeff in terms]
+                   for slot, terms in table.items()}
 
 
-def _differential(cache: BlockCache, table: dict, coords) -> dict:
-    """Coordinates {(output key, monomial): value} of d applied to the cochain
-    with coordinates [((slot, monomial), value)], d given by its _ce_table."""
+def _differential(cache: BlockCache, table: tuple[int, dict], coords) -> dict:
+    """Coordinates {(output key, monomial): value} of s times d applied to the
+    cochain with coordinates [((slot, monomial), value)], d given by its
+    _ce_table (T, terms) and s = D*T (D = ``cache.den``): integers for integer
+    coordinates.  Nothing is truncated, so a column does not depend on the
+    bounds its basis cochain was enumerated under."""
+    identity, terms = cache.den, table[1]
     col: dict = {}
     for (slot, mon), value in coords:
-        for out, gen, coeff in table.get(slot, ()):
+        for out, gen, coeff in terms.get(slot, ()):
             if value != 1:
                 coeff = coeff * value
-            image = ((mon, 1),) if gen is None else cache.act_monomial(gen, mon)
+            image = ((mon, identity),) if gen is None else cache.act_monomial(gen, mon)
             for mon2, val in image:
                 rkey = (out, mon2)
                 acc = col.get(rkey, 0) + coeff * val
@@ -608,21 +622,31 @@ def _differential(cache: BlockCache, table: dict, coords) -> dict:
     return col
 
 
-def _differential_columns(cache: BlockCache, degree: int, basis: list, parity: int) -> list[dict]:
-    """Coordinates of d^degree on each basis cochain, {(output key, monomial): value}.
+def _differential_columns(cache: BlockCache, degree: int, basis: list,
+                          parity: int) -> tuple[int, list[dict]]:
+    """(s, columns): s times the coordinates of d^degree on each basis
+    cochain, {(output key, monomial): int}, with s = D*T (``_differential``).
 
     Agreement with the typed d0/d1/d2 is pinned by tests."""
     table = _ce_table(cache.ctx.name, degree, parity)
-    return [_differential(cache, table, ((((None, item) if degree == 0 else item), 1),))
-            for item in basis]
+    return cache.den * table[0], [
+        _differential(cache, table, ((((None, item) if degree == 0 else item), 1),))
+        for item in basis]
 
 
-def _rank(cols: list[dict], skip=frozenset()) -> int:
+def _restrict(basis: list, cols: list[dict], subset: list) -> list[dict]:
+    """The columns, one per basis item, of the items in `subset`."""
+    inside = set(subset)
+    return [col for item, col in zip(basis, cols) if item in inside]
+
+
+def _rank(cols: list[dict], skip=()) -> int:
     """Rank of the columns, less the row keys in `skip`.  Rank is invariant
-    under transposition, so each column goes in as one sparse row."""
-    index: dict = {}
-    rows = [[(index.setdefault(k, len(index)), v) for k, v in col.items() if k not in skip]
-            for col in cols]
+    under transposition, so each column goes in as one sparse row.  Row keys
+    are numbered in sorted order, (output slot, monomial): the elimination
+    then fills in less than in order of first appearance."""
+    index = {k: n for n, k in enumerate(sorted({k for col in cols for k in col} - set(skip)))}
+    rows = [[(index[k], v) for k, v in col.items() if k in index] for col in cols]
     return matrix_rank(rows, len(index))
 
 
@@ -672,18 +696,20 @@ def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
 
 def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: int, key: int,
                   lead: Optional[dict] = None):
-    """(basis, row index, SolvedSystem) of the slice system [lead | d^degree]
-    at one weight key."""
+    """(basis, row index, s, SolvedSystem) of the slice system
+    s * [lead | d^degree] at one weight key, s the scale of the integer
+    columns (``_differential``); right-hand sides are scaled by s too, so
+    solutions are those of [lead | d^degree]."""
     basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-    cols = _differential_columns(cache, degree, basis, parity)
+    s, cols = _differential_columns(cache, degree, basis, parity)
     if lead is not None:
-        cols.insert(0, lead)
+        cols.insert(0, {k: s * v for k, v in lead.items()})
     by_key: dict = {}  # the sparse rows of the slice system, one per row key
     for cnum, col in enumerate(cols):
         for k, v in col.items():
             by_key.setdefault(k, []).append((cnum, v))
     row_index = {k: n for n, k in enumerate(by_key)}
-    return basis, row_index, SolvedSystem(list(by_key.values()), len(cols))
+    return basis, row_index, s, SolvedSystem(list(by_key.values()), len(cols))
 
 
 def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
@@ -720,12 +746,12 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
             if hit is None:
                 hit = systems[(parity, key)] = _slice_system(cache, degree, bounds, parity, key,
                                                              key_lead)
-            slice_basis, row_index, system = hit
+            slice_basis, row_index, s, system = hit
             if any(k not in row_index for k in rhs_coords):
                 return NoSolutionWithinBounds(bounds)
             rhs = [Fraction(0)] * len(row_index)
             for k, v in rhs_coords.items():
-                rhs[row_index[k]] = v
+                rhs[row_index[k]] = s * v
             solution = system.solve(rhs)
             if solution is None or (key_lead is not None
                                     and any(null[0] for null in system.nullspace())):
@@ -799,10 +825,10 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
         cocycle_cols.append(coords)
     # a row key (slot, monomial) fixes its weight key, so the slices stack
     keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
-    boundary_cols = []
+    boundary_cols = []  # scaled by s, which leaves every span and rank alone
     for key in keys:
         basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-        boundary_cols.extend(_differential_columns(cache, degree, basis, parity))
+        boundary_cols.extend(_differential_columns(cache, degree, basis, parity)[1])
     return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
 
@@ -824,35 +850,52 @@ def default_dimension_bounds(lam, mu) -> BoundsSpec:
     return BoundsSpec(n, 2 * n + 4)
 
 
-def _dimension_once(algebra: str, lam, mu, degree: int, bounds: BoundsSpec) -> dict[int, int]:
+def _dimension_sweep(algebra: str, lam, mu, degree: int,
+                     bounds: BoundsSpec) -> tuple[dict[int, int], dict[int, int]]:
+    """Per-weight truncated dimensions at `bounds` and at ``bounds.bumped()``,
+    from one sweep over the weight keys.
+
+    At bounds B a key contributes ker - image: the kernel of d^degree on the
+    bounded slice, less the part of that slice hit by d^(degree-1) of the
+    witnesses within B.bumped().  Witnesses never need to outgrow the
+    cocycles they bound (the Euler contraction provides same-size witnesses
+    off the critical weight), but the witness space is padded a little so
+    the image is not clipped.  Columns are never truncated, so the columns
+    at B are a subset of those at B.bumped(), and the witness columns at
+    B.bumped() a subset of those at B.bumped().bumped(): each is built once,
+    at the larger bounds, and the ranks at B are taken on the subset.  A
+    kernel vector at B is one at B.bumped() too, so the kernel at B is
+    examined only where the bumped kernel is nonzero, and an image only
+    where its kernel is nonzero."""
     cache = block_cache(algebra, lam, mu)
     ctx = cache.ctx
-    # Witnesses never need to outgrow the cocycles they bound (the Euler
-    # contraction provides same-size witnesses off the critical weight),
-    # but the witness space is padded a little so the image is not clipped.
-    witness_bounds = bounds.bumped()
-    parities = (0,) if ctx.flavor == CLASSICAL else (0, 1)
-    per_weight: dict[int, int] = {}
-    for parity in parities:
+    ladder = (bounds, bounds.bumped(), bounds.bumped().bumped())
+    per_weight: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for parity in ((0,) if ctx.flavor == CLASSICAL else (0, 1)):
         # candidate weight keys arising anywhere in the bounded enumeration
-        keys = {cache.monomial_key(mon) - wt
-                for _, wt, slot_parity in _cochain_slots(ctx, degree)
-                for mon in cache.monomials(bounds, parity=parity ^ slot_parity)}
+        keys = {key - wt for _, wt, slot_parity in _cochain_slots(ctx, degree)
+                for key in cache.monomials(ladder[1], parity ^ slot_parity)}
         for key in sorted(keys):
-            basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-            cols = _differential_columns(cache, degree, basis, parity)
-            ker = len(basis) - _rank(cols)
-            if not ker:
+            slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
+            cols = _differential_columns(cache, degree, slices[1], parity)[1]
+            kers = [0, len(slices[1]) - _rank(cols)]
+            if kers[1]:
+                kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
+            if not any(kers):
                 continue
-            # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
-            prev_basis = _enumerate_cochain_basis(cache, degree - 1, witness_bounds, parity, key)
-            image = 0
-            if prev_basis:
-                prev_cols = _differential_columns(cache, degree - 1, prev_basis, parity)
-                image = _rank(prev_cols) - _rank(prev_cols, skip=set(basis))
-            dim = ker - image
-            if dim:
-                per_weight[key] = per_weight.get(key, 0) + dim
+            witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, parity, key)
+                         for b in ladder[1:]]
+            witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
+            for level in (0, 1):
+                if not kers[level]:
+                    continue
+                # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
+                image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
+                image = 0
+                if image_cols:
+                    image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
+                if kers[level] - image:
+                    per_weight[level][key] = per_weight[level].get(key, 0) + kers[level] - image
     return per_weight
 
 
@@ -869,8 +912,7 @@ def cohomology_dim(weights, degree: int, algebra: str,
     lam, mu = (Fraction(weights[0]), Fraction(weights[1]))
     if bounds is None:
         bounds = default_dimension_bounds(lam, mu)
-    first = _dimension_once(algebra, lam, mu, degree, bounds)
-    second = _dimension_once(algebra, lam, mu, degree, bounds.bumped())
+    first, second = _dimension_sweep(algebra, lam, mu, degree, bounds)
     dim = sum(first.values())
     stabilized = dim == sum(second.values())
     examined = tuple(sorted(first))

@@ -290,7 +290,9 @@ def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[Grade
     For every window weight w and basis pair, act(X_i, L0^w_j) must equal
     L0^w_{[X_i, X_j]} coordinate by coordinate; act(X_i, M) is
     L^w_{X_i} o M - (-1)^{p(M)p(X_i)} M o L^w_{X_i}, the super bracket for an
-    odd pair.  A failure is an InternalError."""
+    odd pair.  The action tables hold D times the action (D = ``den`` of the
+    block cache), so the right-hand side is scaled by D.  A failure is an
+    InternalError."""
     ctx = algebra_for_flavor(flavor)
     l0 = tuple(undeformed_action(x, flavor, delta, window) for x in ctx.basis)
     for k in range(window + 1):
@@ -301,7 +303,8 @@ def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[Grade
             for j in range(ctx.dim):
                 lhs = _coords_sum((mon2, value * v) for mon, value in coords[j].items()
                                   for mon2, v in cache.act_monomial(i, mon))
-                rhs = _coords_sum((mon, c * value) for g, c in enumerate(ctx.structure[(i, j)])
+                rhs = _coords_sum((mon, cache.den * c * value)
+                                  for g, c in enumerate(ctx.structure[(i, j)])
                                   if c for mon, value in coords[g].items())
                 if lhs != rhs:
                     raise InternalError(f"the undeformed {flavor} action on weight {w} is not "

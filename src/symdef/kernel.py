@@ -399,21 +399,25 @@ def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, in
     """(mult, div, row) with row = pairs * mult / div a primitive
     integer vector.  Every entry passes here, so anything but an exact int
     or Fraction, a column outside range(ncols) or a repeated column is
-    refused."""
-    row: dict[int, Union[int, Fraction]] = {}
-    for col, value in pairs:
-        if not isinstance(value, (int, Fraction)):
-            raise UsageError(f"exact elimination needs int or Fraction entries, got {value!r}")
-        if not 0 <= col < ncols or col in row:
-            raise UsageError(f"bad or repeated column {col!r} in a sparse row")
-        row[col] = value
-    den = lcm(*[value.denominator for value in row.values()])
-    ints = {col: n for col, value in row.items()
-            if (n := value.numerator * (den // value.denominator))}
-    content = gcd(*ints.values()) or 1
+    refused.  A row of ints, such as an integer differential column, skips
+    the common denominator."""
+    row: dict[int, Union[int, Fraction]] = dict(pairs)
+    if len(row) != len(pairs) or (row and not 0 <= min(row) <= max(row) < ncols):
+        raise UsageError(f"bad or repeated column in the sparse row {list(pairs)!r}")
+    den = 1
+    if set(map(type, row.values())) - {int}:
+        for value in row.values():
+            if not isinstance(value, (int, Fraction)):
+                raise UsageError(f"exact elimination needs int or Fraction entries, got {value!r}")
+        den = lcm(*[value.denominator for value in row.values()])
+        row = {col: n for col, value in row.items()
+               if (n := value.numerator * (den // value.denominator))}
+    elif 0 in row.values():
+        row = {col: value for col, value in row.items() if value}
+    content = gcd(*row.values()) or 1
     if content != 1:
-        ints = {col: n // content for col, n in ints.items()}
-    return den, content, ints
+        row = {col: n // content for col, n in row.items()}
+    return den, content, row
 
 
 def _echelon(rows: Sequence[SparseRow], ncols: int,

@@ -27,6 +27,7 @@ typed ``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, perm
 from typing import Callable, Optional, Sequence, Union
 
@@ -473,14 +474,15 @@ def _times(u: tuple, v: tuple) -> Optional[tuple]:
 
 
 def monomial_action(x: Union[VectorField, ContactField], lam,
-                    mu) -> Callable[[tuple], list[tuple[tuple, Fraction]]]:
+                    mu) -> tuple[int, Callable[[tuple, int], list[tuple[tuple, int]]]]:
     """The action of x on single monomials of the operators from F_lam to
-    F_mu, as a function act(mon) -> sorted sparse coordinates.
+    F_mu, as (den, act): act(mon, scale) gives the sorted sparse integer
+    coordinates of den * scale times the action on mon.
 
     act(M) is the L^mu_X o M - (-1)^{p(M)p(X)} M o L^lam_X of
     lie_derivative_op / super_lie_derivative_op, composed on the coordinates
-    of lie_op / super_lie_op.  Sums run over integers against the common
-    denominator of those coordinates; every value comes out a Fraction."""
+    of lie_op / super_lie_op.  den is the common denominator of those
+    coordinates, so every sum runs over integers and no Fraction is made."""
     if isinstance(x, VectorField):
         left, right, expand, odd = lie_op(x, mu), lie_op(x, lam), _leibniz, 0
     else:
@@ -491,27 +493,46 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
     left = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in left.items()]
     right = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in right.items()]
 
-    def act(mon: tuple) -> list[tuple[tuple, Fraction]]:
-        u, i = mon[:-1], mon[-1]
-        sign = 1 if odd and (mon[1] + mon[2]) & 1 else -1
+    @lru_cache(maxsize=None)
+    def after(u: tuple) -> list[tuple[tuple, int, int]]:
+        """L^mu o mult(u) = sum mult(v) D^e o mult(u) as [(coefficient
+        monomial, power, value)], moving D^e across mult(u); the same for
+        every power of D that follows mult(u)."""
         out: dict = {}
-        # L^mu o M: mult(v) D^e o mult(u) D^i, moving D^e across mult(u)
         for v, e, c in left:
             for w, power, n in expand(e, u):
                 coeff = _times(v, w)
                 if coeff is not None:
-                    key = coeff + (power + i,)
-                    out[key] = out.get(key, 0) + c * n
-        # -(-1)^{p(M)p(X)} M o L^lam: mult(u) D^i o mult(v) D^e
+                    out[coeff, power] = out.get((coeff, power), 0) + c * n
+        return [(coeff, power, n) for (coeff, power), n in out.items()]
+
+    @lru_cache(maxsize=None)
+    def before(i: int) -> list[tuple[tuple, int, int]]:
+        """D^i o L^lam = sum D^i o mult(v) D^e as [(coefficient monomial,
+        power, value)]; the same for every mult(u) in front of D^i."""
+        out: dict = {}
         for v, e, c in right:
             for w, power, n in expand(i, v):
-                coeff = _times(u, w)
-                if coeff is not None:
-                    key = coeff + (power + e,)
-                    out[key] = out.get(key, 0) + sign * c * n
-        return sorted((key, Fraction(n, den)) for key, n in out.items() if n)
+                out[w, power + e] = out.get((w, power + e), 0) + c * n
+        return [(w, power, n) for (w, power), n in out.items()]
 
-    return act
+    def act(mon: tuple, scale: int = 1) -> list[tuple[tuple, int]]:
+        u, i = mon[:-1], mon[-1]
+        sign = 1 if odd and (mon[1] + mon[2]) & 1 else -1
+        out: dict = {}
+        # L^mu o M: mult(v) D^e o mult(u) D^i
+        for coeff, power, n in after(u):
+            key = coeff + (power + i,)
+            out[key] = out.get(key, 0) + n
+        # -(-1)^{p(M)p(X)} M o L^lam: mult(u) D^i o mult(v) D^e
+        for w, power, n in before(i):
+            coeff = _times(u, w)
+            if coeff is not None:
+                key = coeff + (power,)
+                out[key] = out.get(key, 0) + sign * n
+        return sorted((key, n * scale) for key, n in out.items() if n)
+
+    return den, act
 
 
 def principal_symbol(a: DiffOp) -> Density:

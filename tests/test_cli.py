@@ -1,6 +1,10 @@
 """CLI suite: subcommand behavior, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,11 +150,22 @@ UNCOERCED_ARGS = [
                               "--degree", "1"], "expected one argument"),
 ]
 
+# specs without a resonant band, where `integrability` would have nothing to
+# check: (name, payload)
+NO_BAND_SPECS = [
+    ("classical-m1", {"flavor": "classical", "m": 1, "params": {"a0": "1"}}),
+    ("super-m0", {"flavor": "super", "m": 0, "params": {"a0": "1"}}),
+]
+
 UNCOERCED_ROWS = [
     pytest.param([command, "--spec"], payload, field, id=f"payload{n}-{field}-{command}")
     for n, (payload, field) in enumerate(UNCOERCED_SPECS)
     for command in ("integrability", "flat-deform")
-] + [pytest.param(argv, None, text, id=name) for name, argv, text in UNCOERCED_ARGS]
+] + [pytest.param(argv, None, text, id=name) for name, argv, text in UNCOERCED_ARGS] + [
+    pytest.param(["integrability", "--spec"], payload, "resonant band",
+                 id=f"integrability-no-band-{name}")
+    for name, payload in NO_BAND_SPECS
+]
 
 
 @pytest.mark.parametrize("argv,payload,field", UNCOERCED_ROWS)
@@ -208,6 +223,22 @@ def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):
     assert report["verdict"] == "engine-fault"
     assert report["error_type"] == "InternalError"
     assert report["error"] == "invariant broke"
+
+
+def test_closed_stdout_is_an_engine_fault():
+    """A reader that closes stdout before the report arrives gets exit 70 and
+    one line on stderr, not a traceback and exit 1 ("falsified")."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "symdef.cli", "verify-cocycle", "--id",
+                             "Phi:k=2", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == ENGINE_FAULT
+    assert err.count("\n") == 1 and "closed" in err, err
 
 
 @pytest.fixture

@@ -38,11 +38,13 @@ from symdef.cohomology import (
     _by_weight_key,
     _cochain_coords,
     _differential_columns,
+    _dimension_sweep,
     _enumerate_cochain_basis,
 )
 from symdef.geometry import Poly, SuperPoly
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
 from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
+from test_kernel import DenseReference
 
 
 def poly(cs):
@@ -220,9 +222,9 @@ class TestWeightSlicing:
             assert set(full_slices) <= set(weight_slices(c))
 
     def test_specialized_columns_match_generic_d1(self):
-        """The table-driven slice columns agree with the typed d0/d1/d2 on
-        every one-slot basis cochain: degrees 0-2, both algebras, both
-        parities, every integer weight key from -5 to 4 (odd keys are
+        """The table-driven integer slice columns are s times the typed
+        d0/d1/d2 on every one-slot basis cochain: degrees 0-2, both algebras,
+        both parities, every integer weight key from -5 to 4 (odd keys are
         osp(1|2) slices; Omega:k lies in key 1-2k)."""
         blocks = [(SL2, Q(0), Q(1), 0), (SL2, Q(-1, 2), Q(3, 2), 0),
                   (OSP12, Q(0), Q(1, 2), 0), (OSP12, Q(0), Q(1, 2), 1),
@@ -234,10 +236,12 @@ class TestWeightSlicing:
             for degree in (0, 1, 2):
                 for key in range(-5, 5):
                     basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-                    cols = _differential_columns(cache, degree, basis, parity)
+                    s, cols = _differential_columns(cache, degree, basis, parity)
                     for item, col in zip(basis, cols):
-                        want = typed_column(cache, degree, item, parity)
+                        want = {k: s * v for k, v in typed_column(cache, degree, item,
+                                                                  parity).items()}
                         assert want == col, (algebra, parity, degree, item)
+                        assert all(type(v) is int for v in col.values())
                         checked += 1
         assert checked > 1000
 
@@ -267,10 +271,11 @@ def generic_action(cache, gen, mon):
 
 
 def assert_table_entry(cache, gen, mon):
+    """The table entry is D times the typed one, in integers."""
     got = cache.act_monomial(gen, mon)
-    assert got == generic_action(cache, gen, mon), (cache.ctx.name, cache.lam, cache.mu, gen, mon)
-    # exact values: an int here would reach the kernel's pivot inverses
-    assert all(type(v) is Q for _, v in got)
+    want = [(m, cache.den * v) for m, v in generic_action(cache, gen, mon)]
+    assert got == want, (cache.ctx.name, cache.lam, cache.mu, gen, mon)
+    assert all(type(v) is int for _, v in got)
 
 
 # one block per `dim-cold` benchmark stratum, at that stratum's bounds
@@ -300,7 +305,7 @@ class TestActionTables:
         checked = 0
         for algebra, lam, mu, bounds in DIM_COLD_BLOCKS:
             cache = BlockCache(algebra, lam, mu)
-            for mon in cache.monomials(bounds):
+            for mon in (m for mons in cache.monomials(bounds).values() for m in mons):
                 for gen in range(cache.ctx.dim):
                     assert_table_entry(cache, gen, mon)
                     checked += 1
@@ -571,3 +576,96 @@ class TestCohomologyDim:
     def test_off_resonance_vanishes(self):
         r = cohomology_dim((Q(0), Q(5, 3)), 1, SL2)
         assert (r.dim, r.stabilized) == (0, True)
+
+
+def oracle_slices(ctx, degree, bounds, parity):
+    """{weight key: basis items} of the bounded slices of C^degree of one
+    parity, written out from the definitions: slots are None, basis indices
+    or canonical pairs; a monomial x^d d_x^i has key 2(d - i), x^d theta^eps
+    eta^i key 2d + eps - i and parity eps + i; an item's key is its
+    monomial's less its slot's weight."""
+    if degree == 0:
+        slots = [(None, 0, 0)]
+    elif degree == 1:
+        slots = [(i, ctx.weights2[i], ctx.parities[i]) for i in range(ctx.dim)]
+    else:
+        slots = [((i, j), ctx.weights2[i] + ctx.weights2[j], ctx.parities[i] ^ ctx.parities[j])
+                 for i, j in ctx.canonical_pairs()]
+    out = {}
+    for slot, weight, slot_parity in slots:
+        for i in range(bounds.max_operator_order + 1):
+            for d in range(bounds.max_coefficient_degree + 1):
+                if ctx.name == SL2:
+                    shapes = [((d, i), 2 * (d - i), 0)]
+                else:
+                    shapes = [((d, eps, i), 2 * d + eps - i, (eps + i) & 1) for eps in (0, 1)]
+                for mon, key, mon_parity in shapes:
+                    if mon_parity ^ slot_parity == parity:
+                        out.setdefault(key - weight, []).append(
+                            mon if slot is None else (slot, mon))
+    return out
+
+
+def dense_rank(cols, keep=lambda row_key: True):
+    """Rank of the coordinate columns on the row keys kept, by the dense
+    Gauss-Jordan oracle of the kernel tests."""
+    keys = sorted({k for col in cols for k in col if keep(k)})
+    return DenseReference([[col.get(k, 0) for k in keys] for col in cols], len(keys)).rank
+
+
+def oracle_dimensions(cache, degree, bounds, typed):
+    """({key: dim}, {key: kernel dim}) of the truncated H^degree at bounds:
+    per weight key, the kernel of the typed d on the bounded slice, less the
+    part of that slice hit by d of the witnesses within bounds.bumped(),
+    summed over parities.  `typed` memoizes the typed columns."""
+    ctx = cache.ctx
+
+    def column(deg, item, parity):
+        if (deg, item, parity) not in typed:
+            typed[(deg, item, parity)] = typed_column(cache, deg, item, parity)
+        return typed[(deg, item, parity)]
+
+    dims, kernels = {}, {}
+    for parity in ((0,) if ctx.name == SL2 else (0, 1)):
+        witnesses = oracle_slices(ctx, degree - 1, bounds.bumped(), parity)
+        for key, basis in oracle_slices(ctx, degree, bounds, parity).items():
+            ker = len(basis) - dense_rank([column(degree, item, parity) for item in basis])
+            wcols = [column(degree - 1, item, parity) for item in witnesses.get(key, [])]
+            inside = set(basis)
+            image = dense_rank(wcols) - dense_rank(wcols, lambda k: k not in inside)
+            assert 0 <= image <= ker, (ctx.name, key)
+            kernels[key] = kernels.get(key, 0) + ker
+            if ker - image:
+                dims[key] = dims.get(key, 0) + ker - image
+    return dims, kernels
+
+
+# (algebra, lam, mu, degree, bounds): the last three change between the
+# bounds and the bumped bounds
+SWEEP_CASES = [
+    (SL2, Q(1, 2), Q(1, 2), 1, BoundsSpec(2, 4)),
+    (OSP12, Q(0), Q(1, 2), 1, BoundsSpec(1, 2)),
+    (SL2, Q(-1, 2), Q(3, 2), 1, BoundsSpec(1, 2)),
+    (SL2, Q(-1), Q(2), 2, BoundsSpec(1, 2)),
+    (OSP12, Q(-1, 2), Q(1), 2, BoundsSpec(0, 0)),
+]
+
+
+class TestDimensionSweep:
+    """The one stabilization sweep of cohomology_dim against a recomputation
+    at the bounds and at the bumped bounds with typed columns and dense
+    elimination."""
+
+    @pytest.mark.parametrize("algebra,lam,mu,degree,bounds", SWEEP_CASES,
+                             ids=[f"{c[0]}-{c[1]}-{c[2]}-d{c[3]}" for c in SWEEP_CASES])
+    def test_matches_oracle_at_both_bounds(self, algebra, lam, mu, degree, bounds):
+        cache, typed = BlockCache(algebra, lam, mu), {}
+        first, first_kernels = oracle_dimensions(cache, degree, bounds, typed)
+        second, second_kernels = oracle_dimensions(cache, degree, bounds.bumped(), typed)
+        assert _dimension_sweep(algebra, lam, mu, degree, bounds) == (first, second)
+        if degree == 2:
+            assert first != second
+            # a key whose kernel is 0 at the bounds but not at the bumped
+            # bounds: the image is taken on the bumped side only
+            assert any(not first_kernels.get(key) and second_kernels[key] > 0
+                       and key in first_kernels for key in second_kernels)
