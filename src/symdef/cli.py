@@ -4,8 +4,8 @@ deterministic output, and meaningful exit codes.
 Exit codes: 0 verified, 1 falsified, 2 inconclusive within the stated
 bounds, 64 usage error, 70 engine fault (an unexpected exception; its report
 and traceback go to stderr, never a verdict; also a report stream closed
-before the report was written).  The JSON report is the
-contract; the text format renders the same payload for reading.  Identical inputs produce
+before the report was written).  The JSON report is the contract; the text
+format renders the same payload for reading.  Identical inputs produce
 byte-identical JSON (no timestamps, no environment lookups).
 """
 

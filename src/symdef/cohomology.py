@@ -22,6 +22,14 @@ Euler element, under explicit operator-order and coefficient-degree
 bounds.  A failed solve is therefore always *within bounds*, never a
 claim about the untruncated complex.
 
+Differential columns are built in integers: the action tables of a block
+hold D times the action (one block denominator D) and the differential's
+table T times its coefficients, so one builder (``_differential``) returns
+s = D*T times each column.  Ranks read those columns as they are; a solve
+scales its right-hand side by s too.  ``cohomology_dim`` takes the
+dimensions at the bounds and at the bumped bounds from one sweep that
+builds each column once.
+
 Cochains of degrees 0, 1 and 2 are one class, ``Cochain``, with one image
 per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
 ``Cochain0``/``Cochain1``/``Cochain2`` only fix the degree and input shape.
@@ -432,7 +440,7 @@ class BlockCache:
     """Bounded monomial bases and the memoized module action on one block.
 
     The action of each basis generator on each normal-form monomial is
-    tabled once as sorted sparse integer coordinates [(monomial, int)], over
+    tabled once as sorted sparse integer coordinates ((monomial, int), ...), over
     one block denominator ``den`` (D): an entry is D times the true
     coefficient.  It is read off the commutation rules d_x^i o x^n (Leibniz)
     and eta o mult(u) = mult(eta u) + mult(u^) eta without building an
@@ -445,7 +453,7 @@ class BlockCache:
         self.ctx = get_algebra(algebra)
         self.lam = lam
         self.mu = mu
-        self._act: dict[tuple[int, tuple], list[tuple[tuple, int]]] = {}
+        self._act: dict[tuple[int, tuple], tuple[tuple[tuple, int], ...]] = {}
         actions = [monomial_action(x, lam, mu) for x in self.ctx.basis]
         self.den = math.lcm(*(den for den, _ in actions))
         self._actions = [(act, self.den // den) for den, act in actions]
@@ -488,9 +496,9 @@ class BlockCache:
                         hit.setdefault(self.monomial_key(mon), []).append(mon)
         return hit
 
-    def act_monomial(self, gen: int, mon: tuple) -> list[tuple[tuple, int]]:
+    def act_monomial(self, gen: int, mon: tuple) -> tuple[tuple[tuple, int], ...]:
         """The tabled action of basis element `gen` on monomial `mon`: sorted
-        integer coordinates, D (``den``) times the true ones.
+        integer coordinates, D (``den``) times the true ones, as a tuple.
 
         Built by ``operators.monomial_action`` on coordinates, with
 
@@ -642,11 +650,11 @@ def _restrict(basis: list, cols: list[dict], subset: list) -> list[dict]:
 
 def _rank(cols: list[dict], skip=()) -> int:
     """Rank of the columns, less the row keys in `skip`.  Rank is invariant
-    under transposition, so each column goes in as one sparse row.  Row keys
-    are numbered in sorted order, (output slot, monomial): the elimination
-    then fills in less than in order of first appearance."""
+    under transposition, so each nonzero column goes in as one sparse row.
+    Row keys are numbered in sorted order, (output slot, monomial): the
+    elimination then fills in less than in order of first appearance."""
     index = {k: n for n, k in enumerate(sorted({k for col in cols for k in col} - set(skip)))}
-    rows = [[(index[k], v) for k, v in col.items() if k in index] for col in cols]
+    rows = [row for col in cols if (row := [(index[k], v) for k, v in col.items() if k in index])]
     return matrix_rank(rows, len(index))
 
 
@@ -879,7 +887,7 @@ def _dimension_sweep(algebra: str, lam, mu, degree: int,
             slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
             cols = _differential_columns(cache, degree, slices[1], parity)[1]
             kers = [0, len(slices[1]) - _rank(cols)]
-            if kers[1]:
+            if kers[1] and slices[0]:
                 kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
             if not any(kers):
                 continue
@@ -905,7 +913,9 @@ def cohomology_dim(weights, degree: int, algebra: str,
 
     The dimension is computed per Euler-weight component and summed;
     weight components outside the truncation are not examined.  The
-    result is marked stabilized when the bumped bounds agree.
+    result is marked stabilized when the bumped bounds agree.  Both come
+    from one sweep (``_dimension_sweep``) over integer columns built once,
+    at the bumped bounds.
     """
     if degree not in (1, 2):
         raise UsageError("cohomology_dim supports degrees 1 and 2")

@@ -403,7 +403,7 @@ def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, in
     the common denominator."""
     row: dict[int, Union[int, Fraction]] = dict(pairs)
     if len(row) != len(pairs) or (row and not 0 <= min(row) <= max(row) < ncols):
-        raise UsageError(f"bad or repeated column in the sparse row {list(pairs)!r}")
+        raise UsageError("bad or repeated column in a sparse row")
     den = 1
     if set(map(type, row.values())) - {int}:
         for value in row.values():

@@ -20,8 +20,9 @@ The cohomology engine reads operators as sparse coordinates
 ``monomial_action`` is its fast path: the Lie-derivative action on a single
 monomial, evaluated on those coordinates with the two commutation rules
 (Leibniz for ``d_x^i o x^n``, ``eta o mult(u) = mult(eta u) + mult(u^) eta``)
-instead of building and composing ``DiffOp``/``SuperDiffOp`` values.  The
-typed ``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
+instead of building and composing ``DiffOp``/``SuperDiffOp`` values, in
+integers over a common denominator.  The typed
+``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
 """
 
 from __future__ import annotations
@@ -474,7 +475,7 @@ def _times(u: tuple, v: tuple) -> Optional[tuple]:
 
 
 def monomial_action(x: Union[VectorField, ContactField], lam,
-                    mu) -> tuple[int, Callable[[tuple, int], list[tuple[tuple, int]]]]:
+                    mu) -> tuple[int, Callable[[tuple, int], tuple[tuple[tuple, int], ...]]]:
     """The action of x on single monomials of the operators from F_lam to
     F_mu, as (den, act): act(mon, scale) gives the sorted sparse integer
     coordinates of den * scale times the action on mon.
@@ -482,7 +483,9 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
     act(M) is the L^mu_X o M - (-1)^{p(M)p(X)} M o L^lam_X of
     lie_derivative_op / super_lie_derivative_op, composed on the coordinates
     of lie_op / super_lie_op.  den is the common denominator of those
-    coordinates, so every sum runs over integers and no Fraction is made."""
+    coordinates, so every sum runs over integers and no Fraction is made.
+    For M = mult(u) D^i, L^mu o mult(u) depends on u alone and
+    D^i o L^lam on i alone, so each is expanded once per u or i."""
     if isinstance(x, VectorField):
         left, right, expand, odd = lie_op(x, mu), lie_op(x, lam), _leibniz, 0
     else:
@@ -516,7 +519,7 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
                 out[w, power + e] = out.get((w, power + e), 0) + c * n
         return [(w, power, n) for (w, power), n in out.items()]
 
-    def act(mon: tuple, scale: int = 1) -> list[tuple[tuple, int]]:
+    def act(mon: tuple, scale: int = 1) -> tuple[tuple[tuple, int], ...]:
         u, i = mon[:-1], mon[-1]
         sign = 1 if odd and (mon[1] + mon[2]) & 1 else -1
         out: dict = {}
@@ -530,7 +533,7 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
             if coeff is not None:
                 key = coeff + (power,)
                 out[key] = out.get(key, 0) + sign * n
-        return sorted((key, n * scale) for key, n in out.items() if n)
+        return tuple(sorted((key, n * scale) for key, n in out.items() if n))
 
     return den, act
 

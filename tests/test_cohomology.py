@@ -273,7 +273,7 @@ def generic_action(cache, gen, mon):
 def assert_table_entry(cache, gen, mon):
     """The table entry is D times the typed one, in integers."""
     got = cache.act_monomial(gen, mon)
-    want = [(m, cache.den * v) for m, v in generic_action(cache, gen, mon)]
+    want = tuple((m, cache.den * v) for m, v in generic_action(cache, gen, mon))
     assert got == want, (cache.ctx.name, cache.lam, cache.mu, gen, mon)
     assert all(type(v) is int for _, v in got)
 
