@@ -497,27 +497,27 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
     right = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in right.items()]
 
     @lru_cache(maxsize=None)
-    def after(u: tuple) -> list[tuple[tuple, int, int]]:
-        """L^mu o mult(u) = sum mult(v) D^e o mult(u) as [(coefficient
-        monomial, power, value)], moving D^e across mult(u); the same for
-        every power of D that follows mult(u)."""
+    def after(u: tuple) -> tuple[tuple[tuple, int, int], ...]:
+        """L^mu o mult(u) = sum mult(v) D^e o mult(u) as ((coefficient
+        monomial, power, value), ...), moving D^e across mult(u); the same
+        for every power of D that follows mult(u)."""
         out: dict = {}
         for v, e, c in left:
             for w, power, n in expand(e, u):
                 coeff = _times(v, w)
                 if coeff is not None:
                     out[coeff, power] = out.get((coeff, power), 0) + c * n
-        return [(coeff, power, n) for (coeff, power), n in out.items()]
+        return tuple((coeff, power, n) for (coeff, power), n in out.items())
 
     @lru_cache(maxsize=None)
-    def before(i: int) -> list[tuple[tuple, int, int]]:
-        """D^i o L^lam = sum D^i o mult(v) D^e as [(coefficient monomial,
-        power, value)]; the same for every mult(u) in front of D^i."""
+    def before(i: int) -> tuple[tuple[tuple, int, int], ...]:
+        """D^i o L^lam = sum D^i o mult(v) D^e as ((coefficient monomial,
+        power, value), ...); the same for every mult(u) in front of D^i."""
         out: dict = {}
         for v, e, c in right:
             for w, power, n in expand(i, v):
                 out[w, power + e] = out.get((w, power + e), 0) + c * n
-        return [(w, power, n) for (w, power), n in out.items()]
+        return tuple((w, power, n) for (w, power), n in out.items())
 
     def act(mon: tuple, scale: int = 1) -> tuple[tuple[tuple, int], ...]:
         u, i = mon[:-1], mon[-1]
