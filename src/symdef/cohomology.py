@@ -437,7 +437,7 @@ def cochain_weight_keys(c: Cochain) -> list[int]:
 
 
 class BlockCache:
-    """Bounded monomial bases and the memoized module action on one block.
+    """Monomial operators and the memoized module action on one block.
 
     The action of each basis generator on each normal-form monomial is
     tabled once as sorted sparse integer coordinates ((monomial, int), ...), over
@@ -445,8 +445,7 @@ class BlockCache:
     coefficient.  It is read off the commutation rules d_x^i o x^n (Leibniz)
     and eta o mult(u) = mult(eta u) + mult(u^) eta without building an
     operator (``act_monomial``); the generic composition is the oracle in the
-    tests.  The bounded monomials are enumerated once per (bounds, parity),
-    grouped by weight key (``monomials``).
+    tests.
     """
 
     def __init__(self, algebra: str, lam: Fraction, mu: Fraction):
@@ -457,7 +456,6 @@ class BlockCache:
         actions = [monomial_action(x, lam, mu) for x in self.ctx.basis]
         self.den = math.lcm(*(den for den, _ in actions))
         self._actions = [(act, self.den // den) for den, act in actions]
-        self._monomials: dict[tuple, dict[int, list[tuple]]] = {}
 
     # -- monomials ----------------------------------------------------------
 
@@ -475,26 +473,6 @@ class BlockCache:
         if len(mon) == 2:
             return 2 * (mon[0] - mon[1])
         return 2 * mon[0] + mon[1] - mon[2]
-
-    def monomials(self, bounds: BoundsSpec, parity: Optional[int] = None) -> dict[int, list]:
-        """{weight key: monomials} within bounds, of one parity (None: all),
-        each key's monomials in order of operator order, theta, degree;
-        enumerated once per (bounds, parity)."""
-        hit = self._monomials.get((bounds, parity))
-        if hit is None:
-            hit = self._monomials[(bounds, parity)] = {}
-            if self.ctx.flavor == CLASSICAL:  # every classical monomial is even
-                thetas = [()] if parity in (None, 0) else []
-            else:
-                thetas = [(0,), (1,)]
-            for i in range(bounds.max_operator_order + 1):
-                for theta in thetas:
-                    if theta and parity is not None and (theta[0] + i) & 1 != parity:
-                        continue
-                    for d in range(bounds.max_coefficient_degree + 1):
-                        mon = (d, *theta, i)
-                        hit.setdefault(self.monomial_key(mon), []).append(mon)
-        return hit
 
     def act_monomial(self, gen: int, mon: tuple) -> tuple[tuple[tuple, int], ...]:
         """The tabled action of basis element `gen` on monomial `mon`: sorted
@@ -514,6 +492,25 @@ class BlockCache:
             act, scale = self._actions[gen]
             cached = self._act[keyed] = act(mon, scale)
         return cached
+
+
+@lru_cache(maxsize=32)
+def bounded_monomials(flavor: str, bounds: BoundsSpec,
+                      parity: Optional[int] = None) -> dict[int, tuple]:
+    """{weight key: monomials} within bounds, of one parity (None: all), each
+    key's monomials in order of operator order, theta, degree.  They do not
+    depend on the block, so each (flavor, bounds, parity) is enumerated
+    once for all blocks."""
+    out: dict[int, list] = {}
+    thetas = ([()] if parity in (None, 0) else []) if flavor == CLASSICAL else [(0,), (1,)]
+    for i in range(bounds.max_operator_order + 1):
+        for theta in thetas:
+            if theta and parity is not None and (theta[0] + i) & 1 != parity:
+                continue
+            for d in range(bounds.max_coefficient_degree + 1):
+                mon = (d, *theta, i)
+                out.setdefault(BlockCache.monomial_key(mon), []).append(mon)
+    return {key: tuple(mons) for key, mons in out.items()}
 
 
 _BLOCK_CACHES: dict[tuple, BlockCache] = {}
@@ -552,7 +549,8 @@ def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
     degree 0, (slot, monomial) pairs otherwise."""
     return [mon if slot is None else (slot, mon)
             for slot, wt, slot_parity in _cochain_slots(cache.ctx, degree)
-            for mon in cache.monomials(bounds, parity ^ slot_parity).get(key + wt, ())]
+            for mon in bounded_monomials(cache.ctx.flavor, bounds, parity ^ slot_parity).get(
+                key + wt, ())]
 
 
 def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
@@ -882,7 +880,7 @@ def _dimension_sweep(algebra: str, lam, mu, degree: int,
     for parity in ((0,) if ctx.flavor == CLASSICAL else (0, 1)):
         # candidate weight keys arising anywhere in the bounded enumeration
         keys = {key - wt for _, wt, slot_parity in _cochain_slots(ctx, degree)
-                for key in cache.monomials(ladder[1], parity ^ slot_parity)}
+                for key in bounded_monomials(ctx.flavor, ladder[1], parity ^ slot_parity)}
         for key in sorted(keys):
             slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
             cols = _differential_columns(cache, degree, slices[1], parity)[1]

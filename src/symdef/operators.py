@@ -434,20 +434,23 @@ def monomial_coords(op: AnyOp) -> dict[tuple, Scalar]:
     return out
 
 
-def _leibniz(i: int, u: tuple) -> list[tuple[tuple, int, int]]:
+@lru_cache(maxsize=1024)
+def _leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     """d_x^i o mult(x^n) = sum_s C(i,s) n(n-1)...(n-s+1) mult(x^(n-s)) d_x^(i-s),
-    as [(coefficient monomial, power, value)] for u = (n,)."""
+    as ((coefficient monomial, power, value), ...) for u = (n,).  Cached:
+    every block's action tables expand the same few (i, u)."""
     n = u[0]
-    return [((n - s,), i - s, comb(i, s) * perm(n, s)) for s in range(min(i, n) + 1)]
+    return tuple(((n - s,), i - s, comb(i, s) * perm(n, s)) for s in range(min(i, n) + 1))
 
 
-def _eta_leibniz(i: int, u: tuple) -> list[tuple[tuple, int, int]]:
+@lru_cache(maxsize=1024)
+def _eta_leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     """eta^i o mult(x^n theta^eps) in eta-normal form, for u = (n, eps).
 
     Since eta^2 = -d_x, eta^(2h) o mult(u) = sum_s (-1)^s C(h,s) mult(u^(s))
     eta^(2h-2s); an odd power applies eta o mult(v) = mult(eta v) + mult(v^) eta
     once more, with eta(x^n) = -n x^(n-1) theta, eta(x^n theta) = x^n and
-    v^ = (-1)^eps v."""
+    v^ = (-1)^eps v.  Cached like ``_leibniz``."""
     n, eps = u
     h, odd = divmod(i, 2)
     out = []
@@ -462,7 +465,7 @@ def _eta_leibniz(i: int, u: tuple) -> list[tuple[tuple, int, int]]:
         elif n > s:
             out.append(((n - s - 1, 1), e, -(n - s) * c))
         out.append(((n - s, eps), e + 1, -c if eps else c))
-    return out
+    return tuple(out)
 
 
 def _times(u: tuple, v: tuple) -> Optional[tuple]:
@@ -483,9 +486,7 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
     act(M) is the L^mu_X o M - (-1)^{p(M)p(X)} M o L^lam_X of
     lie_derivative_op / super_lie_derivative_op, composed on the coordinates
     of lie_op / super_lie_op.  den is the common denominator of those
-    coordinates, so every sum runs over integers and no Fraction is made.
-    For M = mult(u) D^i, L^mu o mult(u) depends on u alone and
-    D^i o L^lam on i alone, so each is expanded once per u or i."""
+    coordinates, so every sum runs over integers and no Fraction is made."""
     if isinstance(x, VectorField):
         left, right, expand, odd = lie_op(x, mu), lie_op(x, lam), _leibniz, 0
     else:
@@ -496,43 +497,24 @@ def monomial_action(x: Union[VectorField, ContactField], lam,
     left = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in left.items()]
     right = [(m[:-1], m[-1], c.numerator * (den // c.denominator)) for m, c in right.items()]
 
-    @lru_cache(maxsize=None)
-    def after(u: tuple) -> tuple[tuple[tuple, int, int], ...]:
-        """L^mu o mult(u) = sum mult(v) D^e o mult(u) as ((coefficient
-        monomial, power, value), ...), moving D^e across mult(u); the same
-        for every power of D that follows mult(u)."""
-        out: dict = {}
-        for v, e, c in left:
-            for w, power, n in expand(e, u):
-                coeff = _times(v, w)
-                if coeff is not None:
-                    out[coeff, power] = out.get((coeff, power), 0) + c * n
-        return tuple((coeff, power, n) for (coeff, power), n in out.items())
-
-    @lru_cache(maxsize=None)
-    def before(i: int) -> tuple[tuple[tuple, int, int], ...]:
-        """D^i o L^lam = sum D^i o mult(v) D^e as ((coefficient monomial,
-        power, value), ...); the same for every mult(u) in front of D^i."""
-        out: dict = {}
-        for v, e, c in right:
-            for w, power, n in expand(i, v):
-                out[w, power + e] = out.get((w, power + e), 0) + c * n
-        return tuple((w, power, n) for (w, power), n in out.items())
-
     def act(mon: tuple, scale: int = 1) -> tuple[tuple[tuple, int], ...]:
         u, i = mon[:-1], mon[-1]
         sign = 1 if odd and (mon[1] + mon[2]) & 1 else -1
         out: dict = {}
-        # L^mu o M: mult(v) D^e o mult(u) D^i
-        for coeff, power, n in after(u):
-            key = coeff + (power + i,)
-            out[key] = out.get(key, 0) + n
+        # L^mu o M: mult(v) D^e o mult(u) D^i, moving D^e across mult(u)
+        for v, e, c in left:
+            for w, power, n in expand(e, u):
+                coeff = _times(v, w)
+                if coeff is not None:
+                    key = coeff + (power + i,)
+                    out[key] = out.get(key, 0) + c * n
         # -(-1)^{p(M)p(X)} M o L^lam: mult(u) D^i o mult(v) D^e
-        for w, power, n in before(i):
-            coeff = _times(u, w)
-            if coeff is not None:
-                key = coeff + (power,)
-                out[key] = out.get(key, 0) + sign * n
+        for v, e, c in right:
+            for w, power, n in expand(i, v):
+                coeff = _times(u, w)
+                if coeff is not None:
+                    key = coeff + (power + e,)
+                    out[key] = out.get(key, 0) + sign * c * n
         return tuple(sorted((key, n * scale) for key, n in out.items() if n))
 
     return den, act

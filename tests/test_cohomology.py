@@ -22,6 +22,7 @@ from symdef.cohomology import (
     SL2,
     Witness,
     block_cache,
+    bounded_monomials,
     classes_independent,
     cochain_weight_keys,
     coboundary_solve,
@@ -305,7 +306,8 @@ class TestActionTables:
         checked = 0
         for algebra, lam, mu, bounds in DIM_COLD_BLOCKS:
             cache = BlockCache(algebra, lam, mu)
-            for mon in (m for mons in cache.monomials(bounds).values() for m in mons):
+            for mon in (m for mons in bounded_monomials(cache.ctx.flavor, bounds).values()
+                        for m in mons):
                 for gen in range(cache.ctx.dim):
                     assert_table_entry(cache, gen, mon)
                     checked += 1
