@@ -440,8 +440,8 @@ class BlockCache:
     """Monomial operators and the memoized module action on one block.
 
     The action of each basis generator on each normal-form monomial is
-    tabled once as sorted sparse integer coordinates ((monomial, int), ...), over
-    one block denominator ``den`` (D): an entry is D times the true
+    tabled once as sorted sparse integer coordinates ((monomial, int), ...)
+    over one block denominator ``den`` (D): an entry is D times the true
     coefficient.  It is read off the commutation rules d_x^i o x^n (Leibniz)
     and eta o mult(u) = mult(eta u) + mult(u^) eta without building an
     operator (``act_monomial``); the generic composition is the oracle in the
