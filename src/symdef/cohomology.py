@@ -26,9 +26,9 @@ Differential columns are built in integers: the action tables of a block
 hold D times the action (one block denominator D) and the differential's
 table T times its coefficients, so one builder (``_differential``) returns
 s = D*T times each column.  Ranks read those columns as they are; a solve
-scales its right-hand side by s too.  ``cohomology_dim`` takes the
-dimensions at the bounds and at the bumped bounds from one sweep that
-builds each column once.
+scales its right-hand side by s too.  ``cohomology_dim`` ranks only the
+critical weight key, at the bounds and at the bumped bounds, building each
+column once.
 
 Cochains of degrees 0, 1 and 2 are one class, ``Cochain``, with one image
 per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
@@ -856,64 +856,62 @@ def default_dimension_bounds(lam, mu) -> BoundsSpec:
     return BoundsSpec(n, 2 * n + 4)
 
 
+def critical_weight_key(lam, mu) -> Optional[int]:
+    """w* = -2(mu - lambda), the key where the Euler element acts by zero;
+    None when 2(mu - lambda) is not an integer."""
+    key = -2 * (Fraction(mu) - Fraction(lam))
+    return int(key) if key.denominator == 1 else None
+
+
 def _dimension_sweep(algebra: str, lam, mu, degree: int,
                      bounds: BoundsSpec) -> tuple[dict[int, int], dict[int, int]]:
     """Per-weight truncated dimensions at `bounds` and at ``bounds.bumped()``,
-    from one sweep over the weight keys.
+    ranked at the critical key w* only: by Cartan's formula theta_h =
+    d i_h + i_h d the even Euler element h acts on the slice of key w by a
+    scalar that vanishes only at w*, so off w* every cocycle c is d(i_h c)
+    over that scalar, with (i_h c)(X) = c(h, X) no larger than c.
 
-    At bounds B a key contributes ker - image: the kernel of d^degree on the
-    bounded slice, less the part of that slice hit by d^(degree-1) of the
-    witnesses within B.bumped().  Witnesses never need to outgrow the
-    cocycles they bound (the Euler contraction provides same-size witnesses
-    off the critical weight), but the witness space is padded a little so
-    the image is not clipped.  Columns are never truncated, so the columns
-    at B are a subset of those at B.bumped(), and the witness columns at
-    B.bumped() a subset of those at B.bumped().bumped(): each is built once,
-    at the larger bounds, and the ranks at B are taken on the subset.  A
-    kernel vector at B is one at B.bumped() too, so the kernel at B is
-    examined only where the bumped kernel is nonzero, and an image only
-    where its kernel is nonzero."""
-    cache = block_cache(algebra, lam, mu)
-    ctx = cache.ctx
-    ladder = (bounds, bounds.bumped(), bounds.bumped().bumped())
+    At bounds B, w* contributes the kernel of d^degree on the bounded slice
+    less the part of that slice hit by d^(degree-1) of the witnesses within
+    B.bumped().  Columns are never truncated, so each is built once, at the
+    larger bounds of the ladder, and the ranks at B are taken on the subset.
+    The kernel at B (inside the bumped one) is examined only where the
+    bumped kernel is nonzero, and an image only where its kernel is."""
     per_weight: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for parity in ((0,) if ctx.flavor == CLASSICAL else (0, 1)):
-        # candidate weight keys arising anywhere in the bounded enumeration
-        keys = {key - wt for _, wt, slot_parity in _cochain_slots(ctx, degree)
-                for key in bounded_monomials(ctx.flavor, ladder[1], parity ^ slot_parity)}
-        for key in sorted(keys):
-            slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
-            cols = _differential_columns(cache, degree, slices[1], parity)[1]
-            kers = [0, len(slices[1]) - _rank(cols)]
-            if kers[1] and slices[0]:
-                kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
-            if not any(kers):
+    key = critical_weight_key(lam, mu)
+    if key is None:
+        return per_weight
+    cache = block_cache(algebra, lam, mu)
+    ladder = (bounds, bounds.bumped(), bounds.bumped().bumped())
+    for parity in ((0,) if cache.ctx.flavor == CLASSICAL else (0, 1)):
+        slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
+        cols = _differential_columns(cache, degree, slices[1], parity)[1]
+        kers = [0, len(slices[1]) - _rank(cols)]
+        if kers[1] and slices[0]:
+            kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
+        if not any(kers):
+            continue
+        witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, parity, key)
+                     for b in ladder[1:]]
+        witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
+        for level in (0, 1):
+            if not kers[level]:
                 continue
-            witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, parity, key)
-                         for b in ladder[1:]]
-            witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
-            for level in (0, 1):
-                if not kers[level]:
-                    continue
-                # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
-                image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
-                image = 0
-                if image_cols:
-                    image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
-                if kers[level] - image:
-                    per_weight[level][key] = per_weight[level].get(key, 0) + kers[level] - image
+            # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
+            image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
+            image = 0
+            if image_cols:
+                image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
+            if kers[level] - image:
+                per_weight[level][key] = per_weight[level].get(key, 0) + kers[level] - image
     return per_weight
 
 
 def cohomology_dim(weights, degree: int, algebra: str,
                    bounds: Optional[BoundsSpec] = None) -> DimResult:
-    """Truncated dim H^degree on one block, with a stabilization flag.
-
-    The dimension is computed per Euler-weight component and summed;
-    weight components outside the truncation are not examined.  The
-    result is marked stabilized when the bumped bounds agree.  Both come
-    from one sweep (``_dimension_sweep``) over integer columns built once,
-    at the bumped bounds.
+    """Truncated dim H^degree on one block, with a stabilization flag (the
+    bumped bounds agree).  Only the critical Euler-weight component w* can
+    be nonzero, so only it is computed and examined (``_dimension_sweep``).
     """
     if degree not in (1, 2):
         raise UsageError("cohomology_dim supports degrees 1 and 2")
@@ -923,5 +921,6 @@ def cohomology_dim(weights, degree: int, algebra: str,
     first, second = _dimension_sweep(algebra, lam, mu, degree, bounds)
     dim = sum(first.values())
     stabilized = dim == sum(second.values())
-    examined = tuple(sorted(first))
+    key = critical_weight_key(lam, mu)
+    examined = () if key is None else (key,)
     return DimResult(dim=dim, stabilized=stabilized, per_weight=first, examined_keys=examined)

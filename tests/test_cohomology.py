@@ -37,10 +37,13 @@ from symdef.cohomology import (
 from symdef.cohomology import (
     _assemble_witness,
     _by_weight_key,
+    _ce_table,
     _cochain_coords,
+    _differential,
     _differential_columns,
     _dimension_sweep,
     _enumerate_cochain_basis,
+    critical_weight_key,
 )
 from symdef.geometry import Poly, SuperPoly
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
@@ -262,7 +265,12 @@ def typed_column(cache, degree, item, parity):
             values = {pair: cache.monomial_op(mon) if pair == slot else zero
                       for pair in ctx.canonical_pairs()}
             images = d2(Cochain2(ctx.name, values, parity)).items()
-    return {(out, m2): fr for out, im in images for m2, fr in monomial_coords(im).items()}
+    return coords_of(images)
+
+
+def coords_of(images):
+    """Coordinates {(slot, monomial): Fraction} of (slot, operator) pairs."""
+    return {(slot, mon): fr for slot, im in images for mon, fr in monomial_coords(im).items()}
 
 
 def generic_action(cache, gen, mon):
@@ -642,21 +650,26 @@ def oracle_dimensions(cache, degree, bounds, typed):
     return dims, kernels
 
 
-# (algebra, lam, mu, degree, bounds): the last three change between the
-# bounds and the bumped bounds
+# (algebra, lam, mu, degree, bounds): in the first five the dimension
+# changes between the bounds and the bumped bounds; in the last two it is 0
+# at both, once because 2(mu - lambda) is not an integer and once although
+# the critical key carries a kernel (all of it coboundaries)
 SWEEP_CASES = [
     (SL2, Q(1, 2), Q(1, 2), 1, BoundsSpec(2, 4)),
     (OSP12, Q(0), Q(1, 2), 1, BoundsSpec(1, 2)),
     (SL2, Q(-1, 2), Q(3, 2), 1, BoundsSpec(1, 2)),
     (SL2, Q(-1), Q(2), 2, BoundsSpec(1, 2)),
     (OSP12, Q(-1, 2), Q(1), 2, BoundsSpec(0, 0)),
+    (SL2, Q(1, 3), Q(2, 3), 1, BoundsSpec(2, 4)),
+    (SL2, Q(1, 3), Q(4, 3), 1, BoundsSpec(2, 4)),
 ]
 
 
 class TestDimensionSweep:
     """The one stabilization sweep of cohomology_dim against a recomputation
     at the bounds and at the bumped bounds with typed columns and dense
-    elimination."""
+    elimination over every weight key, which must find nothing off the
+    critical key."""
 
     @pytest.mark.parametrize("algebra,lam,mu,degree,bounds", SWEEP_CASES,
                              ids=[f"{c[0]}-{c[1]}-{c[2]}-d{c[3]}" for c in SWEEP_CASES])
@@ -664,10 +677,117 @@ class TestDimensionSweep:
         cache, typed = BlockCache(algebra, lam, mu), {}
         first, first_kernels = oracle_dimensions(cache, degree, bounds, typed)
         second, second_kernels = oracle_dimensions(cache, degree, bounds.bumped(), typed)
+        critical = critical_weight_key(lam, mu)
+        assert set(first) | set(second) <= {critical}
         assert _dimension_sweep(algebra, lam, mu, degree, bounds) == (first, second)
+        result = cohomology_dim((lam, mu), degree, algebra, bounds)
+        assert result.examined_keys == (() if critical is None else (critical,))
+        if not first and not second:
+            # no critical key, or one whose kernel the image fills
+            assert critical is None or first_kernels.get(critical, 0) > 0
         if degree == 2:
             assert first != second
             # a key whose kernel is 0 at the bounds but not at the bumped
             # bounds: the image is taken on the bumped side only
             assert any(not first_kernels.get(key) and second_kernels[key] > 0
                        and key in first_kernels for key in second_kernels)
+
+
+def contract_h(ctx, coords):
+    """Coordinates of i_h c, (i_h c)(X, ...) = c(h, X, ...), for c of degree
+    1, 2 or 3 given on coordinates {(slot, monomial): value} over canonical
+    slots.  h is even, so moving it to the front past n arguments gives
+    (-1)^n, and a slot holding it twice is an even diagonal (absent)."""
+    h = ctx.euler_index
+    out = {}
+    for (slot, mon), value in coords.items():
+        args = slot if isinstance(slot, tuple) else (slot,)
+        if h not in args:
+            continue
+        pos = args.index(h)
+        rest = args[:pos] + args[pos + 1:]
+        key = (None if not rest else rest[0] if len(rest) == 1 else rest, mon)
+        out[key] = out.get(key, 0) + (-1) ** pos * value
+    return {k: v for k, v in out.items() if v}
+
+
+def typed_cochain(cache, degree, coords, parity):
+    """The typed cochain of degree 1 or 2 with these coordinates."""
+    ctx = cache.ctx
+    zero = cache.monomial_op(next(iter(coords))[1]).scale(0)
+    slots = range(ctx.dim) if degree == 1 else ctx.canonical_pairs()
+    images = {slot: zero for slot in slots}
+    for (slot, mon), value in coords.items():
+        images[slot] = images[slot] + cache.monomial_op(mon).scale(value)
+    return Cochain1(ctx.name, images, parity) if degree == 1 else Cochain2(ctx.name, images,
+                                                                         parity)
+
+
+class TestEulerContraction:
+    """Cartan's formula on the table path: d(i_h c) + i_h(d c) is the h-scalar
+    (w - w*)/2 of the weight key w times c, which is what lets
+    ``_dimension_sweep`` rank the critical key w* only.  The table columns
+    are checked against the typed d0/d1/d2 on the same cochains."""
+
+    @staticmethod
+    def cartan(cache, degree, coords, parity):
+        """(d(i_h c) + i_h(d c), d c, d(i_h c)) on coordinates, from the
+        integer tables with their scales divided out."""
+        ctx = cache.ctx
+        up, down = _ce_table(ctx.name, degree, parity), _ce_table(ctx.name, degree - 1, parity)
+        dc = {k: Q(v, cache.den * up[0])
+              for k, v in _differential(cache, up, coords.items()).items()}
+        dic = {k: Q(v, cache.den * down[0])
+               for k, v in _differential(cache, down, contract_h(ctx, coords).items()).items()}
+        total = dict(dic)
+        for k, v in contract_h(ctx, dc).items():
+            total[k] = total.get(k, 0) + v
+        return {k: v for k, v in total.items() if v}, dc, dic
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(algebra=st.sampled_from([SL2, OSP12]), parity=st.integers(0, 1),
+           degree=st.sampled_from([1, 2]), lam=st.fractions(-2, 2, max_denominator=3),
+           gap=st.fractions(-3, 3, max_denominator=4), half_key=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_contraction_scales_off_the_critical_key(self, algebra, parity, degree, lam, gap,
+                                                     half_key, seed):
+        parity = parity if algebra == OSP12 else 0
+        mu = lam + gap
+        key = 2 * half_key + parity  # the key of an osp(1|2) cochain has its parity
+        if key == critical_weight_key(lam, mu):
+            key += 2
+        cache = block_cache(algebra, lam, mu)
+        rng = random.Random(seed)
+        basis = _enumerate_cochain_basis(cache, degree, BoundsSpec(3, 4), parity, key)
+        coords = {item: Q(rng.randrange(-3, 4), rng.randrange(1, 3))
+                  for item in rng.sample(basis, min(len(basis), 6))}
+        coords = {k: v for k, v in coords.items() if v} or {basis[0]: Q(1)}
+        total, dc, dic = self.cartan(cache, degree, coords, parity)
+        scalar = Q(key, 2) + mu - lam
+        assert scalar and total == {k: scalar * v for k, v in coords.items()}
+        # the typed oracle of both table differentials
+        c = typed_cochain(cache, degree, coords, parity)
+        h = cache.ctx.euler_index
+        if degree == 1:
+            assert coords_of(d1(c).images.items()) == dc
+            assert coords_of(d0(Cochain0(algebra, c.images[h], parity)).images.items()) == dic
+        else:
+            assert coords_of(d2(c).items()) == dc
+            ic = Cochain1(algebra, [c.at(h, x) for x in range(cache.ctx.dim)], parity)
+            assert coords_of(d1(ic).images.items()) == dic
+
+    @pytest.mark.parametrize("algebra,lam,mu", [(SL2, Q(1, 2), Q(1, 2)), (SL2, Q(-1), Q(2)),
+                                                (OSP12, Q(0), Q(1, 2)), (OSP12, Q(-1), Q(3, 2))])
+    def test_scalar_vanishes_at_the_critical_key(self, algebra, lam, mu):
+        """At w* the two terms cancel on every basis cochain of both degrees:
+        the Euler element gives no witness there."""
+        cache, key = block_cache(algebra, lam, mu), critical_weight_key(lam, mu)
+        assert Q(key, 2) + mu - lam == 0
+        checked = 0
+        for parity in ((0,) if algebra == SL2 else (0, 1)):
+            for degree in (1, 2):
+                bounds = BoundsSpec(abs(key) + 3, abs(key) + 6)
+                for item in _enumerate_cochain_basis(cache, degree, bounds, parity, key):
+                    assert self.cartan(cache, degree, {item: Q(1)}, parity)[0] == {}
+                    checked += 1
+        assert checked > 20
