@@ -22,6 +22,11 @@ Euler element, under explicit operator-order and coefficient-degree
 bounds.  A failed solve is therefore always *within bounds*, never a
 claim about the untruncated complex.
 
+Slices are indexed by weight key alone: the key fixes the parity
+(``AlgebraContext.key_parity``).  In osp(1|2) x^d theta^eps eta^i has key
+2d + eps - i = eps + i (its parity) mod 2, and the odd generators are those
+of odd weight; in sl(2) every key and every cochain is even.
+
 Differential columns are built in integers: the action tables of a block
 hold D times the action (one block denominator D) and the differential's
 table T times its coefficients, so one builder (``_differential``) returns
@@ -171,6 +176,10 @@ class AlgebraContext:
         if isinstance(value, SuperDiffOp):
             return super_lie_derivative_op(x, value)
         raise UsageError(f"cannot act on {type(value).__name__}")
+
+    def key_parity(self, key: int) -> int:
+        """The parity of every cochain of weight key `key` (module docstring)."""
+        return key & 1 if self.flavor == SUPER else 0
 
     def canonical_pairs(self) -> list[tuple[int, int]]:
         pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
@@ -369,15 +378,17 @@ def d2(w: Cochain2) -> dict:
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """Exact d c = 0, read off the action tables: the coefficient cochain of
-    every parameter monomial goes through the loop behind every differential
-    column (``_differential``), whose scale s != 0 does not matter for a zero
-    test.  The typed d1/d2 are its oracle in the tests."""
+    """Exact d c = 0, read off the action tables: each weight-key slice of
+    the coefficient cochain of every parameter monomial goes through the
+    loop behind every differential column (``_differential``), whose scale
+    s != 0 does not matter for a zero test; d keeps keys, so c is closed iff
+    every slice is.  The typed d1/d2 are its oracle in the tests."""
     cache = block_cache(c.algebra, *c.block)
-    for pmon, coords in _cochain_coords(c).items():
-        table = _ce_table(c.algebra, c.degree, _component_parity(c, pmon))
-        if _differential(cache, table, coords.items()):
-            return False
+    for coords in _cochain_coords(c).values():
+        for key, piece in _by_weight_key(c, coords).items():
+            table = _ce_table(c.algebra, c.degree, cache.ctx.key_parity(key))
+            if _differential(cache, table, piece.items()):
+                return False
     return True
 
 
@@ -405,12 +416,6 @@ def _parameter_free_coords(c: Cochain, refusal: str) -> dict:
     if set(coords) != {_ONE_MON}:
         raise UsageError(refusal)
     return coords[_ONE_MON]
-
-
-def _component_parity(c: Cochain, pmon: tuple) -> int:
-    """Parity of the coefficient cochain of parameter monomial `pmon` in c:
-    c's parity XOR the monomial's odd letters (sl(2) cochains are even)."""
-    return (c.parity ^ len(pmon[1])) & 1 if get_algebra(c.algebra).flavor == SUPER else 0
 
 
 def _by_weight_key(c: Cochain, coords: dict) -> dict[int, dict]:
@@ -494,23 +499,14 @@ class BlockCache:
         return cached
 
 
-@lru_cache(maxsize=32)
-def bounded_monomials(flavor: str, bounds: BoundsSpec,
-                      parity: Optional[int] = None) -> dict[int, tuple]:
-    """{weight key: monomials} within bounds, of one parity (None: all), each
-    key's monomials in order of operator order, theta, degree.  They do not
-    depend on the block, so each (flavor, bounds, parity) is enumerated
-    once for all blocks."""
-    out: dict[int, list] = {}
-    thetas = ([()] if parity in (None, 0) else []) if flavor == CLASSICAL else [(0,), (1,)]
-    for i in range(bounds.max_operator_order + 1):
-        for theta in thetas:
-            if theta and parity is not None and (theta[0] + i) & 1 != parity:
-                continue
-            for d in range(bounds.max_coefficient_degree + 1):
-                mon = (d, *theta, i)
-                out.setdefault(BlockCache.monomial_key(mon), []).append(mon)
-    return {key: tuple(mons) for key, mons in out.items()}
+def bounded_monomials(flavor: str, bounds: BoundsSpec, key: int) -> list[tuple]:
+    """The monomials of weight key `key` within bounds, in order of operator
+    order i, which fits at most one: x^d d_x^i with 2(d - i) = key (none for
+    an odd key), or x^d theta^eps eta^i with 2d + eps - i = key."""
+    mons = [(key // 2 + i, i) if flavor == CLASSICAL else ((key + i) // 2, (key + i) & 1, i)
+            for i in range(bounds.max_operator_order + 1)]
+    return [mon for mon in mons if 0 <= mon[0] <= bounds.max_coefficient_degree
+            and BlockCache.monomial_key(mon) == key]
 
 
 _BLOCK_CACHES: dict[tuple, BlockCache] = {}
@@ -544,13 +540,13 @@ def _cochain_slots(ctx: AlgebraContext, degree: int) -> list[tuple]:
 
 
 def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
-                             parity: int, key: int) -> list:
+                             key: int) -> list:
     """Basis of the bounded weight-key slice of C^degree: monomials in
-    degree 0, (slot, monomial) pairs otherwise."""
+    degree 0, (slot, monomial) pairs otherwise, all of parity
+    ``key_parity(key)``."""
     return [mon if slot is None else (slot, mon)
-            for slot, wt, slot_parity in _cochain_slots(cache.ctx, degree)
-            for mon in bounded_monomials(cache.ctx.flavor, bounds, parity ^ slot_parity).get(
-                key + wt, ())]
+            for slot, wt, _ in _cochain_slots(cache.ctx, degree)
+            for mon in bounded_monomials(cache.ctx.flavor, bounds, key + wt)]
 
 
 def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
@@ -700,14 +696,14 @@ def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
     return Cochain0(ctx.name, images[None]) if degree == 0 else Cochain1(ctx.name, images)
 
 
-def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: int, key: int,
+def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
                   lead: Optional[dict] = None):
     """(basis, row index, s, SolvedSystem) of the slice system
     s * [lead | d^degree] at one weight key, s the scale of the integer
     columns (``_differential``); right-hand sides are scaled by s too, so
     solutions are those of [lead | d^degree]."""
-    basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
-    s, cols = _differential_columns(cache, degree, basis, parity)
+    basis = _enumerate_cochain_basis(cache, degree, bounds, key)
+    s, cols = _differential_columns(cache, degree, basis, cache.ctx.key_parity(key))
     if lead is not None:
         cols.insert(0, {k: s * v for k, v in lead.items()})
     by_key: dict = {}  # the sparse rows of the slice system, one per row key
@@ -720,15 +716,17 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, parity: in
 
 def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
     """Solve c = t * family + d(b) exactly, one (parameter monomial, weight
-    key) at a time, with b within bounds.  For parametric c, t and b carry
-    c's parameter monomials; for parameter-free c, t is a Fraction.
-    NoSolutionWithinBounds when some slice has no solution or the family is
-    itself a bounded coboundary (t would not be unique)."""
+    key) at a time, with b within bounds, on one slice system per key.  For
+    parametric c, t and b carry c's parameter monomials; for parameter-free
+    c, t is a Fraction; a monomial with nothing at the family's key adds 0
+    to t.  NoSolutionWithinBounds when some slice has no solution or, checked
+    once on the family's key, the family is a bounded coboundary."""
     lam, mu = c.block
     cache = block_cache(c.algebra, lam, mu)
     degree = c.degree - 1
     coords = _cochain_coords(c)
-    lead = family_key = None
+    systems: dict = {}  # key -> slice system, built once per call
+    family_key = None
     if family is not None:
         lead = _parameter_free_coords(family, "the family must be parameter-free")
         family_keys = list(_by_weight_key(family, lead))
@@ -737,21 +735,17 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
         if family.block != (lam, mu) or family.algebra != c.algebra:
             raise UsageError("the family must live on the cochain's block")
         family_key = family_keys[0]
+        systems[family_key] = _slice_system(cache, degree, bounds, family_key, lead)
+        if any(null[0] for null in systems[family_key][3].nullspace()):
+            return NoSolutionWithinBounds(bounds)  # t would not be unique
     parametric = set(coords) != {_ONE_MON}
     t = ParamScalar(None, {}) if parametric else Fraction(0)
     witness: dict = {}
-    systems: dict = {}  # (parity, key) -> slice system, built once per call
     for pmon, pm_coords in sorted(coords.items()):
-        parity = _component_parity(c, pmon)
-        pieces = _by_weight_key(c, pm_coords)
-        if family is not None:
-            pieces.setdefault(family_key, {})
-        for key, rhs_coords in sorted(pieces.items()):
-            key_lead = lead if key == family_key else None
-            hit = systems.get((parity, key))
+        for key, rhs_coords in sorted(_by_weight_key(c, pm_coords).items()):
+            hit = systems.get(key)
             if hit is None:
-                hit = systems[(parity, key)] = _slice_system(cache, degree, bounds, parity, key,
-                                                             key_lead)
+                hit = systems[key] = _slice_system(cache, degree, bounds, key)
             slice_basis, row_index, s, system = hit
             if any(k not in row_index for k in rhs_coords):
                 return NoSolutionWithinBounds(bounds)
@@ -759,10 +753,9 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
             for k, v in rhs_coords.items():
                 rhs[row_index[k]] = s * v
             solution = system.solve(rhs)
-            if solution is None or (key_lead is not None
-                                    and any(null[0] for null in system.nullspace())):
+            if solution is None:
                 return NoSolutionWithinBounds(bounds)
-            if key_lead is not None:
+            if key == family_key:
                 t_part, solution = solution[0], solution[1:]
                 t = t + (ParamScalar(None, {pmon: t_part}) if parametric else t_part)
             for item, v in zip(slice_basis, solution):
@@ -798,11 +791,13 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] 
     """Write c = t * family + d(b) with b within bounds.
 
     c may hold formal parameters; t and b then carry its parameter
-    monomials, one exact solve per monomial and weight key.  The family
-    must be nonzero, parameter-free, live on c's block and lie in a single
-    weight key (Phi:k lies in key -2k, Omega:k in 1-2k).  Returns a
-    Decomposition, or NoSolutionWithinBounds when no split exists within
-    bounds or the family is itself a bounded coboundary."""
+    monomials, one exact solve per monomial and weight key; a monomial with
+    nothing at the family's key gets t = 0 there.  The family must be
+    nonzero, parameter-free, live on c's block and lie in a single weight
+    key (Phi:k lies in key -2k, Omega:k in 1-2k).  Returns a Decomposition,
+    or NoSolutionWithinBounds when no split exists within bounds or the
+    family is itself a bounded coboundary, which is checked once, on the
+    family's key, whatever keys c has."""
     if bounds is None:
         bounds = default_witness_bounds(c)
     return _solve_by_weight(c, bounds, family)
@@ -833,7 +828,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
     boundary_cols = []  # scaled by s, which leaves every span and rank alone
     for key in keys:
-        basis = _enumerate_cochain_basis(cache, degree, bounds, parity, key)
+        basis = _enumerate_cochain_basis(cache, degree, bounds, key)
         boundary_cols.extend(_differential_columns(cache, degree, basis, parity)[1])
     return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
@@ -869,7 +864,8 @@ def _dimension_sweep(algebra: str, lam, mu, degree: int,
     ranked at the critical key w* only: by Cartan's formula theta_h =
     d i_h + i_h d the even Euler element h acts on the slice of key w by a
     scalar that vanishes only at w*, so off w* every cocycle c is d(i_h c)
-    over that scalar, with (i_h c)(X) = c(h, X) no larger than c.
+    over that scalar, with (i_h c)(X) = c(h, X) no larger than c.  The key
+    fixes the parity, so w* is one slice (empty in sl(2) when w* is odd).
 
     At bounds B, w* contributes the kernel of d^degree on the bounded slice
     less the part of that slice hit by d^(degree-1) of the witnesses within
@@ -882,28 +878,27 @@ def _dimension_sweep(algebra: str, lam, mu, degree: int,
     if key is None:
         return per_weight
     cache = block_cache(algebra, lam, mu)
+    parity = cache.ctx.key_parity(key)
     ladder = (bounds, bounds.bumped(), bounds.bumped().bumped())
-    for parity in ((0,) if cache.ctx.flavor == CLASSICAL else (0, 1)):
-        slices = [_enumerate_cochain_basis(cache, degree, b, parity, key) for b in ladder[:2]]
-        cols = _differential_columns(cache, degree, slices[1], parity)[1]
-        kers = [0, len(slices[1]) - _rank(cols)]
-        if kers[1] and slices[0]:
-            kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
-        if not any(kers):
+    slices = [_enumerate_cochain_basis(cache, degree, b, key) for b in ladder[:2]]
+    cols = _differential_columns(cache, degree, slices[1], parity)[1]
+    kers = [0, len(slices[1]) - _rank(cols)]
+    if kers[1] and slices[0]:
+        kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
+    if not any(kers):
+        return per_weight
+    witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, key) for b in ladder[1:]]
+    witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
+    for level in (0, 1):
+        if not kers[level]:
             continue
-        witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, parity, key)
-                     for b in ladder[1:]]
-        witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
-        for level in (0, 1):
-            if not kers[level]:
-                continue
-            # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
-            image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
-            image = 0
-            if image_cols:
-                image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
-            if kers[level] - image:
-                per_weight[level][key] = per_weight[level].get(key, 0) + kers[level] - image
+        # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
+        image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
+        image = 0
+        if image_cols:
+            image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
+        if kers[level] - image:
+            per_weight[level][key] = kers[level] - image
     return per_weight
 
 
@@ -911,7 +906,8 @@ def cohomology_dim(weights, degree: int, algebra: str,
                    bounds: Optional[BoundsSpec] = None) -> DimResult:
     """Truncated dim H^degree on one block, with a stabilization flag (the
     bumped bounds agree).  Only the critical Euler-weight component w* can
-    be nonzero, so only it is computed and examined (``_dimension_sweep``).
+    be nonzero, so only it is computed and examined (``_dimension_sweep``),
+    unless it holds no cochain (an odd w* in sl(2)).
     """
     if degree not in (1, 2):
         raise UsageError("cohomology_dim supports degrees 1 and 2")
@@ -922,5 +918,6 @@ def cohomology_dim(weights, degree: int, algebra: str,
     dim = sum(first.values())
     stabilized = dim == sum(second.values())
     key = critical_weight_key(lam, mu)
-    examined = () if key is None else (key,)
+    empty = key is None or (get_algebra(algebra).flavor == CLASSICAL and key & 1)
+    examined = () if empty else (key,)
     return DimResult(dim=dim, stabilized=stabilized, per_weight=first, examined_keys=examined)

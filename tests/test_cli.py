@@ -70,6 +70,16 @@ class TestCohomologyDim:
         assert code == VERIFIED
         assert report["result"]["dim"] == 2
 
+    def test_odd_critical_key_on_sl2_is_not_examined(self):
+        """w* = -2(mu - lambda) = -1 holds no sl(2) cochain, so no key is
+        examined."""
+        report, code = run(
+            ["cohomology-dim", "--algebra", "sl2", "--lambda=0", "--mu=1/2", "--degree", "1"]
+        )
+        assert code == VERIFIED
+        assert report["result"]["dim"] == 0 and report["result"]["stabilized"] is True
+        assert report["result"]["examined_weight_keys"] == []
+
 
 class TestIntegrability:
     def test_satisfied_point(self, tmp_path):
