@@ -38,7 +38,6 @@ from .operators import (  # noqa: F401
     SuperDiffOp,
     apply,
     compose,
-    graded_action,
     lie_derivative_op,
     principal_symbol,
     super_lie_derivative_op,

@@ -24,7 +24,7 @@ from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
 from .kernel import InternalError, UsageError, format_rational, parse_rational
-from .operators import DiffOp, RawOp, SuperDiffOp
+from .operators import DiffOp, SuperDiffOp
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +194,16 @@ def lemma23_check(k: int) -> DecompositionReport:
         (-1)^k Omega_k(X_F, X_G) = (k-1) Phi_{k-1}(F,G) o d_theta
                                    - k theta Phi_k(F,G)
 
-    in the (d_x, d_theta) presentation.  Returns the residual operators
-    for any failing pair."""
+    in eta-normal form, where both sides compare exactly: the right-hand
+    side is rewritten, as in ``super_lie_op``, by d_x^n = (-1)^n eta^(2n)
+    and d_theta = eta - theta eta^2.  With w = F'G'' - F''G' it reads
+    (-1)^k ((k-1) w eta^(2k-3) - (k-1) theta w eta^(2k-2) + k theta w eta^(2k-2)),
+    the last term being -k theta Phi_k(F,G).
+    Returns the residual operators for any failing pair."""
     if k < 2:
         raise UsageError("the decomposition check needs k >= 2")
     omega = cocycle_Omega(k)
+    lam, mu = super_block_weights(k)
     sl2 = sl2_basis()
     even_indices = {0: 0, 2: 1, 4: 2}  # osp index -> sl2 index
     residuals = {}
@@ -206,14 +211,13 @@ def lemma23_check(k: int) -> DecompositionReport:
     for (i, j), image in omega.images.items():
         if i not in even_indices or j not in even_indices:
             continue
-        f = sl2[even_indices[i]].g
-        g = sl2[even_indices[j]].g
-        w = _wronskian(f, g)
-        lhs = image.to_raw().scale(sign)
-        rhs = RawOp()
-        rhs.add_term(SuperPoly(w, P_ZERO).scale(k - 1), k - 2, 1)
-        rhs.add_term(SuperPoly(P_ZERO, w).scale(-k), k - 1, 0)
-        diff = lhs - rhs
+        w = _wronskian(sl2[even_indices[i]].g, sl2[even_indices[j]].g)
+        w, theta_w = SuperPoly(w, P_ZERO).scale(sign), SuperPoly(P_ZERO, w).scale(sign)
+        # (-1)^(k-2) = -(-1)^(k-1) = sign
+        rhs = (SuperDiffOp.eta_power_term(w.scale(k - 1), 2 * k - 3, lam, mu)
+               + SuperDiffOp.eta_power_term(theta_w.scale(1 - k), 2 * k - 2, lam, mu)
+               + SuperDiffOp.eta_power_term(theta_w.scale(k), 2 * k - 2, lam, mu))
+        diff = image.scale(sign) - rhs
         if diff:
             residuals[(i, j)] = diff
     return DecompositionReport(k=k, passed=not residuals, residuals=residuals)

@@ -278,6 +278,10 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+# the subcommands whose solves read --bounds; the others refuse it
+_BOUNDED_COMMANDS = ("verify-cocycle", "cohomology-dim", "obstruction", "integrability")
+
+
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="symdef", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,7 +289,8 @@ def _build_parser() -> _CliParser:
     def add(name: str, handler, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--bounds", help="truncation override as 'order,degree'")
+        if name in _BOUNDED_COMMANDS:
+            p.add_argument("--bounds", help="truncation override as 'order,degree'")
         p.set_defaults(handler=handler)
         return p
 

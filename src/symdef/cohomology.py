@@ -79,9 +79,7 @@ from .kernel import (
 from .operators import (
     AnyOp,
     DiffOp,
-    GradedOp,
     SuperDiffOp,
-    graded_action,
     lie_derivative_op,
     monomial_action,
     monomial_coords,
@@ -169,8 +167,6 @@ class AlgebraContext:
     def act(self, index: int, value):
         """The module action of basis element `index` on an operator value."""
         x = self.basis[index]
-        if isinstance(value, GradedOp):
-            return graded_action(x, value)
         if isinstance(value, DiffOp):
             return lie_derivative_op(x, value)
         if isinstance(value, SuperDiffOp):

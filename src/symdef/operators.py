@@ -10,9 +10,7 @@ coefficients ``p_i(x)``.  Super operators (``SuperDiffOp``) take the
 contact derivation ``D = eta`` with the parity involution ``u -> u^`` and
 coefficients ``q_i(x,theta)``; the powers of ``eta`` form a free basis over
 superfunction coefficients (``eta^2`` acts as ``-d_x``), so the stored form
-is canonical and equality is coefficient-wise.  A second presentation over
-``(d_x, d_theta)`` is kept for the parity-decomposition identity of the odd
-2-cocycle family.
+is canonical and equality is coefficient-wise.
 
 The cohomology engine reads operators as sparse coordinates
 ``{monomial: coefficient}`` (``monomial_coords``), a monomial being
@@ -220,23 +218,6 @@ class SuperDiffOp(_NormalFormOp):
             "coeffs": [c.to_json() for c in self.coeffs],
         }
 
-    def to_raw(self) -> "RawOp":
-        """Rewrite into the (d_x, d_theta) presentation."""
-        out = RawOp()
-        for i, q in enumerate(self.coeffs):
-            if not q:
-                continue
-            half, rem = divmod(i, 2)
-            sign = Fraction(-1) ** half
-            if rem == 0:
-                # eta^{2h} = (-1)^h d_x^h
-                out.add_term(q.scale(sign), half, 0)
-            else:
-                # eta^{2h+1} = (-1)^h (d_x^h d_theta - theta d_x^{h+1})
-                out.add_term(q.scale(sign), half, 1)
-                out.add_term((q * SuperPoly(P_ZERO, Poly([1]))).scale(-sign), half + 1, 0)
-        return out
-
 
 def op_class(flavor: str) -> type:
     """The operator class of a flavor."""
@@ -244,66 +225,6 @@ def op_class(flavor: str) -> type:
 
 
 AnyOp = Union[DiffOp, SuperDiffOp]
-
-
-class RawOp:
-    """Operator on the superline presented as ``sum q_{i,e} d_x^i d_theta^e``.
-
-    The target of the eta-form conversion ``SuperDiffOp.to_raw``, in which
-    ``catalog.lemma23_check`` states the parity decomposition of the odd
-    2-cocycle family.  Not weight-tagged; it is a plain operator on functions.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: dict[tuple[int, int], SuperPoly] = {}
-
-    def add_term(self, q: SuperPoly, dx: int, dtheta: int) -> "RawOp":
-        if q:
-            key = (dx, dtheta)
-            acc = self.terms.get(key)
-            total = q if acc is None else acc + q
-            if total:
-                self.terms[key] = total
-            else:
-                self.terms.pop(key, None)
-        return self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RawOp):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "RawOp") -> "RawOp":
-        out = RawOp()
-        for (i, e), q in self.terms.items():
-            out.add_term(q, i, e)
-        for (i, e), q in other.terms.items():
-            out.add_term(q, i, e)
-        return out
-
-    def scale(self, s) -> "RawOp":
-        out = RawOp()
-        for (i, e), q in self.terms.items():
-            out.add_term(q.scale(s), i, e)
-        return out
-
-    def __sub__(self, other: "RawOp") -> "RawOp":
-        return self + other.scale(-1)
-
-    def __repr__(self):
-        if not self.terms:
-            return "RawOp(0)"
-        parts = []
-        for (i, e) in sorted(self.terms):
-            q = self.terms[(i, e)]
-            tag = "".join(["" if i == 0 else f" dx^{i}" if i > 1 else " dx", " dth" if e else ""])
-            parts.append(f"({q}){tag}")
-        return "RawOp(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -671,17 +592,6 @@ def graded_identity(flavor: str, delta, kmax: int) -> GradedOp:
     out = GradedOp(flavor, delta, kmax)
     for k in range(kmax + 1):
         out.set_block(k, k, op_class(flavor).identity(out.weight_of(k)))
-    return out
-
-
-def graded_action(x: Union[VectorField, ContactField], g: GradedOp) -> GradedOp:
-    """Block-wise Lie derivative of a graded operator."""
-    out = GradedOp(g.flavor, g.delta, g.kmax)
-    for (j, i), op in g.blocks.items():
-        if g.flavor == CLASSICAL:
-            out.set_block(j, i, lie_derivative_op(x, op))
-        else:
-            out.set_block(j, i, super_lie_derivative_op(x, op))
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import symdef.catalog as catalog
 from symdef.catalog import (
     build_cocycle,
     calibrate_convention,
@@ -149,6 +150,20 @@ class TestDecompositionIdentity:
     def test_k1_rejected(self):
         with pytest.raises(UsageError):
             lemma23_check(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sign_flipped_even_pair_fails(self, k, monkeypatch):
+        """The check can fail: flipping the sign of the image of (X_x, X_{x^2})
+        fails it at exactly that pair.  The other even pairs have zero images
+        (their Wronskian F'G'' - F''G' vanishes), so a flip there is no fault."""
+        omega = cocycle_Omega(k)
+        pair = (2, 4)
+        assert omega.images[pair]
+        omega.images[pair] = -omega.images[pair]
+        monkeypatch.setattr(catalog, "cocycle_Omega", lambda _: omega)
+        report = lemma23_check(k)
+        assert not report.passed
+        assert set(report.residuals) == {pair}
 
 
 class TestCatalogIds:

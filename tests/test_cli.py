@@ -219,6 +219,16 @@ def test_negative_value_after_a_space(argv, equals_form):
     assert (report, code) == run(equals_form)
 
 
+@pytest.mark.parametrize("argv", [["lemma23", "--k", "2"], ["flat-deform", "--spec", "spec.json"],
+                                  ["example1", "--m", "3", "--alphas", "1,0,5"]],
+                         ids=["lemma23", "flat-deform", "example1"])
+def test_bounds_refused_where_unread(argv):
+    """Only the subcommands whose solves read --bounds accept it."""
+    report, code = run(argv + ["--bounds", "0,0"])
+    assert code == USAGE
+    assert "--bounds" in report["error"]
+
+
 def test_engine_fault_has_its_own_exit_code(monkeypatch, capsys):
     def broken(args):
         raise InternalError("invariant broke")

@@ -301,7 +301,7 @@ DIM_COLD_BLOCKS = [
 
 
 class TestActionTables:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(algebra=st.sampled_from([SL2, OSP12]),
            lam=st.fractions(min_value=-3, max_value=3, max_denominator=4),
            mu=st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -353,7 +353,7 @@ class TestIsCocycle:
     @pytest.mark.parametrize("algebra,parity", [(SL2, 0), (OSP12, 0), (OSP12, 1)])
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("perturbed", [False, True])
-    @settings(derandomize=True, deadline=None, max_examples=2)
+    @settings(max_examples=2)
     @given(lam=st.fractions(-2, 2, max_denominator=2), shift=st.integers(0, 4),
            seed=st.integers(0, 2 ** 16))
     def test_table_path_matches_typed_differential(self, algebra, parity, degree, perturbed,
@@ -411,7 +411,7 @@ class TestParametricCochains:
     table path splits them by parameter monomial, the typed d0/d1/d2 and the
     typed witness re-check are the oracle."""
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(algebra=st.sampled_from([SL2, OSP12]), degree=st.sampled_from([1, 2]),
            parity=st.integers(0, 1), perturbed=st.booleans(),
            lam=st.fractions(-2, 2, max_denominator=2), shift=st.integers(0, 4),
@@ -438,7 +438,7 @@ class TestParametricCochains:
         w = result.cochain
         assert (d0(w) if degree == 1 else d1(w)).images == c.images
 
-    @settings(derandomize=True, deadline=None, max_examples=12)
+    @settings(max_examples=12)
     @given(algebra=st.sampled_from([SL2, OSP12]), odd_class=st.booleans(),
            seed=st.integers(0, 2 ** 16))
     def test_decomposition_recovers_parametric_class(self, algebra, odd_class, seed):
@@ -788,7 +788,7 @@ class TestEulerContraction:
             total[k] = total.get(k, 0) + v
         return {k: v for k, v in total.items() if v}, dc, dic
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(algebra=st.sampled_from([SL2, OSP12]), parity=st.integers(0, 1),
            degree=st.sampled_from([1, 2]), lam=st.fractions(-2, 2, max_denominator=3),
            gap=st.fractions(-3, 3, max_denominator=4), half_key=st.integers(-3, 3),

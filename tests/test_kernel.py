@@ -94,7 +94,7 @@ class TestAlgebraLaws:
                 assert p * q == sign * (q * p)
 
     @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_constants_embed_as_center(self, a, b, c):
         p = sym("sb1") * a + sym("a0") * b
         assert p * c == c * p
@@ -296,7 +296,7 @@ class TestLinearSolve:
             SolvedSystem([row], 2)
 
     @given(rational_systems())
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     def test_matches_dense_reference(self, system):
         """Rank, solve (value or None) and nullspace equal the dense
         reference exactly, zero entries given or left out."""
