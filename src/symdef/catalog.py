@@ -23,7 +23,7 @@ from typing import Optional, Union
 from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
-from .kernel import InternalError, UsageError, format_rational, parse_rational
+from .kernel import InternalError, UsageError, as_weight, format_rational, parse_rational
 from .operators import DiffOp, SuperDiffOp
 
 
@@ -34,7 +34,7 @@ from .operators import DiffOp, SuperDiffOp
 
 def cocycle_A(lam) -> Cochain1:
     """Degree-1 family on the diagonal block: g d/dx acts by mult(g')."""
-    lam = Fraction(lam)
+    lam = as_weight(lam)
     images = [
         DiffOp.multiplication(x.g.derivative(), lam, lam) for x in sl2_basis()
     ]
@@ -102,7 +102,7 @@ def cocycle_Phi(k: int) -> Cochain2:
 
 def cocycle_Yprime(lam) -> Cochain1:
     """Even degree-1 family on the diagonal super block: X_F acts by mult(F')."""
-    lam = Fraction(lam)
+    lam = as_weight(lam)
     images = [
         SuperDiffOp.multiplication(x.generator.derivative_x(), lam, lam) for x in osp_basis()
     ]

@@ -15,8 +15,7 @@ import argparse
 import json
 import os
 import sys
-import traceback
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .catalog import build_cocycle, calibrate_convention, lemma23_check, parse_catalog_id
@@ -28,18 +27,13 @@ from .cohomology import (
     coboundary_solve,
     is_cocycle,
 )
-from .deformation import (
-    DeformationSpec,
-    build_infinitesimal,
-    check_published_conditions,
-    derived_condition_verdicts,
-    example1_family,
-    obstruction_classes,
-    proportional_up_to_scalar,
-    published_condition,
-    verify_homomorphism,
-)
 from .kernel import UsageError, format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from .deformation import DeformationSpec
+
+# ``deformation`` is imported inside the handlers that use it, so that
+# cohomology-dim, verify-cocycle and lemma23 never load it.
 
 VERIFIED, FALSIFIED, INCONCLUSIVE, USAGE, ENGINE_FAULT = 0, 1, 2, 64, 70
 
@@ -140,6 +134,9 @@ def _require_resonant_band(spec: DeformationSpec, command: str, m: str) -> None:
 
 
 def _cmd_obstruction(args) -> tuple[dict, str]:
+    from .deformation import (DeformationSpec, build_infinitesimal, obstruction_classes,
+                              proportional_up_to_scalar, published_condition)
+
     spec = DeformationSpec.resonant_spec(args.flavor, args.m, args.window)
     _require_resonant_band(spec, "obstruction", "--m")
     action = build_infinitesimal(spec)
@@ -169,6 +166,8 @@ def _cmd_obstruction(args) -> tuple[dict, str]:
 
 
 def _load_spec(path: str) -> DeformationSpec:
+    from .deformation import DeformationSpec
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -180,6 +179,9 @@ def _load_spec(path: str) -> DeformationSpec:
 
 
 def _cmd_integrability(args) -> tuple[dict, str]:
+    from .deformation import (DeformationSpec, build_infinitesimal, check_published_conditions,
+                              derived_condition_verdicts)
+
     spec = _load_spec(args.spec)
     if spec.assignment is None:
         raise UsageError("integrability needs spec.params with numeric even parameters")
@@ -212,6 +214,8 @@ def _cmd_integrability(args) -> tuple[dict, str]:
 
 
 def _cmd_flat_deform(args) -> tuple[dict, str]:
+    from .deformation import build_infinitesimal, verify_homomorphism
+
     spec = _load_spec(args.spec)
     action = build_infinitesimal(spec)
     report = verify_homomorphism(action)
@@ -232,6 +236,8 @@ def _cmd_flat_deform(args) -> tuple[dict, str]:
 
 
 def _cmd_example1(args) -> tuple[dict, str]:
+    from .deformation import example1_family
+
     chunks = args.alphas.split(",")
     if not all(chunk.strip() for chunk in chunks):
         raise UsageError(f"--alphas has an empty entry: {args.alphas!r}")
@@ -350,6 +356,8 @@ def run(argv: Sequence[str]) -> tuple[dict, int]:
         }
         return report, USAGE
     except Exception as exc:  # an engine bug must not read as a verdict
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         report = {
             "command": argv[0] if argv else None,

@@ -30,24 +30,40 @@ from .kernel import (
 )
 
 
+_ZERO = Fraction(0)
+
+
 def _as_scalar(value) -> Scalar:
-    if isinstance(value, (int,)):
-        return Fraction(value)
     if isinstance(value, (Fraction, ParamScalar)):
         return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise UsageError(f"not a scalar coefficient: {value!r}")
 
 
+def _trimmed(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 class Poly:
-    """Polynomial in x with exact scalar coefficients (index = power of x)."""
+    """Polynomial in x with exact scalar coefficients (index = power of x).
+
+    Immutable.  The constructor coerces its coefficients; the arithmetic,
+    whose results are already ``Fraction``/``ParamScalar``, builds through
+    ``_of`` without coercing again."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [_as_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed([_as_scalar(c) for c in coeffs])
+
+    @staticmethod
+    def _of(cs: list) -> "Poly":
+        out = object.__new__(Poly)
+        out.coeffs = _trimmed(cs)
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -77,7 +93,7 @@ class Poly:
         return hash(self.coeffs)
 
     def coefficient(self, n: int) -> Scalar:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else _ZERO
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -88,18 +104,21 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out)
+        return Poly._of(out)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] = out[i] - c
+        return Poly._of(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return P_ZERO
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -107,24 +126,32 @@ class Poly:
                 if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly._of(out)
 
     def scale(self, s) -> "Poly":
         """Left multiplication by a scalar (order matters for odd scalars)."""
         s = _as_scalar(s)
         if not s:
-            return Poly()
-        return Poly([s * c for c in self.coeffs])
+            return P_ZERO
+        if type(s) is Fraction and s == 1:
+            return self
+        return Poly._of([s * c for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def has_params(self) -> bool:
+        return any(isinstance(c, ParamScalar) for c in self.coeffs)
 
     def involute(self) -> "Poly":
-        """Apply the scalar-parity involution to every coefficient."""
-        return Poly([scalar_involute(c) for c in self.coeffs])
+        """Apply the scalar-parity involution to every coefficient (self
+        when every coefficient is a rational, which the involution fixes)."""
+        if not self.has_params():
+            return self
+        return Poly._of([scalar_involute(c) for c in self.coeffs])
 
     def truncate_params(self, max_degree: int) -> "Poly":
-        return Poly([scalar_truncate(c, max_degree) for c in self.coeffs])
+        return Poly._of([scalar_truncate(c, max_degree) for c in self.coeffs])
 
     def coefficient_parities(self) -> set:
         out = set()
@@ -261,6 +288,9 @@ class SuperPoly:
 
     def max_param_degree(self) -> int:
         return max(self.f0.max_param_degree(), self.f1.max_param_degree())
+
+    def has_params(self) -> bool:
+        return self.f0.has_params() or self.f1.has_params()
 
     # -- rendering ------------------------------------------------------------
 

@@ -39,6 +39,16 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"not a rational: {text!r}") from exc
 
 
+def as_weight(value) -> Fraction:
+    """A density weight as an exact rational.  A float or bool is refused:
+    ``Fraction(0.1)`` is the binary expansion of 0.1, not 1/10."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise UsageError(f"weight {value!r} is not exact: pass an int or a Fraction")
+    return Fraction(value)
+
+
 def format_rational(x: Fraction) -> str:
     """Render as ``"p/q"``, or ``"p"`` when the denominator is one."""
     x = Fraction(x)

@@ -21,6 +21,12 @@ monomial, evaluated on those coordinates with the two commutation rules
 instead of building and composing ``DiffOp``/``SuperDiffOp`` values, in
 integers over a common denominator.  The typed
 ``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
+
+``_compose`` keeps the commutation tables ``D^i o mult(r)`` of a
+parameter-free coefficient ``r`` in one bounded cache keyed by value
+(``_cached_commutation_tables``): the typed ``d1``/``d2`` of the
+sign-convention check meet the same coefficients many times over.  The
+tables and the loop that reads them are the same with or without it.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .geometry import (
     VectorField,
     eta_bar,
 )
-from .kernel import Scalar, UsageError, format_rational
+from .kernel import Scalar, UsageError, as_weight, format_rational
 
 
 class _NormalFormOp:
@@ -58,8 +64,8 @@ class _NormalFormOp:
     __slots__ = ("lam", "mu", "coeffs")
 
     def __init__(self, lam, mu, coeffs: Sequence = ()):
-        self.lam = Fraction(lam)
-        self.mu = Fraction(mu)
+        self.lam = as_weight(lam)
+        self.mu = as_weight(mu)
         cs = [c if isinstance(c, self._ring) else self._coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -113,9 +119,13 @@ class _NormalFormOp:
         return type(self)(self.lam, self.mu, [-c for c in self.coeffs])
 
     def __sub__(self, other: "_NormalFormOp") -> "_NormalFormOp":
-        return self + (-other)
+        self._check_same_block(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(self.lam, self.mu, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
 
     def scale(self, s) -> "_NormalFormOp":
+        if type(s) is int and s == 1:
+            return self
         return type(self)(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
 
     def apply_to(self, f):
@@ -232,6 +242,29 @@ AnyOp = Union[DiffOp, SuperDiffOp]
 # ---------------------------------------------------------------------------
 
 
+def _commutation_tables(cls: type, r, depth: int) -> tuple:
+    """tables[i] for i < depth holds the pairs (e, c_e) with
+    D^i o mult(r) = sum_e mult(c_e) D^e, built one application of
+    D o mult(u) = mult(D u) + mult(twist u) D at a time."""
+    tables = [((0, r),)]
+    while len(tables) < depth:
+        new_table: dict = {}
+        for e, c in tables[-1]:
+            for key, moved in ((e, cls._derive(c)), (e + 1, cls._twist(c))):
+                if moved:
+                    acc = new_table.get(key)
+                    new_table[key] = moved if acc is None else acc + moved
+        tables.append(tuple(new_table.items()))
+    return tuple(tables)
+
+
+# The tables of a parameter-free r, kept across calls: one d1 meets the
+# same coefficients of L^lam_X in all five images and the same image
+# coefficients under all five generators.  Keyed by value, so whatever
+# builds the operators, equal inputs give equal tables.
+_cached_commutation_tables = lru_cache(maxsize=1024)(_commutation_tables)
+
+
 def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
     """a o b for two operators of one flavor, in normal form."""
     cls = type(a)
@@ -240,25 +273,15 @@ def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
     if not a.coeffs or not b.coeffs:
         return cls.zero(b.lam, a.mu)
     out: dict = {}
+    depth = len(a.coeffs)
     for j, r in enumerate(b.coeffs):
         if not r:
             continue
-        # table[e] holds c_e with D^i o mult(r) = sum_e mult(c_e) D^e,
-        # built one application of D o mult(u) = mult(D u) + mult(twist u) D
-        # at a time.
-        table = {0: r}
-        for i, q in enumerate(a.coeffs):
-            if i:
-                new_table: dict = {}
-                for e, c in table.items():
-                    for key, moved in ((e, cls._derive(c)), (e + 1, cls._twist(c))):
-                        if moved:
-                            acc = new_table.get(key)
-                            new_table[key] = moved if acc is None else acc + moved
-                table = new_table
+        build = _commutation_tables if r.has_params() else _cached_commutation_tables
+        for q, table in zip(a.coeffs, build(cls, r, depth)):
             if not q:
                 continue
-            for e, c in table.items():
+            for e, c in table:
                 term = q * c
                 if term:
                     key = e + j
@@ -300,7 +323,8 @@ def supercommutator(a: AnyOp, b: AnyOp) -> AnyOp:
 
 def lie_op(x: VectorField, lam) -> DiffOp:
     """L^lam_{g d/dx} = g d_x + lam g' as an operator on F_lam."""
-    return DiffOp(lam, lam, [x.g.derivative().scale(Fraction(lam)), x.g])
+    lam = as_weight(lam)
+    return DiffOp(lam, lam, [x.g.derivative().scale(lam), x.g])
 
 
 def super_lie_op(x: ContactField, lam) -> SuperDiffOp:
@@ -309,7 +333,7 @@ def super_lie_op(x: ContactField, lam) -> SuperDiffOp:
     X_G + lam G' rewrites to  mult(lam G') + mult(b) eta - mult(a + b*theta) eta^2
     via d_x = -eta^2 and d_theta = eta - theta eta^2.
     """
-    lam = Fraction(lam)
+    lam = as_weight(lam)
     c0 = x.generator.derivative_x().scale(lam)
     c1 = x.b
     c2 = -(x.a + x.b.times_theta())

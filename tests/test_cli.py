@@ -285,9 +285,11 @@ def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_conventio
 
 @pytest.fixture
 def fresh_certificates(monkeypatch):
-    """Deformation certificates and action tables built inside the test only."""
+    """Deformation certificates, action tables and commutation tables built
+    inside the test only."""
     monkeypatch.setattr(cohomology, "_BLOCK_CACHES", {})
-    caches = (deformation._certified_family, deformation._undeformed_window)
+    caches = (deformation._certified_family, deformation._undeformed_window,
+              operators._cached_commutation_tables)
     for cache in caches:
         cache.cache_clear()
     yield

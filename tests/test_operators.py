@@ -5,7 +5,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symdef import operators
+from symdef.catalog import cocycle_A, cocycle_Yprime
 from symdef.geometry import (
     CLASSICAL,
     SUPER,
@@ -17,7 +21,7 @@ from symdef.geometry import (
     sl2_basis,
     vf_bracket,
 )
-from symdef.kernel import UsageError
+from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
 from symdef.operators import (
     DiffOp,
     GradedOp,
@@ -25,8 +29,10 @@ from symdef.operators import (
     apply,
     compose,
     lie_derivative_op,
+    lie_op,
     principal_symbol,
     super_lie_derivative_op,
+    super_lie_op,
     supercommutator,
     undeformed_action,
 )
@@ -336,3 +342,128 @@ class TestGradedOp:
                 bracket = contact_bracket(x, y)
                 rhs = undeformed_action(bracket, SUPER, delta, kmax)
                 assert lhs == rhs
+
+
+# (call, the value it must name): a float or bool weight would otherwise be
+# read as a binary expansion (0.1 -> 3602879701896397/36028797018963968) or
+# as 0/1.
+INEXACT_WEIGHTS = [
+    (lambda: DiffOp(0.1, 0, [[1]]), "0.1"),
+    (lambda: DiffOp(0, True, [[1]]), "True"),
+    (lambda: SuperDiffOp(0.5, 0.5), "0.5"),
+    (lambda: lie_op(sl2_basis()[0], 0.1), "0.1"),
+    (lambda: lie_op(sl2_basis()[1], False), "False"),
+    (lambda: super_lie_op(osp_basis()[0], 0.25), "0.25"),
+    (lambda: super_lie_op(osp_basis()[1], True), "True"),
+    (lambda: cocycle_A(0.1), "0.1"),
+    (lambda: cocycle_Yprime(True), "True"),
+    (lambda: Poly([True]), "True"),
+    (lambda: Poly([1, False]), "False"),
+    (lambda: Poly([Q(1)]).scale(True), "True"),
+]
+
+EXACT_WEIGHTS = [
+    (lambda: DiffOp(1, Q(1, 2), [[1]]), (Q(1), Q(1, 2))),
+    (lambda: SuperDiffOp(Q(-3, 4), 2), (Q(-3, 4), Q(2))),
+    (lambda: lie_op(sl2_basis()[2], Q(5, 3)), (Q(5, 3), Q(5, 3))),
+    (lambda: super_lie_op(osp_basis()[3], -1), (Q(-1), Q(-1))),
+    (lambda: cocycle_A(Q(1, 3)).images[0], (Q(1, 3), Q(1, 3))),
+    (lambda: cocycle_Yprime(2).images[4], (Q(2), Q(2))),
+]
+
+
+class TestExactWeights:
+    @pytest.mark.parametrize("call, named", INEXACT_WEIGHTS,
+                             ids=[f"inexact-{i}" for i in range(len(INEXACT_WEIGHTS))])
+    def test_float_or_bool_is_refused_by_name(self, call, named):
+        with pytest.raises(UsageError, match=named):
+            call()
+
+    @pytest.mark.parametrize("call, block", EXACT_WEIGHTS,
+                             ids=[f"exact-{i}" for i in range(len(EXACT_WEIGHTS))])
+    def test_int_and_fraction_are_kept(self, call, block):
+        op = call()
+        assert (op.lam, op.mu) == block
+        assert type(op.lam) is Q and type(op.mu) is Q
+
+    def test_int_coefficients_become_fractions(self):
+        assert Poly([0, 2, 0]).coeffs == (Q(0), Q(2))
+        assert all(type(c) is Q for c in Poly([3, -1]).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Reuse of the commutation tables in _compose
+# ---------------------------------------------------------------------------
+
+EVEN = ParamAlgebra(("a", "c"), ())
+SUPER_PARAMS = ParamAlgebra(("a",), ("b",))
+SMALL = st.integers(-2, 2)
+
+
+def _scalar(draw, algebra):
+    """A Fraction, or with an algebra a ParamScalar of up to two terms."""
+    value = Q(draw(SMALL), draw(st.sampled_from((1, 1, 2, 3))))
+    if algebra is None:
+        return value
+    out = ParamScalar.const(value)
+    for name in draw(st.lists(st.sampled_from(algebra.even + algebra.odd), max_size=2)):
+        out = out + ParamScalar.symbol(algebra, name) * Q(draw(SMALL))
+    return out
+
+
+def _operator(draw, flavor, algebra, lam, mu):
+    def poly():
+        return Poly([_scalar(draw, algebra) for _ in range(draw(st.integers(0, 3)))])
+
+    order = draw(st.integers(0, 3))
+    if flavor == CLASSICAL:
+        return DiffOp(lam, mu, [poly() for _ in range(order + 1)])
+    return SuperDiffOp(lam, mu, [SuperPoly(poly(), poly()) for _ in range(order + 1)])
+
+
+class TestCommutationTableReuse:
+    """``_compose`` keeps the commutation tables of parameter-free
+    coefficients across calls; a warm cache must give what a cold one
+    gives, and both what applying the two operators in turn gives."""
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_warm_cache_changes_no_result(self, data):
+        flavor = data.draw(st.sampled_from((CLASSICAL, SUPER)))
+        parametric = data.draw(st.booleans())
+        algebra = (EVEN if flavor == CLASSICAL else SUPER_PARAMS) if parametric else None
+        lam, nu, mu = Q(1, 2), Q(-1), Q(2, 3)
+        a = _operator(data.draw, flavor, algebra, nu, mu)
+        b = _operator(data.draw, flavor, algebra, lam, nu)
+        cache = operators._cached_commutation_tables
+        cache.cache_clear()
+        cold = operators._compose(a, b)
+        warm = operators._compose(a, b)
+        assert cold == warm
+        probes = ([Poly.x_power(n) for n in range(5)] if flavor == CLASSICAL
+                  else X_THETA_PROBES)
+        for f in probes:
+            assert cold.apply_to(f) == a.apply_to(b.apply_to(f))
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+        if a and any(r and not r.has_params() for r in b.coeffs):
+            assert info.hits  # the warm call read the tables kept by the cold one
+
+    def test_cache_is_bounded(self):
+        cache = operators._cached_commutation_tables
+        cache.cache_clear()
+        one = DiffOp.identity(0)
+        for n in range(cache.cache_info().maxsize + 10):
+            operators._compose(one, DiffOp.multiplication(Poly.x_power(n), 0, 0))
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+        cache.cache_clear()
+
+    def test_parametric_coefficients_are_not_kept(self):
+        cache = operators._cached_commutation_tables
+        cache.cache_clear()
+        a = ParamScalar.symbol(EVEN, "a")
+        op = DiffOp(0, 0, [Poly([a]), Poly([1])])
+        operators._compose(op, op)
+        assert cache.cache_info().currsize == 1  # the constant 1 only
+        cache.cache_clear()
