@@ -21,22 +21,27 @@ README_SPEC = {"flavor": "classical", "m": 3, "window": 8,
 CASES = [
     ("cohomology_dim_sl2_degree2.json",
      ["cohomology-dim", "--algebra", "sl2", "--lambda=-1/2", "--mu=3/2", "--degree", "2",
-      "--bounds", "6,16"]),
+      "--bounds", "6,16"], 0),
     ("cohomology_dim_osp12_degree1.json",
      ["cohomology-dim", "--algebra", "osp12", "--lambda=-1", "--mu=3/2", "--degree", "1",
-      "--bounds", "5,12"]),
+      "--bounds", "5,12"], 0),
     ("cohomology_dim_sl2_degree1.json",
      ["cohomology-dim", "--algebra", "sl2", "--lambda=1/3", "--mu=2/3", "--degree", "1",
-      "--bounds", "10,24"]),
-    ("obstruction_classical_m3.json", ["obstruction", "--flavor", "classical", "--m", "3"]),
-    ("obstruction_super_m2.json", ["obstruction", "--flavor", "super", "--m", "2"]),
-    ("obstruction_super_m3.json", ["obstruction", "--flavor", "super", "--m", "3"]),
-    ("obstruction_classical_m5.json", ["obstruction", "--flavor", "classical", "--m", "5"]),
-    ("verify_cocycle_phi2.json", ["verify-cocycle", "--id", "Phi:k=2"]),
-    ("flat_deform_readme.json", ["flat-deform", "--spec", "spec.json"]),
+      "--bounds", "10,24"], 0),
+    ("obstruction_classical_m3.json", ["obstruction", "--flavor", "classical", "--m", "3"], 0),
+    ("obstruction_super_m2.json", ["obstruction", "--flavor", "super", "--m", "2"], 0),
+    ("obstruction_super_m3.json", ["obstruction", "--flavor", "super", "--m", "3"], 0),
+    ("obstruction_classical_m5.json", ["obstruction", "--flavor", "classical", "--m", "5"], 0),
+    ("verify_cocycle_phi2.json", ["verify-cocycle", "--id", "Phi:k=2"], 0),
+    ("flat_deform_readme.json", ["flat-deform", "--spec", "spec.json"], 0),
+    ("cohomology_dim_osp12_degree2.json",
+     ["cohomology-dim", "--algebra", "osp12", "--lambda=-1", "--mu=3/2", "--degree", "2"], 0),
+    ("cohomology_dim_osp12_degree2_unstable.json",
+     ["cohomology-dim", "--algebra", "osp12", "--lambda=-1/2", "--mu=1", "--degree", "2",
+      "--bounds", "0,0"], 2),
 ]
 
-TEXT_CASES = [(name.replace(".json", ".txt"), argv) for name, argv in CASES
+TEXT_CASES = [(name.replace(".json", ".txt"), argv, code) for name, argv, code in CASES
               if name in ("obstruction_classical_m3.json", "verify_cocycle_phi2.json")]
 
 
@@ -47,17 +52,18 @@ def spec_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_json_report_matches_golden(name, argv, spec_dir):
+@pytest.mark.parametrize("name,argv,exit_code", CASES, ids=[name for name, _, _ in CASES])
+def test_json_report_matches_golden(name, argv, exit_code, spec_dir):
     report, code = run(argv + ["--format", "json"])
-    assert code == 0
+    assert code == exit_code
     assert render(report, "json") + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,argv", TEXT_CASES, ids=[name for name, _ in TEXT_CASES])
-def test_text_report_matches_golden(name, argv):
+@pytest.mark.parametrize("name,argv,exit_code", TEXT_CASES,
+                         ids=[name for name, _, _ in TEXT_CASES])
+def test_text_report_matches_golden(name, argv, exit_code):
     report, code = run(argv)
-    assert code == 0
+    assert code == exit_code
     assert render(report, "text") + "\n" == (GOLDEN / name).read_text(encoding="utf-8")
 
 
