@@ -179,8 +179,9 @@ def _load_spec(path: str) -> DeformationSpec:
 
 
 def _cmd_integrability(args) -> tuple[dict, str]:
-    from .deformation import (DeformationSpec, build_infinitesimal, check_published_conditions,
-                              derived_condition_verdicts)
+    from .deformation import (ConditionVerdict, DeformationSpec, build_infinitesimal,
+                              check_published_conditions, derived_condition_verdicts,
+                              obstruction_classes)
 
     spec = _load_spec(args.spec)
     if spec.assignment is None:
@@ -188,9 +189,14 @@ def _cmd_integrability(args) -> tuple[dict, str]:
     _require_resonant_band(spec, "integrability", "spec.m")
     formal = build_infinitesimal(DeformationSpec(spec.flavor, spec.delta, spec.window))
     published = check_published_conditions(spec)
-    derived = derived_condition_verdicts(formal, spec, _parse_bounds(args.bounds))
+    report = obstruction_classes(formal, _parse_bounds(args.bounds))
+    # the conditions are evidence only if every block was decomposed and the
+    # decompositions reassemble the defect exactly, as in `obstruction`
+    checked = report.verdict == "derived" and report.verify_reassembly(formal)
+    derived = {d.k: d for d in derived_condition_verdicts(report, spec)}
     per_k = []
-    for pub, der in zip(published, derived):
+    for pub in published:
+        der = derived.get(pub.k, ConditionVerdict(pub.k, None, None, None))
         per_k.append(
             {
                 "k": pub.k,
@@ -202,7 +208,7 @@ def _cmd_integrability(args) -> tuple[dict, str]:
                 "derived_satisfied": der.satisfied,
             }
         )
-    all_ok = all(d.satisfied for d in derived)
+    all_ok = all(d.satisfied for d in derived.values()) if checked else None
     result = {
         "spec": spec.to_json(),
         "conditions": per_k,
@@ -210,6 +216,10 @@ def _cmd_integrability(args) -> tuple[dict, str]:
         "published_all_satisfied": all(p.satisfied for p in published),
         "note": "exit verdict follows the engine-derived conditions",
     }
+    if not checked:
+        result["note"] = ("no verdict: the obstruction classes were not all derived and "
+                          "re-checked within bounds")
+        return result, "inconclusive"
     return result, "verified" if all_ok else "falsified"
 
 

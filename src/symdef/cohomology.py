@@ -32,8 +32,7 @@ hold D times the action (one block denominator D) and the differential's
 table T times its coefficients, so one builder (``_differential``) returns
 s = D*T times each column.  Ranks read those columns as they are; a solve
 scales its right-hand side by s too.  ``cohomology_dim`` ranks only the
-critical weight key, at the bounds and at the bumped bounds, building each
-column once.
+critical weight key, once at the bounds and once at the bumped bounds.
 
 Cochains of degrees 0, 1 and 2 are one class, ``Cochain``, with one image
 per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
@@ -73,6 +72,7 @@ from .kernel import (
     ParamScalar,
     SolvedSystem,
     UsageError,
+    as_weight,
     matrix_rank,
     scalar_as_fraction,
 )
@@ -509,11 +509,10 @@ _BLOCK_CACHES: dict[tuple, BlockCache] = {}
 
 
 def block_cache(algebra: str, lam, mu) -> BlockCache:
-    key = (algebra, Fraction(lam), Fraction(mu))
+    key = (algebra, as_weight(lam), as_weight(mu))
     cache = _BLOCK_CACHES.get(key)
     if cache is None:
-        cache = BlockCache(algebra, Fraction(lam), Fraction(mu))
-        _BLOCK_CACHES[key] = cache
+        cache = _BLOCK_CACHES[key] = BlockCache(*key)
     return cache
 
 
@@ -601,8 +600,8 @@ def _differential(cache: BlockCache, table: tuple[int, dict], coords) -> dict:
     """Coordinates {(output key, monomial): value} of s times d applied to the
     cochain with coordinates [((slot, monomial), value)], d given by its
     _ce_table (T, terms) and s = D*T (D = ``cache.den``): integers for integer
-    coordinates.  Nothing is truncated, so a column does not depend on the
-    bounds its basis cochain was enumerated under."""
+    coordinates.  Nothing is truncated: a column is the whole image of its
+    basis cochain, whatever bounds that cochain was enumerated under."""
     identity, terms = cache.den, table[1]
     col: dict = {}
     for (slot, mon), value in coords:
@@ -620,22 +619,19 @@ def _differential(cache: BlockCache, table: tuple[int, dict], coords) -> dict:
     return col
 
 
-def _differential_columns(cache: BlockCache, degree: int, basis: list,
-                          parity: int) -> tuple[int, list[dict]]:
-    """(s, columns): s times the coordinates of d^degree on each basis
-    cochain, {(output key, monomial): int}, with s = D*T (``_differential``).
+def _differential_columns(cache: BlockCache, degree: int, bounds: BoundsSpec,
+                          key: int) -> tuple[list, int, list[dict]]:
+    """(basis, s, columns) of the bounded slice of C^degree at weight key
+    `key` (``_enumerate_cochain_basis``): s times the coordinates of d^degree
+    on each basis cochain, {(output key, monomial): int}, with s = D*T
+    (``_differential``) and the parity ``key_parity(key)``.
 
     Agreement with the typed d0/d1/d2 is pinned by tests."""
-    table = _ce_table(cache.ctx.name, degree, parity)
-    return cache.den * table[0], [
+    basis = _enumerate_cochain_basis(cache, degree, bounds, key)
+    table = _ce_table(cache.ctx.name, degree, cache.ctx.key_parity(key))
+    return basis, cache.den * table[0], [
         _differential(cache, table, ((((None, item) if degree == 0 else item), 1),))
         for item in basis]
-
-
-def _restrict(basis: list, cols: list[dict], subset: list) -> list[dict]:
-    """The columns, one per basis item, of the items in `subset`."""
-    inside = set(subset)
-    return [col for item, col in zip(basis, cols) if item in inside]
 
 
 def _rank(cols: list[dict], skip=()) -> int:
@@ -698,8 +694,7 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
     s * [lead | d^degree] at one weight key, s the scale of the integer
     columns (``_differential``); right-hand sides are scaled by s too, so
     solutions are those of [lead | d^degree]."""
-    basis = _enumerate_cochain_basis(cache, degree, bounds, key)
-    s, cols = _differential_columns(cache, degree, basis, cache.ctx.key_parity(key))
+    basis, s, cols = _differential_columns(cache, degree, bounds, key)
     if lead is not None:
         cols.insert(0, {k: s * v for k, v in lead.items()})
     by_key: dict = {}  # the sparse rows of the slice system, one per row key
@@ -824,8 +819,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
     keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
     boundary_cols = []  # scaled by s, which leaves every span and rank alone
     for key in keys:
-        basis = _enumerate_cochain_basis(cache, degree, bounds, key)
-        boundary_cols.extend(_differential_columns(cache, degree, basis, parity)[1])
+        boundary_cols.extend(_differential_columns(cache, degree, bounds, key)[2])
     return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
 
 
@@ -854,66 +848,40 @@ def critical_weight_key(lam, mu) -> Optional[int]:
     return int(key) if key.denominator == 1 else None
 
 
-def _dimension_sweep(algebra: str, lam, mu, degree: int,
-                     bounds: BoundsSpec) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-weight truncated dimensions at `bounds` and at ``bounds.bumped()``,
-    ranked at the critical key w* only: by Cartan's formula theta_h =
-    d i_h + i_h d the even Euler element h acts on the slice of key w by a
-    scalar that vanishes only at w*, so off w* every cocycle c is d(i_h c)
-    over that scalar, with (i_h c)(X) = c(h, X) no larger than c.  The key
-    fixes the parity, so w* is one slice (empty in sl(2) when w* is odd).
-
-    At bounds B, w* contributes the kernel of d^degree on the bounded slice
-    less the part of that slice hit by d^(degree-1) of the witnesses within
-    B.bumped().  Columns are never truncated, so each is built once, at the
-    larger bounds of the ladder, and the ranks at B are taken on the subset.
-    The kernel at B (inside the bumped one) is examined only where the
-    bumped kernel is nonzero, and an image only where its kernel is."""
-    per_weight: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    key = critical_weight_key(lam, mu)
-    if key is None:
-        return per_weight
-    cache = block_cache(algebra, lam, mu)
-    parity = cache.ctx.key_parity(key)
-    ladder = (bounds, bounds.bumped(), bounds.bumped().bumped())
-    slices = [_enumerate_cochain_basis(cache, degree, b, key) for b in ladder[:2]]
-    cols = _differential_columns(cache, degree, slices[1], parity)[1]
-    kers = [0, len(slices[1]) - _rank(cols)]
-    if kers[1] and slices[0]:
-        kers[0] = len(slices[0]) - _rank(_restrict(slices[1], cols, slices[0]))
-    if not any(kers):
-        return per_weight
-    witnesses = [_enumerate_cochain_basis(cache, degree - 1, b, key) for b in ladder[1:]]
-    witness_cols = _differential_columns(cache, degree - 1, witnesses[1], parity)[1]
-    for level in (0, 1):
-        if not kers[level]:
-            continue
-        # dim(im d intersect bounded slice) = rank(B) - rank(B outside)
-        image_cols = _restrict(witnesses[1], witness_cols, witnesses[level])
-        image = 0
-        if image_cols:
-            image = _rank(image_cols) - _rank(image_cols, skip=slices[level])
-        if kers[level] - image:
-            per_weight[level][key] = kers[level] - image
-    return per_weight
+def _critical_dimension(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int) -> int:
+    """Truncated dim H^degree at weight key `key` and `bounds`: the kernel of
+    d^degree on the bounded slice less the part of that slice hit by
+    d^(degree-1) of the witnesses within ``bounds.bumped()``.  Columns are
+    never truncated, so that part has dimension rank(image) less the rank
+    of the image rows outside the slice."""
+    basis, _, cols = _differential_columns(cache, degree, bounds, key)
+    image = _differential_columns(cache, degree - 1, bounds.bumped(), key)[2]
+    return len(basis) - _rank(cols) - (_rank(image) - _rank(image, skip=basis))
 
 
 def cohomology_dim(weights, degree: int, algebra: str,
                    bounds: Optional[BoundsSpec] = None) -> DimResult:
     """Truncated dim H^degree on one block, with a stabilization flag (the
-    bumped bounds agree).  Only the critical Euler-weight component w* can
-    be nonzero, so only it is computed and examined (``_dimension_sweep``),
-    unless it holds no cochain (an odd w* in sl(2)).
+    bumped bounds agree).
+
+    Only the critical key w* is ranked (``_critical_dimension``): by
+    Cartan's formula theta_h = d i_h + i_h d the even Euler element h acts on
+    the slice of key w by a scalar that vanishes only at w*, so off w* every
+    cocycle c is d(i_h c) over that scalar, with (i_h c)(X) = c(h, X) no
+    larger than c.  The key fixes the parity, so w* is one slice; it holds
+    no cochain when 2(mu - lambda) is not an integer or, in sl(2), when w*
+    is odd, and then nothing is examined.
     """
     if degree not in (1, 2):
         raise UsageError("cohomology_dim supports degrees 1 and 2")
-    lam, mu = (Fraction(weights[0]), Fraction(weights[1]))
+    ctx = get_algebra(algebra)
+    lam, mu = as_weight(weights[0]), as_weight(weights[1])
     if bounds is None:
         bounds = default_dimension_bounds(lam, mu)
-    first, second = _dimension_sweep(algebra, lam, mu, degree, bounds)
-    dim = sum(first.values())
-    stabilized = dim == sum(second.values())
     key = critical_weight_key(lam, mu)
-    empty = key is None or (get_algebra(algebra).flavor == CLASSICAL and key & 1)
-    examined = () if empty else (key,)
-    return DimResult(dim=dim, stabilized=stabilized, per_weight=first, examined_keys=examined)
+    if key is None or (ctx.flavor == CLASSICAL and key & 1):
+        return DimResult(dim=0, stabilized=True, per_weight={}, examined_keys=())
+    cache = block_cache(algebra, lam, mu)
+    dim, bumped = (_critical_dimension(cache, degree, b, key) for b in (bounds, bounds.bumped()))
+    return DimResult(dim=dim, stabilized=dim == bumped, per_weight={key: dim} if dim else {},
+                     examined_keys=(key,))

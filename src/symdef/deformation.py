@@ -62,6 +62,7 @@ from .kernel import (
     ParamAlgebra,
     ParamScalar,
     UsageError,
+    as_weight,
     format_rational,
     parse_rational,
 )
@@ -115,7 +116,7 @@ class DeformationSpec:
     def __post_init__(self):
         if self.flavor not in (CLASSICAL, SUPER):
             raise UsageError("flavor must be 'classical' or 'super'")
-        self.delta = Fraction(self.delta)
+        self.delta = as_weight(self.delta)
         if self.window < 1:
             raise UsageError("window must be positive")
         if self.resonant and self.flavor == CLASSICAL:
@@ -656,11 +657,11 @@ def check_published_conditions(spec: DeformationSpec) -> list[ConditionVerdict]:
     return out
 
 
-def derived_condition_verdicts(action_formal: DeformedAction, spec: DeformationSpec,
-                               bounds: Optional[BoundsSpec] = None) -> list[ConditionVerdict]:
-    """Evaluate the engine-derived generators at the spec's parameter point."""
+def derived_condition_verdicts(report: ObstructionReport,
+                               spec: DeformationSpec) -> list[ConditionVerdict]:
+    """Evaluate the engine-derived generators of an obstruction report (one
+    per decomposed block) at the spec's parameter point."""
     assignment = _complete_even_assignment(spec)
-    report = obstruction_classes(action_formal, bounds)
     out = []
     for entry in report.blocks:
         value = entry.class_coeff.substitute(assignment)

@@ -23,6 +23,7 @@ from .kernel import (
     ParamScalar,
     Scalar,
     UsageError,
+    as_weight,
     format_rational,
     scalar_involute,
     scalar_str,
@@ -501,7 +502,7 @@ class Density:
             raise UsageError("classical densities carry plain polynomials")
         if flavor == SUPER and not isinstance(value, SuperPoly):
             raise UsageError("super densities carry superfunctions")
-        self.weight = Fraction(weight)
+        self.weight = as_weight(weight)
         self.value = value
         self.flavor = flavor
 

@@ -40,12 +40,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_weight(value) -> Fraction:
-    """A density weight as an exact rational.  A float or bool is refused:
-    ``Fraction(0.1)`` is the binary expansion of 0.1, not 1/10."""
+    """A density weight (or any exact constant) as a rational.  A float or
+    bool is refused: ``Fraction(0.1)`` is the binary expansion of 0.1, not
+    1/10, and ``True`` is not a number here."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
-        raise UsageError(f"weight {value!r} is not exact: pass an int or a Fraction")
+        raise UsageError(f"{value!r} is not exact: pass an int or a Fraction")
     return Fraction(value)
 
 
@@ -176,7 +177,7 @@ class ParamScalar:
 
     @staticmethod
     def const(value: Union[int, Fraction]) -> "ParamScalar":
-        value = Fraction(value)
+        value = as_weight(value)
         return ParamScalar(None, {_ONE_MON: value} if value else {})
 
     @staticmethod

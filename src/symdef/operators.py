@@ -379,23 +379,20 @@ def monomial_coords(op: AnyOp) -> dict[tuple, Scalar]:
     return out
 
 
-@lru_cache(maxsize=1024)
 def _leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     """d_x^i o mult(x^n) = sum_s C(i,s) n(n-1)...(n-s+1) mult(x^(n-s)) d_x^(i-s),
-    as ((coefficient monomial, power, value), ...) for u = (n,).  Cached:
-    every block's action tables expand the same few (i, u)."""
+    as ((coefficient monomial, power, value), ...) for u = (n,)."""
     n = u[0]
     return tuple(((n - s,), i - s, comb(i, s) * perm(n, s)) for s in range(min(i, n) + 1))
 
 
-@lru_cache(maxsize=1024)
 def _eta_leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     """eta^i o mult(x^n theta^eps) in eta-normal form, for u = (n, eps).
 
     Since eta^2 = -d_x, eta^(2h) o mult(u) = sum_s (-1)^s C(h,s) mult(u^(s))
     eta^(2h-2s); an odd power applies eta o mult(v) = mult(eta v) + mult(v^) eta
     once more, with eta(x^n) = -n x^(n-1) theta, eta(x^n theta) = x^n and
-    v^ = (-1)^eps v.  Cached like ``_leibniz``."""
+    v^ = (-1)^eps v."""
     n, eps = u
     h, odd = divmod(i, 2)
     out = []
@@ -490,7 +487,7 @@ class GradedOp:
 
     def __init__(self, flavor: str, delta, kmax: int, blocks=None):
         self.flavor = flavor
-        self.delta = Fraction(delta)
+        self.delta = as_weight(delta)
         self.kmax = kmax
         self.blocks: dict[tuple[int, int], AnyOp] = {}
         for (j, i), op in (blocks or {}).items():

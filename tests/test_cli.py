@@ -13,7 +13,7 @@ import symdef.cli as cli
 import symdef.cohomology as cohomology
 import symdef.deformation as deformation
 import symdef.operators as operators
-from symdef.cli import ENGINE_FAULT, FALSIFIED, USAGE, VERIFIED, main, render, run
+from symdef.cli import ENGINE_FAULT, FALSIFIED, INCONCLUSIVE, USAGE, VERIFIED, main, render, run
 from symdef.cohomology import Cochain1
 from symdef.geometry import Poly
 from symdef.kernel import InternalError
@@ -118,6 +118,26 @@ class TestIntegrability:
         path = write_spec(tmp_path, {"flavor": "classical", "m": 3})
         _, code = run(["integrability", "--spec", path])
         assert code == USAGE
+
+    @pytest.mark.parametrize("patch", ["no-decomposition", "inexact-reassembly"])
+    def test_unchecked_conditions_give_no_verdict(self, tmp_path, monkeypatch, patch):
+        """Without a derived report whose reassembly is exact there is no
+        evidence: integrability exits 2, as obstruction does, at a point
+        that satisfies the conditions and at one that violates them."""
+        if patch == "no-decomposition":
+            monkeypatch.setattr(deformation, "decompose_cocycle",
+                                lambda c, family, bounds: cohomology.NoSolutionWithinBounds(bounds))
+        else:
+            monkeypatch.setattr(deformation.ObstructionReport, "verify_reassembly",
+                                lambda self, action: False)
+        for params in ({"a0": "1", "a2": "3", "b2": "1", "c2": "3"},
+                       {"a0": "1", "a2": "1", "b2": "1", "c2": "0"}):
+            path = write_spec(tmp_path, {"flavor": "classical", "m": 3, "params": params})
+            report, code = run(["integrability", "--spec", path])
+            assert (code, report["verdict"]) == (INCONCLUSIVE, "inconclusive")
+            assert report["result"]["derived_all_satisfied"] is None
+        _, code = run(["obstruction", "--flavor", "classical", "--m", "3"])
+        assert code == INCONCLUSIVE
 
 
 POINT = {"a0": "1", "a2": "3", "b2": "1", "c2": "3"}

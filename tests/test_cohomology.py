@@ -41,7 +41,6 @@ from symdef.cohomology import (
     _cochain_coords,
     _differential,
     _differential_columns,
-    _dimension_sweep,
     _enumerate_cochain_basis,
     critical_weight_key,
 )
@@ -241,8 +240,7 @@ class TestWeightSlicing:
                 for key in range(-5, 5):
                     if algebra == OSP12 and key & 1 != parity:
                         continue  # the slice at this key holds the other parity
-                    basis = _enumerate_cochain_basis(cache, degree, bounds, key)
-                    s, cols = _differential_columns(cache, degree, basis, parity)
+                    basis, s, cols = _differential_columns(cache, degree, bounds, key)
                     for item, col in zip(basis, cols):
                         want = {k: s * v for k, v in typed_column(cache, degree, item,
                                                                   parity).items()}
@@ -601,6 +599,12 @@ class TestCohomologyDim:
         r = cohomology_dim((Q(0), Q(5, 3)), 1, SL2)
         assert (r.dim, r.stabilized) == (0, True)
 
+    @pytest.mark.parametrize("weights", [(Q(0), Q(1, 3)), (Q(0), Q(1))])
+    def test_unknown_algebra_is_refused(self, weights):
+        """Also where 2(mu - lambda) is not an integer and nothing is ranked."""
+        with pytest.raises(UsageError, match="unknown algebra"):
+            cohomology_dim(weights, 1, "gl2")
+
 
 def oracle_slices(ctx, degree, bounds, parity):
     """{weight key: basis items} of the bounded slices of C^degree of one
@@ -707,10 +711,9 @@ SWEEP_CASES = [
 
 
 class TestDimensionSweep:
-    """The one stabilization sweep of cohomology_dim against a recomputation
-    at the bounds and at the bumped bounds with typed columns and dense
-    elimination over every weight key, which must find nothing off the
-    critical key."""
+    """cohomology_dim at the bounds and at the bumped bounds against a
+    recomputation with typed columns and dense elimination over every weight
+    key, which must find nothing off the critical key."""
 
     @pytest.mark.parametrize("algebra,lam,mu,degree,bounds", SWEEP_CASES,
                              ids=[f"{c[0]}-{c[1]}-{c[2]}-d{c[3]}" for c in SWEEP_CASES])
@@ -720,8 +723,10 @@ class TestDimensionSweep:
         second, second_kernels = oracle_dimensions(cache, degree, bounds.bumped(), typed)
         critical = critical_weight_key(lam, mu)
         assert set(first) | set(second) <= {critical}
-        assert _dimension_sweep(algebra, lam, mu, degree, bounds) == (first, second)
         result = cohomology_dim((lam, mu), degree, algebra, bounds)
+        assert result.per_weight == first
+        assert cohomology_dim((lam, mu), degree, algebra, bounds.bumped()).per_weight == second
+        assert result.stabilized == (sum(first.values()) == sum(second.values()))
         # a key is examined only where the algebra has cochains: not an odd
         # one in sl(2)
         has_cochains = critical is not None and (algebra == OSP12 or critical % 2 == 0)
@@ -732,7 +737,7 @@ class TestDimensionSweep:
         if degree == 2:
             assert first != second
             # a key whose kernel is 0 at the bounds but not at the bumped
-            # bounds: the image is taken on the bumped side only
+            # bounds
             assert any(not first_kernels.get(key) and second_kernels[key] > 0
                        and key in first_kernels for key in second_kernels)
 
@@ -770,7 +775,7 @@ def typed_cochain(cache, degree, coords, parity):
 class TestEulerContraction:
     """Cartan's formula on the table path: d(i_h c) + i_h(d c) is the h-scalar
     (w - w*)/2 of the weight key w times c, which is what lets
-    ``_dimension_sweep`` rank the critical key w* only.  The table columns
+    ``cohomology_dim`` rank the critical key w* only.  The table columns
     are checked against the typed d0/d1/d2 on the same cochains."""
 
     @staticmethod

@@ -318,7 +318,8 @@ class TestConditionChecking:
             CLASSICAL, 3, params={"a0": 1, "a2": 3, "b2": 1, "c2": 3}
         )
         formal = build_infinitesimal(DeformationSpec(CLASSICAL, spec.delta, spec.window))
-        assert all(v.satisfied for v in derived_condition_verdicts(formal, spec))
+        report = obstruction_classes(formal)
+        assert all(v.satisfied for v in derived_condition_verdicts(report, spec))
 
 
 class TestVerifyHomomorphism:

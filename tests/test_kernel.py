@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdef.cohomology import SL2, BoundsSpec, block_cache, cohomology_dim
+from symdef.deformation import DeformationSpec
+from symdef.geometry import CLASSICAL, Density, Poly
 from symdef.kernel import (
     ParamAlgebra,
     ParamScalar,
@@ -16,6 +19,7 @@ from symdef.kernel import (
     matrix_rank,
     parse_rational,
 )
+from symdef.operators import GradedOp
 
 ALG = ParamAlgebra(even=("a0", "a2", "b2", "c2"), odd=("sb1", "sc1"))
 
@@ -312,3 +316,37 @@ class TestLinearSolve:
             assert got.nullspace() == want.nullspace()
             values = (x or []) + [v for vec in got.nullspace() for v in vec]
             assert all(type(v) is Q for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Exact weights at every library entry
+# ---------------------------------------------------------------------------
+
+# (entry point, call on one weight w, what it must give for an exact w): a
+# float would otherwise be read as its binary expansion (0.1 ->
+# 3602879701896397/36028797018963968) and a bool as 0 or 1.
+WEIGHT_ENTRIES = [
+    ("block_cache", lambda w: block_cache(SL2, w, w).lam, Q),
+    ("Density", lambda w: Density(w, Poly([1]), CLASSICAL).weight, Q),
+    ("GradedOp", lambda w: GradedOp(CLASSICAL, w, 2).delta, Q),
+    ("DeformationSpec", lambda w: DeformationSpec(CLASSICAL, w, 8).delta, Q),
+    ("ParamScalar.const", lambda w: ParamScalar.const(w).constant_value(), Q),
+    ("cohomology_dim", lambda w: cohomology_dim((w, w), 1, SL2, BoundsSpec(2, 4)).dim,
+     lambda w: 1),  # a diagonal sl(2) block has H^1 of dimension 1
+]
+
+
+class TestExactWeightEntries:
+    @pytest.mark.parametrize("inexact", [0.1, 0.5, True, False])
+    @pytest.mark.parametrize("name, call, _", WEIGHT_ENTRIES,
+                             ids=[row[0] for row in WEIGHT_ENTRIES])
+    def test_float_or_bool_is_refused_by_name(self, name, call, _, inexact):
+        with pytest.raises(UsageError, match=repr(inexact)):
+            call(inexact)
+
+    @pytest.mark.parametrize("exact", [3, -1, Q(1, 2), Q(-3, 4)])
+    @pytest.mark.parametrize("name, call, want", WEIGHT_ENTRIES,
+                             ids=[row[0] for row in WEIGHT_ENTRIES])
+    def test_int_and_fraction_are_kept(self, name, call, want, exact):
+        got = call(exact)
+        assert got == want(exact) and type(got) is type(want(exact))
