@@ -32,7 +32,7 @@ hold D times the action (one block denominator D) and the differential's
 table T times its coefficients, so one builder (``_differential``) returns
 s = D*T times each column.  Ranks read those columns as they are; a solve
 scales its right-hand side by s too.  ``cohomology_dim`` ranks only the
-critical weight key, once at the bounds and once at the bumped bounds.
+critical weight key, once, up to the threshold order where it is exact.
 
 Cochains of degrees 0, 1 and 2 are one class, ``Cochain``, with one image
 per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
@@ -99,8 +99,8 @@ class BoundsSpec:
     max_coefficient_degree: int
 
     def __post_init__(self):
-        if self.max_operator_order < 0 or self.max_coefficient_degree < 0:
-            raise UsageError("bounds must be non-negative")
+        if not all(type(v) is int and v >= 0 for v in vars(self).values()):
+            raise UsageError("bounds must be non-negative integers")
 
     def bumped(self) -> "BoundsSpec":
         return BoundsSpec(self.max_operator_order + 2, self.max_coefficient_degree + 2)
@@ -836,11 +836,6 @@ class DimResult:
     examined_keys: tuple
 
 
-def default_dimension_bounds(lam, mu) -> BoundsSpec:
-    n = 6 + math.ceil(abs(2 * (Fraction(mu) - Fraction(lam))))
-    return BoundsSpec(n, 2 * n + 4)
-
-
 def critical_weight_key(lam, mu) -> Optional[int]:
     """w* = -2(mu - lambda), the key where the Euler element acts by zero;
     None when 2(mu - lambda) is not an integer."""
@@ -861,8 +856,8 @@ def _critical_dimension(cache: BlockCache, degree: int, bounds: BoundsSpec, key:
 
 def cohomology_dim(weights, degree: int, algebra: str,
                    bounds: Optional[BoundsSpec] = None) -> DimResult:
-    """Truncated dim H^degree on one block, with a stabilization flag (the
-    bumped bounds agree).
+    """dim H^degree on one block: exact, and stabilized, when `bounds`
+    (default: all) hold the threshold slice; else truncated at `bounds`.
 
     Only the critical key w* is ranked (``_critical_dimension``): by
     Cartan's formula theta_h = d i_h + i_h d the even Euler element h acts on
@@ -871,17 +866,22 @@ def cohomology_dim(weights, degree: int, algebra: str,
     larger than c.  The key fixes the parity, so w* is one slice; it holds
     no cochain when 2(mu - lambda) is not an integer or, in sl(2), when w*
     is odd, and then nothing is examined.
+
+    The action keeps operator order; only orders n0 - 1 and n0 carry
+    cohomology, and up to order n0 the slice at w* reaches coefficient
+    degree 1 (README, "What a dimension verdict rests on").
     """
-    if degree not in (1, 2):
+    if type(degree) is not int or degree not in (1, 2):
         raise UsageError("cohomology_dim supports degrees 1 and 2")
     ctx = get_algebra(algebra)
     lam, mu = as_weight(weights[0]), as_weight(weights[1])
-    if bounds is None:
-        bounds = default_dimension_bounds(lam, mu)
     key = critical_weight_key(lam, mu)
     if key is None or (ctx.flavor == CLASSICAL and key & 1):
         return DimResult(dim=0, stabilized=True, per_weight={}, examined_keys=())
     cache = block_cache(algebra, lam, mu)
-    dim, bumped = (_critical_dimension(cache, degree, b, key) for b in (bounds, bounds.bumped()))
-    return DimResult(dim=dim, stabilized=dim == bumped, per_weight={key: dim} if dim else {},
+    n0 = -key // 2 if ctx.flavor == CLASSICAL else -key  # delta, 2 delta on osp(1|2)
+    covered = bounds is None or n0 < 0 or (
+        bounds.max_operator_order >= n0 and bounds.max_coefficient_degree >= 1)
+    dim = _critical_dimension(cache, degree, BoundsSpec(max(0, n0), 1) if covered else bounds, key)
+    return DimResult(dim=dim, stabilized=covered, per_weight={key: dim} if dim else {},
                      examined_keys=(key,))

@@ -80,6 +80,18 @@ class TestCohomologyDim:
         assert report["result"]["dim"] == 0 and report["result"]["stabilized"] is True
         assert report["result"]["examined_weight_keys"] == []
 
+    @pytest.mark.parametrize("weights,degree,bounds", [
+        (("-1", "3/2"), "1", "1,2"), (("-3", "7/2"), "1", "8,16"), (("-3", "7/2"), "2", "8,16"),
+    ])
+    def test_bounds_below_the_threshold_order_are_inconclusive(self, weights, degree, bounds):
+        """The threshold order N0 = 2 delta is 5 and 13; at these bounds the
+        truncated dimension is 0 in place of 2, 2 and 1, and it does not
+        move at the bumped bounds either."""
+        report, code = run(["cohomology-dim", "--algebra", "osp12", f"--lambda={weights[0]}",
+                            f"--mu={weights[1]}", "--degree", degree, "--bounds", bounds])
+        assert code == INCONCLUSIVE and report["verdict"] == "inconclusive"
+        assert report["result"]["dim"] == 0 and report["result"]["stabilized"] is False
+
 
 class TestIntegrability:
     def test_satisfied_point(self, tmp_path):

@@ -17,6 +17,7 @@ from symdef.cohomology import (
     Cochain1,
     Cochain2,
     Decomposition,
+    DimResult,
     NoSolutionWithinBounds,
     OSP12,
     SL2,
@@ -39,12 +40,21 @@ from symdef.cohomology import (
     _by_weight_key,
     _ce_table,
     _cochain_coords,
+    _critical_dimension,
     _differential,
     _differential_columns,
     _enumerate_cochain_basis,
     critical_weight_key,
 )
-from symdef.geometry import Poly, SuperPoly
+from symdef.geometry import (
+    CLASSICAL,
+    SUPER,
+    Density,
+    Poly,
+    SuperPoly,
+    density_action,
+    super_density_action,
+)
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
 from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
 from test_kernel import DenseReference
@@ -287,6 +297,23 @@ def assert_table_entry(cache, gen, mon):
     assert all(type(v) is int for _, v in got)
 
 
+def graded_piece_action(cache, gen, mon):
+    """{coefficient monomial: value} of the density action of generator
+    `gen` on the coefficient of `mon`, of order k, at weight delta - k, or
+    delta - k/2 on the superline (delta = mu - lambda)."""
+    delta, x = cache.mu - cache.lam, cache.ctx.basis[gen]
+    if cache.ctx.flavor == CLASSICAL:
+        d, k = mon
+        parts = {(): density_action(x, Density(delta - k, Poly.x_power(d), CLASSICAL)).value}
+    else:
+        d, eps, k = mon
+        value = SuperPoly.x_power(d, theta=bool(eps))
+        out = super_density_action(x, Density(delta - Q(k, 2), value, SUPER)).value
+        parts = {(0,): out.f0, (1,): out.f1}  # the theta-free and theta parts
+    return {(n,) + theta: part.coefficient(n) for theta, part in parts.items()
+            for n in range((part.degree or 0) + 1) if part.coefficient(n)}
+
+
 # one block per `dim-cold` benchmark stratum, at that stratum's bounds
 DIM_COLD_BLOCKS = [
     (SL2, Q(5, 3), Q(5, 3), BoundsSpec(10, 24)),
@@ -311,6 +338,10 @@ class TestActionTables:
         assert_table_entry(cache, gen % cache.ctx.dim, mon)
 
     def test_every_entry_at_benchmark_bounds(self):
+        """Each entry against the typed composition; it keeps the operator
+        order k (the eta-order on the superline), and its order-k part is
+        the density action on the monomial's coefficient at weight
+        delta - k (delta - k/2): the filtration behind ``cohomology_dim``."""
         checked = 0
         for algebra, lam, mu, bounds in DIM_COLD_BLOCKS:
             cache = BlockCache(algebra, lam, mu)
@@ -318,6 +349,10 @@ class TestActionTables:
             for mon in (m for k in keys for m in bounded_monomials(cache.ctx.flavor, bounds, k)):
                 for gen in range(cache.ctx.dim):
                     assert_table_entry(cache, gen, mon)
+                    entry, k = cache.act_monomial(gen, mon), mon[-1]
+                    assert all(m[-1] <= k for m, _ in entry), (algebra, gen, mon)
+                    top = {m[:-1]: Q(v, cache.den) for m, v in entry if m[-1] == k}
+                    assert top == graded_piece_action(cache, gen, mon), (algebra, gen, mon)
                     checked += 1
         # generators x monomials: (order + 1)(degree + 1), times 2 for theta
         assert checked == 3 * (3 * 11 * 25 + 7 * 17) + 5 * 2 * (4 * 9 + 6 * 13)
@@ -573,6 +608,22 @@ class TestDecomposition:
             decompose_cocycle(phi, family)
 
 
+def threshold_cases():
+    """(algebra, lam, mu, degree) for delta in -2..4 on sl(2) and -1..3 on
+    osp(1|2), in degrees 1 and 2, at lambda = 1/3 and at the lambda of the
+    resonant blocks: (1 - delta)/2, or 1/4 - delta/2 on osp(1|2), resonant
+    there when delta + 1/2 is an integer."""
+    out = []
+    for algebra, deltas in ((SL2, range(-2, 5)), (OSP12, (Q(n, 2) for n in range(-2, 7)))):
+        for delta in deltas:
+            resonant = Q(1, 2) - Q(delta, 2) if algebra == SL2 else Q(1, 4) - delta / 2
+            out.extend((algebra, lam, lam + delta, q) for lam in (resonant, Q(1, 3)) for q in (1, 2))
+    return out
+
+
+THRESHOLD_CASES = threshold_cases()
+
+
 class TestCohomologyDim:
     def test_diagonal_blocks_dimension_one(self):
         for lam in (Q(5, 3), Q(0), Q(1, 2)):
@@ -598,6 +649,66 @@ class TestCohomologyDim:
     def test_off_resonance_vanishes(self):
         r = cohomology_dim((Q(0), Q(5, 3)), 1, SL2)
         assert (r.dim, r.stabilized) == (0, True)
+
+    def test_bounds_missing_a_threshold_monomial_are_not_stabilized(self):
+        """delta = 0, so the threshold slice has order 0, but cap 0 leaves
+        out x at slot (1, 2)."""
+        assert not cohomology_dim((Q(-3), Q(-3)), 2, SL2, BoundsSpec(5, 0)).stabilized
+
+    @pytest.mark.parametrize("call", [
+        lambda: BoundsSpec(2.5, 4),
+        lambda: BoundsSpec(True, 4),
+        lambda: BoundsSpec(4, Q(8)),
+        lambda: BoundsSpec(-1, 4),
+        lambda: BoundsSpec(4, -1),
+        lambda: cohomology_dim((Q(0), Q(0)), True, SL2),
+        lambda: cohomology_dim((Q(0), Q(0)), 1.0, SL2),
+        lambda: cohomology_dim((Q(0), Q(0)), 3, SL2),
+    ], ids=["float-order", "bool-order", "fraction-degree", "negative-order",
+            "negative-degree", "bool-q", "float-q", "q-3"])
+    def test_inexact_or_negative_bounds_and_degrees_are_refused(self, call):
+        with pytest.raises(UsageError):
+            call()
+
+    @pytest.mark.parametrize("algebra,lam,mu,degree", THRESHOLD_CASES,
+                             ids=[f"{c[0]}-{c[1]}-{c[2]}-d{c[3]}" for c in THRESHOLD_CASES])
+    def test_threshold_against_full_slice(self, algebra, lam, mu, degree):
+        """The dimension equals ``_critical_dimension`` at bounds well past
+        the threshold order n0 = delta (2 delta on osp(1|2)).  Bounds are
+        stabilized exactly when they reach order n0 and coefficient degree
+        1, and always when delta < 0, where the dimension is 0."""
+        key = critical_weight_key(lam, mu)
+        n0 = -key // 2 if algebra == SL2 else -key
+        full = _critical_dimension(block_cache(algebra, lam, mu), degree,
+                                   BoundsSpec(max(0, n0) + 4, 2 * max(0, n0) + 12), key)
+        want = DimResult(full, True, {key: full} if full else {}, (key,))
+        assert cohomology_dim((lam, mu), degree, algebra) == want
+        if n0 < 0:
+            assert full == 0
+            assert cohomology_dim((lam, mu), degree, algebra, BoundsSpec(0, 0)) == want
+            return
+        assert cohomology_dim((lam, mu), degree, algebra, BoundsSpec(n0, 1)) == want
+        shorts = [(n0, 0)] + [(n0 - 1, 2 * n0 + 12)] * (n0 > 0)
+        for short in shorts:
+            assert not cohomology_dim((lam, mu), degree, algebra, BoundsSpec(*short)).stabilized
+
+    @pytest.mark.parametrize("algebra", [SL2, OSP12])
+    def test_threshold_slice_reaches_order_n0_and_coefficient_degree_1(self, algebra):
+        """Why coverage is two comparisons: for delta >= 0 the slice at w*
+        of order at most n0 has coefficient degrees at most 1, in degree q
+        and in the witness degree q - 1, and in degree q it has a monomial
+        of order n0 and one of coefficient degree 1."""
+        ctx = get_algebra(algebra)
+        for n0 in range(8):
+            key = -2 * n0 if algebra == SL2 else -n0
+            for q in (1, 2):
+                witnesses, cocycles = (
+                    [item if deg == 0 else item[1] for item in oracle_slices(
+                        ctx, deg, BoundsSpec(n0, 2 * n0 + 12), ctx.key_parity(key)).get(key, [])]
+                    for deg in (q - 1, q))
+                assert max(mon[0] for mon in witnesses) <= 1, (n0, q)
+                assert max(mon[0] for mon in cocycles) == 1, (n0, q)
+                assert max(mon[-1] for mon in cocycles) == n0, (n0, q)
 
     @pytest.mark.parametrize("weights", [(Q(0), Q(1, 3)), (Q(0), Q(1))])
     def test_unknown_algebra_is_refused(self, weights):
@@ -726,10 +837,19 @@ class TestDimensionSweep:
         result = cohomology_dim((lam, mu), degree, algebra, bounds)
         assert result.per_weight == first
         assert cohomology_dim((lam, mu), degree, algebra, bounds.bumped()).per_weight == second
-        assert result.stabilized == (sum(first.values()) == sum(second.values()))
         # a key is examined only where the algebra has cochains: not an odd
         # one in sl(2)
         has_cochains = critical is not None and (algebra == OSP12 or critical % 2 == 0)
+        # stabilized: the bounds hold the oracle slice at w* of order at
+        # most the threshold n0 = delta (2 delta on osp(1|2))
+        if has_cochains:
+            n0 = int((mu - lam) * (2 if algebra == OSP12 else 1))
+            p = cache.ctx.key_parity(critical)
+            threshold, within = (oracle_slices(cache.ctx, degree, b, p).get(critical, [])
+                                 for b in (BoundsSpec(n0, 2 * n0 + 12), bounds))
+            assert result.stabilized == (set(threshold) <= set(within))
+        else:
+            assert result.stabilized
         assert result.examined_keys == ((critical,) if has_cochains else ())
         if not first and not second:
             # no cochain at a critical key, or a kernel that the image fills

@@ -236,6 +236,44 @@ class TestSuperDensityAction:
                             assert lhs == rhs, (i, j, n, theta_part)
 
 
+class TestCasimir:
+    """The Casimir scalars behind the threshold order of ``cohomology_dim``.
+
+    On the weight-nu densities, C = X_0^2 - (X_-1 X_1 + X_1 X_-1)/2 acts by
+    nu(nu - 1); on the superline C + X_theta X_xtheta - X_xtheta X_theta
+    acts by nu(nu - 1/2) on x^n and on x^n theta.  Each generator maps x^n
+    (x^n theta) to a multiple of one monomial with a coefficient affine in n
+    and in nu, so both sides are multiples of the input with coefficients of
+    degree at most 2 in n and in nu: agreement on a 4 x 4 grid of (n, nu)
+    proves the identity for every n and nu."""
+
+    GRID = [(n, nu) for n in range(4) for nu in (Q(-3, 2), Q(0), Q(1, 3), Q(2))]
+
+    def test_sl2_scalar(self):
+        basis = sl2_basis()
+
+        def act(a, b, d):
+            return density_action(basis[a], density_action(basis[b], d)).value
+
+        for n, nu in self.GRID:
+            d = Density(nu, Poly.x_power(n), CLASSICAL)
+            casimir = act(1, 1, d) - (act(0, 2, d) + act(2, 0, d)).scale(Q(1, 2))
+            assert casimir == Poly.x_power(n).scale(nu * (nu - 1)), (n, nu)
+
+    def test_osp12_scalar(self):
+        basis = osp_basis()  # generators 1, theta, x, x theta, x^2
+
+        def act(a, b, d):
+            return super_density_action(basis[a], super_density_action(basis[b], d)).value
+
+        for n, nu in self.GRID:
+            for theta in (False, True):
+                d = Density(nu, SuperPoly.x_power(n, theta=theta), SUPER)
+                even = act(2, 2, d) - (act(0, 4, d) + act(4, 0, d)).scale(Q(1, 2))
+                casimir = even + act(1, 3, d) - act(3, 1, d)
+                assert casimir == d.value.scale(nu * (nu - Q(1, 2))), (n, nu, theta)
+
+
 class TestSuperPolyAlgebra:
     def test_theta_squared_structurally_zero(self):
         th = spoly([], [1])
