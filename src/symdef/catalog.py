@@ -15,15 +15,13 @@ Families (CLI ids in parentheses):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
 
 from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
-from .kernel import InternalError, UsageError, as_weight, format_rational, parse_rational
+from .kernel import InternalError, UsageError, as_weight, format_rational, parse_rational, record
 from .operators import DiffOp, SuperDiffOp
 
 
@@ -181,7 +179,7 @@ def cocycle_Omega(k: int) -> Cochain2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class DecompositionReport:
     k: int
     passed: bool
@@ -230,12 +228,12 @@ def lemma23_check(k: int) -> DecompositionReport:
 _FAMILIES = ("A", "B", "C", "Phi", "Yprime", "Y", "Ytilde", "Omega")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogId:
     family: str
-    lam: Optional[Fraction] = None
-    m: Optional[int] = None
-    k: Optional[int] = None
+    lam: Fraction | None = None
+    m: int | None = None
+    k: int | None = None
 
     def __str__(self) -> str:
         if self.family in ("A", "Yprime"):
@@ -276,7 +274,7 @@ def parse_catalog_id(text: str) -> CatalogId:
         raise UsageError(f"malformed catalog id {text!r}") from exc
 
 
-def build_cocycle(cid: Union[CatalogId, str]):
+def build_cocycle(cid: CatalogId | str):
     if isinstance(cid, str):
         cid = parse_catalog_id(cid)
     if cid.family == "A":

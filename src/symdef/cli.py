@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .catalog import build_cocycle, calibrate_convention, lemma23_check, parse_catalog_id
@@ -29,6 +29,7 @@ from .cohomology import (
 )
 from .kernel import UsageError, format_rational, parse_rational
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .deformation import DeformationSpec
 
@@ -40,7 +41,7 @@ VERIFIED, FALSIFIED, INCONCLUSIVE, USAGE, ENGINE_FAULT = 0, 1, 2, 64, 70
 _VERDICT_CODE = {"verified": VERIFIED, "falsified": FALSIFIED, "inconclusive": INCONCLUSIVE}
 
 
-def _parse_bounds(text: Optional[str]) -> Optional[BoundsSpec]:
+def _parse_bounds(text: str | None) -> BoundsSpec | None:
     if text is None:
         return None
     try:
@@ -385,7 +386,7 @@ def render(report: dict, fmt: str) -> str:
     return "\n".join(_render_text(report))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     report, code = run(argv)
     # parsed on its own, so a command line that fails to parse still gets it

@@ -51,10 +51,9 @@ inside the one per-weight solver (``_solve_by_weight``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
 
 from .geometry import (
     CLASSICAL,
@@ -74,6 +73,7 @@ from .kernel import (
     UsageError,
     as_weight,
     matrix_rank,
+    record,
     scalar_as_fraction,
 )
 from .operators import (
@@ -91,7 +91,7 @@ SL2 = "sl2"
 OSP12 = "osp12"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundsSpec:
     """Truncation bounds: witness operator order and coefficient degree caps."""
 
@@ -209,7 +209,7 @@ def algebra_for_flavor(flavor: str) -> AlgebraContext:
 # ---------------------------------------------------------------------------
 
 
-def _infer_parity(values, declared: Optional[int]) -> int:
+def _infer_parity(values, declared: int | None) -> int:
     inferred = set()
     for value, slot_parity in values:
         if not value:
@@ -239,7 +239,7 @@ class Cochain:
     """
 
     def __init__(self, algebra: str, degree: int, images: dict,
-                 parity: Optional[int] = None):
+                 parity: int | None = None):
         slots = _cochain_slots(get_algebra(algebra), degree)
         if set(images) != {slot for slot, _, _ in slots}:
             raise UsageError(f"a degree-{degree} cochain on {algebra} needs one image "
@@ -296,7 +296,7 @@ class Cochain:
 class Cochain0(Cochain):
     """Degree-0 cochain: a single operator value."""
 
-    def __init__(self, algebra: str, value, parity: Optional[int] = None):
+    def __init__(self, algebra: str, value, parity: int | None = None):
         super().__init__(algebra, 0, {None: value}, parity)
 
     @property
@@ -308,7 +308,7 @@ class Cochain1(Cochain):
     """Degree-1 cochain: one operator value per algebra basis element, given
     in basis order or as {index: value}."""
 
-    def __init__(self, algebra: str, images: Union[Sequence, dict], parity: Optional[int] = None):
+    def __init__(self, algebra: str, images: Sequence | dict, parity: int | None = None):
         if not isinstance(images, dict):
             images = dict(enumerate(images))
         super().__init__(algebra, 1, images, parity)
@@ -317,7 +317,7 @@ class Cochain1(Cochain):
 class Cochain2(Cochain):
     """Degree-2 cochain: {canonical pair: value}."""
 
-    def __init__(self, algebra: str, images: dict, parity: Optional[int] = None):
+    def __init__(self, algebra: str, images: dict, parity: int | None = None):
         super().__init__(algebra, 2, images, parity)
 
 
@@ -544,7 +544,7 @@ def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
             for mon in bounded_monomials(cache.ctx.flavor, bounds, key + wt)]
 
 
-def _canonical_slot(par: tuple, args: tuple) -> Optional[tuple]:
+def _canonical_slot(par: tuple, args: tuple) -> tuple | None:
     """(slot, sign) with w(*args) = sign * w[slot], or None where w vanishes
     identically (an even diagonal)."""
     if len(args) < 2:
@@ -649,17 +649,17 @@ def _rank(cols: list[dict], skip=()) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Witness:
     cochain: Cochain
 
 
-@dataclass
+@record
 class NoSolutionWithinBounds:
     bounds: BoundsSpec
 
 
-@dataclass
+@record
 class Decomposition:
     """c = coeff * family + d(witness), exactly."""
 
@@ -689,7 +689,7 @@ def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
 
 
 def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
-                  lead: Optional[dict] = None):
+                  lead: dict | None = None):
     """(basis, row index, s, SolvedSystem) of the slice system
     s * [lead | d^degree] at one weight key, s the scale of the integer
     columns (``_differential``); right-hand sides are scaled by s too, so
@@ -705,7 +705,7 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
     return basis, row_index, s, SolvedSystem(list(by_key.values()), len(cols))
 
 
-def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] = None):
+def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = None):
     """Solve c = t * family + d(b) exactly, one (parameter monomial, weight
     key) at a time, with b within bounds, on one slice system per key.  For
     parametric c, t and b carry c's parameter monomials; for parameter-free
@@ -756,7 +756,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Optional[Cochain] =
     return Decomposition(t, _assemble_witness(cache, degree, witness))
 
 
-def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
+def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):
     """Solve d(b) = c with b constrained to the given bounds.
 
     The input must be an exact cocycle; its coefficients may hold formal
@@ -778,7 +778,7 @@ def coboundary_solve(c: Cochain, bounds: Optional[BoundsSpec] = None):
     return Witness(witness)
 
 
-def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] = None):
+def decompose_cocycle(c: Cochain, family: Cochain, bounds: BoundsSpec | None = None):
     """Write c = t * family + d(b) with b within bounds.
 
     c may hold formal parameters; t and b then carry its parameter
@@ -794,7 +794,7 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: Optional[BoundsSpec] 
     return _solve_by_weight(c, bounds, family)
 
 
-def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec] = None) -> bool:
+def classes_independent(cocycles: Sequence[Cochain], bounds: BoundsSpec | None = None) -> bool:
     """True when no nonzero rational combination of the given parameter-free
     cocycles is a coboundary within bounds (in particular they are linearly
     independent in the truncated cohomology)."""
@@ -828,7 +828,7 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: Optional[BoundsSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class DimResult:
     dim: int
     stabilized: bool
@@ -836,7 +836,7 @@ class DimResult:
     examined_keys: tuple
 
 
-def critical_weight_key(lam, mu) -> Optional[int]:
+def critical_weight_key(lam, mu) -> int | None:
     """w* = -2(mu - lambda), the key where the Euler element acts by zero;
     None when 2(mu - lambda) is not an integer."""
     key = -2 * (Fraction(mu) - Fraction(lam))
@@ -855,7 +855,7 @@ def _critical_dimension(cache: BlockCache, degree: int, bounds: BoundsSpec, key:
 
 
 def cohomology_dim(weights, degree: int, algebra: str,
-                   bounds: Optional[BoundsSpec] = None) -> DimResult:
+                   bounds: BoundsSpec | None = None) -> DimResult:
     """dim H^degree on one block: exact, and stabilized, when `bounds`
     (default: all) hold the threshold slice; else truncated at `bounds`.
 

@@ -28,10 +28,9 @@ whether the two agree up to a nonzero scalar; neither is assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
 
 from .catalog import (
     cocycle_A,
@@ -63,8 +62,10 @@ from .kernel import (
     ParamScalar,
     UsageError,
     as_weight,
+    field,
     format_rational,
     parse_rational,
+    record,
 )
 from .operators import GradedOp, graded_identity, monomial_coords, undeformed_action
 
@@ -100,7 +101,7 @@ def _default_window(delta: Fraction) -> int:
     return max(8, int(4 * delta) + 2) if _is_int(2 * delta) else 8
 
 
-@dataclass
+@record
 class DeformationSpec:
     """Flavor, window, parameter alphabet, and optional numeric values.
 
@@ -111,7 +112,7 @@ class DeformationSpec:
     flavor: str
     delta: Fraction
     window: int
-    assignment: Optional[dict[str, Fraction]] = None
+    assignment: dict[str, Fraction] | None = None
 
     def __post_init__(self):
         if self.flavor not in (CLASSICAL, SUPER):
@@ -189,8 +190,8 @@ class DeformationSpec:
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def resonant_spec(flavor: str, m: int, window: Optional[int] = None,
-                      params: Optional[dict] = None) -> "DeformationSpec":
+    def resonant_spec(flavor: str, m: int, window: int | None = None,
+                      params: dict | None = None) -> "DeformationSpec":
         window = window if window is not None else _default_window(Fraction(m, 2))
         assignment = None
         if params is not None:
@@ -239,13 +240,13 @@ class DeformationSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class DeformedAction:
     """Undeformed window action plus parameter-weighted terms by order."""
 
     spec: DeformationSpec
     terms: dict[int, list[GradedOp]]  # parameter order -> per-basis-index term
-    truncation_order: Optional[int] = None
+    truncation_order: int | None = None
     # set by _assemble_first_order once L0 and every placed family are certified
     _cocycle_terms: bool = field(default=False, init=False, repr=False, compare=False)
 
@@ -407,7 +408,7 @@ def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
     return defect
 
 
-@dataclass
+@record
 class HomomorphismReport:
     passed: bool
     failures: list  # [(pair, residual GradedOp)]
@@ -434,7 +435,7 @@ def verify_homomorphism(action: DeformedAction) -> HomomorphismReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class BlockObstruction:
     k: int
     source_k: int
@@ -460,7 +461,7 @@ class BlockObstruction:
         }
 
 
-@dataclass
+@record
 class ObstructionReport:
     spec: DeformationSpec
     bounds: BoundsSpec
@@ -469,8 +470,8 @@ class ObstructionReport:
     unexpected_blocks: list
     verdict: str
     # the action the report was built from and its defects; not serialized
-    _action: Optional[DeformedAction] = field(default=None, repr=False, compare=False)
-    _defects: Optional[dict] = field(default=None, repr=False, compare=False)
+    _action: DeformedAction | None = field(default=None, repr=False, compare=False)
+    _defects: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def condition_generators(self) -> list[ParamScalar]:
@@ -520,7 +521,7 @@ def _recognized_blocks(spec: DeformationSpec) -> dict[tuple[int, int], tuple[str
 
 
 def obstruction_classes(action: DeformedAction,
-                        bounds: Optional[BoundsSpec] = None) -> ObstructionReport:
+                        bounds: BoundsSpec | None = None) -> ObstructionReport:
     """Decompose the quadratic defect of a first-order deformation.
 
     Per off-diagonal weight block the defect is written exactly as
@@ -621,7 +622,7 @@ def published_condition(spec: DeformationSpec, k: int) -> ParamScalar:
     )
 
 
-@dataclass
+@record
 class ConditionVerdict:
     k: int
     generator: str
@@ -673,7 +674,7 @@ def derived_condition_verdicts(report: ObstructionReport,
     return out
 
 
-def proportional_up_to_scalar(p: ParamScalar, q: ParamScalar) -> Optional[Fraction]:
+def proportional_up_to_scalar(p: ParamScalar, q: ParamScalar) -> Fraction | None:
     """The nonzero rational s with p = s*q, if one exists."""
     if not p or not q:
         return None
@@ -691,14 +692,14 @@ def proportional_up_to_scalar(p: ParamScalar, q: ParamScalar) -> Optional[Fracti
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Example1Report:
     m: int
     alphas: list[Fraction]
     printed_flat: bool
     printed_failures: list
     printed_c: dict[int, Fraction]
-    solved_c: dict[int, Optional[Fraction]]
+    solved_c: dict[int, Fraction | None]
     coincide: bool
     solved_flat: bool
 
@@ -731,8 +732,8 @@ def _one_parameter_action(spec: DeformationSpec, a_mult: dict[str, Fraction],
     return _assemble_first_order(spec, coeff_of)
 
 
-def example1_family(m: int, alphas: Sequence[Union[int, str, Fraction]],
-                    window: Optional[int] = None) -> Example1Report:
+def example1_family(m: int, alphas: Sequence[int | str | Fraction],
+                    window: int | None = None) -> Example1Report:
     """Audit the printed one-parameter family and solve the engine's own.
 
     The printed family sets b_k = t, a_k = alpha_k t and a specific
@@ -761,7 +762,7 @@ def example1_family(m: int, alphas: Sequence[Union[int, str, Fraction]],
     # solve each (linear in its own c_k) exactly
     formal = build_infinitesimal(DeformationSpec(CLASSICAL, spec.delta, spec.window))
     obstruction = obstruction_classes(formal)
-    solved_c: dict[int, Optional[Fraction]] = {}
+    solved_c: dict[int, Fraction | None] = {}
     numeric = {f"a{c}": alpha[c] for c in range(spec.window + 1)}
     numeric.update({f"b{k}": Fraction(1) for k in spec.resonant_range()})
     for entry in obstruction.blocks:
@@ -840,14 +841,14 @@ def gauge_transform(action: DeformedAction, gauge_terms: Sequence[tuple[int, Gra
     return DeformedAction(spec, terms, truncation_order=truncation_order)
 
 
-@dataclass
+@record
 class NotTrivializable:
     reason: str
     classes: list[str]
 
 
 def trivialize_second_order(action: DeformedAction,
-                            bounds: Optional[BoundsSpec] = None):
+                            bounds: BoundsSpec | None = None):
     """Remove the second-order term by a gauge when the obstruction vanishes.
 
     Returns (gauge, new_action); NotTrivializable carries the nonzero

@@ -15,8 +15,8 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from .kernel import (
     InternalError,
@@ -79,7 +79,7 @@ class Poly:
     # -- structure -----------------------------------------------------------
 
     @property
-    def degree(self) -> Optional[int]:
+    def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def __bool__(self) -> bool:
@@ -236,7 +236,7 @@ class SuperPoly:
     def __hash__(self):
         return hash((self.f0, self.f1))
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         """Total parity, or None for zero; raises on non-homogeneous input."""
         parities = {p for p in self.f0.coefficient_parities()}
         parities.update((p + 1) & 1 for p in self.f1.coefficient_parities())
@@ -399,7 +399,7 @@ class ContactField:
         self.parity = parity
 
     @staticmethod
-    def from_generator(f: SuperPoly, parity: Optional[int] = None) -> "ContactField":
+    def from_generator(f: SuperPoly, parity: int | None = None) -> "ContactField":
         p = f.parity()
         if p is None:
             p = parity if parity is not None else 0
@@ -497,7 +497,7 @@ class Density:
 
     __slots__ = ("weight", "value", "flavor")
 
-    def __init__(self, weight, value: Union[Poly, SuperPoly], flavor: str):
+    def __init__(self, weight, value: Poly | SuperPoly, flavor: str):
         if flavor == CLASSICAL and not isinstance(value, Poly):
             raise UsageError("classical densities carry plain polynomials")
         if flavor == SUPER and not isinstance(value, SuperPoly):

@@ -7,15 +7,16 @@ supercommutative polynomial algebra over ``Fraction``, and all linear
 systems go through one sparse, fraction-free elimination over the integers
 (Bareiss-style updates on primitive integer rows).  Its pivot columns are
 the earliest independent columns, which keeps solutions and nullspace
-bases canonical.
+bases canonical.  Records are plain classes made by ``record``, not
+dataclasses: ``import dataclasses`` cost each CLI process 12-13 ms and 12
+more modules, and each ``@dataclass`` another ~0.6 ms of ``exec``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
 
 
 class UsageError(ValueError):
@@ -24,6 +25,66 @@ class UsageError(ValueError):
 
 class InternalError(AssertionError):
     """An internal invariant failed; this is an engine bug, not user error."""
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class field:
+    """A record field's default and its ``__init__``, ``repr`` and ``==`` flags."""
+
+    def __init__(self, *, default=_MISSING, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+def record(cls=None, *, frozen=False):
+    """Give a class of annotated fields ``__init__`` (arguments in annotation
+    order, with defaults, then ``__post_init__``), ``__eq__`` (same class,
+    equal compared fields) and ``__repr__``, as closures.  A frozen record
+    refuses assignment and hashes its compared fields; any other is unhashable."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    fields = []
+    for name in cls.__dict__.get("__annotations__", {}):
+        spec = cls.__dict__.get(name, _MISSING)
+        spec = spec if isinstance(spec, field) else field(default=spec)
+        if spec.default is not _MISSING:
+            setattr(cls, name, spec.default)
+        fields.append((name, spec))
+    params = [name for name, spec in fields if spec.init]
+    required = {name for name, spec in fields if spec.init and spec.default is _MISSING}
+
+    def __init__(self, *args, **kwargs):
+        values = dict(**dict(zip(params, args)), **kwargs)  # a repeated argument raises
+        if len(args) > len(params) or not required <= values.keys() <= set(params):
+            raise TypeError(f"{cls.__qualname__}() takes ({', '.join(params)})")
+        for name, spec in fields:
+            object.__setattr__(self, name, values.get(name, spec.default))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def key(self):
+        return tuple(getattr(self, name) for name, spec in fields if spec.compare)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name, spec in fields if spec.repr)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +132,7 @@ Monomial = tuple[tuple[tuple[str, int], ...], tuple[str, ...]]
 _ONE_MON: Monomial = ((), ())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamAlgebra:
     """A declared alphabet of deformation parameters, each even or odd."""
 
@@ -98,7 +159,7 @@ class ParamAlgebra:
         return name in self.even or name in self.odd
 
 
-def _merge_algebras(a: Optional[ParamAlgebra], b: Optional[ParamAlgebra]) -> Optional[ParamAlgebra]:
+def _merge_algebras(a: ParamAlgebra | None, b: ParamAlgebra | None) -> ParamAlgebra | None:
     if a is None:
         return b
     if b is None or a == b:
@@ -106,7 +167,7 @@ def _merge_algebras(a: Optional[ParamAlgebra], b: Optional[ParamAlgebra]) -> Opt
     raise UsageError("mismatched parameter alphabets")
 
 
-def _sort_odd(word: tuple[str, ...]) -> Optional[tuple[int, tuple[str, ...]]]:
+def _sort_odd(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]] | None:
     """Sort an odd word, returning (sign, sorted word); None if a symbol repeats."""
     if len(set(word)) != len(word):
         return None
@@ -122,7 +183,7 @@ def _sort_odd(word: tuple[str, ...]) -> Optional[tuple[int, tuple[str, ...]]]:
     return sign, tuple(items)
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
+def _mul_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
     even1, odd1 = m1
     even2, odd2 = m2
     if even2:
@@ -169,14 +230,14 @@ class ParamScalar:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: Optional[ParamAlgebra], terms: Mapping[Monomial, Fraction]):
+    def __init__(self, algebra: ParamAlgebra | None, terms: Mapping[Monomial, Fraction]):
         self.algebra = algebra
         self.terms: dict[Monomial, Fraction] = {m: c for m, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(value: Union[int, Fraction]) -> "ParamScalar":
+    def const(value: int | Fraction) -> "ParamScalar":
         value = as_weight(value)
         return ParamScalar(None, {_ONE_MON: value} if value else {})
 
@@ -192,7 +253,7 @@ class ParamScalar:
     # -- ring structure ----------------------------------------------------
 
     @staticmethod
-    def _coerce(value) -> Optional["ParamScalar"]:
+    def _coerce(value) -> ParamScalar | None:
         if isinstance(value, ParamScalar):
             return value
         if isinstance(value, (int, Fraction)):
@@ -297,7 +358,7 @@ class ParamScalar:
 
     # -- evaluation ---------------------------------------------------------
 
-    def substitute(self, assignment: Mapping[str, Union[int, str, Fraction]]) -> "ParamScalar":
+    def substitute(self, assignment: Mapping[str, int | str | Fraction]) -> "ParamScalar":
         """Exact substitution of parameter symbols.
 
         Even symbols may take any rational value; odd symbols only zero
@@ -375,7 +436,7 @@ class ParamScalar:
 
 #: Coefficients elsewhere in the engine: plain rationals embed in every
 #: parameter algebra, so both kinds mix freely in arithmetic.
-Scalar = Union[Fraction, ParamScalar]
+Scalar = Fraction | ParamScalar
 
 
 # -- helpers over mixed Fraction / ParamScalar coefficients -----------------
@@ -403,7 +464,7 @@ def scalar_as_fraction(c: Scalar) -> Fraction:
 # ---------------------------------------------------------------------------
 
 #: A sparse row: (column, value) pairs, values int or Fraction, zeros optional.
-SparseRow = Sequence[tuple[int, Union[int, Fraction]]]
+SparseRow = Sequence[tuple[int, int | Fraction]]
 
 
 def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, int]]:
@@ -412,7 +473,7 @@ def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, in
     or Fraction, a column outside range(ncols) or a repeated column is
     refused.  A row of ints, such as an integer differential column, skips
     the common denominator."""
-    row: dict[int, Union[int, Fraction]] = dict(pairs)
+    row: dict[int, int | Fraction] = dict(pairs)
     if len(row) != len(pairs) or (row and not 0 <= min(row) <= max(row) < ncols):
         raise UsageError("bad or repeated column in a sparse row")
     den = 1
@@ -432,7 +493,7 @@ def _primitive_row(pairs: SparseRow, ncols: int) -> tuple[int, int, dict[int, in
 
 
 def _echelon(rows: Sequence[SparseRow], ncols: int,
-             steps: Optional[list] = None) -> dict[int, dict[int, int]]:
+             steps: list | None = None) -> dict[int, dict[int, int]]:
     """The one elimination: sparse, over the integers, fraction-free.
 
     Rows are inserted one at a time.  While a row's leading column c holds
@@ -498,7 +559,7 @@ class SolvedSystem:
         self._pivots = _echelon(rows, ncols, self._steps)
         self.pivot_cols = sorted(self._pivots)
         self.rank = len(self.pivot_cols)
-        self._nullspace: Optional[list[list[Fraction]]] = None
+        self._nullspace: list[list[Fraction]] | None = None
 
     def _back_substitute(self, rhs: Mapping[int, Fraction], x: list[Fraction]) -> list[Fraction]:
         """Fill the pivot entries of x (free entries preset) so that each
@@ -509,7 +570,7 @@ class SolvedSystem:
             x[col] = Fraction(acc) / row[col]
         return x
 
-    def solve(self, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    def solve(self, b: Sequence[Fraction]) -> list[Fraction] | None:
         """The particular solution of A x = b with free variables 0, or None
         if inconsistent."""
         if len(b) != self.nrows:

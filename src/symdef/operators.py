@@ -31,10 +31,10 @@ tables and the loop that reads them are the same with or without it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, perm
-from typing import Callable, Optional, Sequence, Union
 
 from .geometry import (
     CLASSICAL,
@@ -88,7 +88,7 @@ class _NormalFormOp:
     # -- structure -----------------------------------------------------------
 
     @property
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     def __bool__(self) -> bool:
@@ -175,7 +175,7 @@ class DiffOp(_NormalFormOp):
         top = coeff if coeff is not None else Poly([1])
         return DiffOp(lam, mu, [P_ZERO] * order + [top])
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         return 0 if self.coeffs else None
 
     def to_json(self) -> dict:
@@ -206,7 +206,7 @@ class SuperDiffOp(_NormalFormOp):
     def eta_power_term(q: SuperPoly, power: int, lam, mu) -> "SuperDiffOp":
         return SuperDiffOp(lam, mu, [SP_ZERO] * power + [q])
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         """Total parity (coefficient parity + eta exponent); None for zero."""
         parities = set()
         for i, q in enumerate(self.coeffs):
@@ -234,7 +234,7 @@ def op_class(flavor: str) -> type:
     return DiffOp if flavor == CLASSICAL else SuperDiffOp
 
 
-AnyOp = Union[DiffOp, SuperDiffOp]
+AnyOp = DiffOp | SuperDiffOp
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def _eta_leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     return tuple(out)
 
 
-def _times(u: tuple, v: tuple) -> Optional[tuple]:
+def _times(u: tuple, v: tuple) -> tuple | None:
     """Product of coefficient monomials x^a (theta^eps); None when theta^2 = 0."""
     if len(u) == 1:
         return (u[0] + v[0],)
@@ -419,7 +419,7 @@ def _times(u: tuple, v: tuple) -> Optional[tuple]:
     return (u[0] + v[0], u[1] + v[1])
 
 
-def monomial_action(x: Union[VectorField, ContactField], lam,
+def monomial_action(x: VectorField | ContactField, lam,
                     mu) -> tuple[int, Callable[[tuple, int], tuple[tuple[tuple, int], ...]]]:
     """The action of x on single monomials of the operators from F_lam to
     F_mu, as (den, act): act(mon, scale) gives the sorted sparse integer
@@ -572,7 +572,7 @@ class GradedOp:
             out.set_block(j, i, op)
         return out
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         parities = {op.parity() for op in self.blocks.values() if op}
         parities.discard(None)
         if not parities:
@@ -616,7 +616,7 @@ def graded_identity(flavor: str, delta, kmax: int) -> GradedOp:
     return out
 
 
-def undeformed_action(x: Union[VectorField, ContactField], flavor: str, delta, kmax: int) -> GradedOp:
+def undeformed_action(x: VectorField | ContactField, flavor: str, delta, kmax: int) -> GradedOp:
     """The diagonal Lie-derivative action on a window of the symbol module."""
     out = GradedOp(flavor, delta, kmax)
     for k in range(kmax + 1):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdef.catalog import cocycle_A, cocycle_Omega, cocycle_Phi, cocycle_Yprime
+from symdef.catalog import (_CALIBRATION_SAMPLES, build_cocycle, cocycle_A, cocycle_Omega,
+                            cocycle_Phi, cocycle_Yprime)
 from symdef.cohomology import (
     BlockCache,
     BoundsSpec,
@@ -32,6 +33,7 @@ from symdef.cohomology import (
     d1,
     d2,
     decompose_cocycle,
+    default_witness_bounds,
     get_algebra,
     is_cocycle,
 )
@@ -546,6 +548,44 @@ class TestCoboundarySolve:
     def test_dependent_cocycles_detected(self):
         a = cocycle_A(2)
         assert not classes_independent([a, a.scale(3)])
+
+
+# The catalog families on every block of acceptance criterion 3: the diagonal
+# blocks (A, Yprime), the classical resonant blocks in degrees 1 and 2 (B, C,
+# Phi) and the super resonant blocks (Y, Ytilde).
+CRITERION_3_FAMILIES = (
+    [f"{family}:lambda={lam}" for family in ("A", "Yprime") for lam in ("0", "5/3")]
+    + [f"{family}:m={m},k={k}" for m in (2, 3, 4) for k in range((m + 1) // 2, m)
+       for family in "BC"]
+    + [f"Phi:k={k}" for k in (1, 2, 3)]
+    + [f"{family}:k={k}" for k in (1, 2, 3) for family in ("Y", "Ytilde")]
+)
+
+
+class TestWitnessBounds:
+    """Witness solves are exact once the bounds reach the threshold order N0
+    (README, "What a dimension verdict rests on"): N0 = max(0, delta) on sl2
+    and max(0, 2 delta) on osp12.  The default witness order is at least
+    4 + ceil|2 delta| >= N0, so no run-time check is needed."""
+
+    def test_families_cover_every_criterion_3_block(self):
+        blocks = {(c.algebra, c.block) for c in map(build_cocycle, CRITERION_3_FAMILIES)}
+        for lam in (Q(0), Q(5, 3)):
+            assert {(SL2, (lam, lam)), (OSP12, (lam, lam))} <= blocks
+        for m in (2, 3, 4):
+            for k in range((m + 1) // 2, m):
+                assert (SL2, (Q(m - 2 * k, 2), Q(2 + 2 * k - m, 2))) in blocks
+        for k in (1, 2, 3):
+            assert (OSP12, (Q(1 - k, 2), Q(k, 2))) in blocks
+
+    @pytest.mark.parametrize("text", sorted(set(_CALIBRATION_SAMPLES) | set(CRITERION_3_FAMILIES)))
+    def test_default_bounds_reach_the_threshold_order(self, text):
+        c = build_cocycle(text)
+        lam, mu = c.block
+        n0 = max(0, (mu - lam) * (1 if c.algebra == SL2 else 2))
+        for cochain in (c, c.scale(0)):  # the zero cochain gets the smallest default order
+            bounds = default_witness_bounds(cochain)
+            assert bounds.max_operator_order >= n0 and bounds.max_coefficient_degree >= 1
 
 
 class TestDecomposition:

@@ -7,8 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdef.cohomology import SL2, BoundsSpec, block_cache, cohomology_dim
-from symdef.deformation import DeformationSpec
+from symdef.catalog import CatalogId, DecompositionReport
+from symdef.cohomology import (
+    SL2,
+    BoundsSpec,
+    Decomposition,
+    DimResult,
+    NoSolutionWithinBounds,
+    Witness,
+    block_cache,
+    cohomology_dim,
+)
+from symdef.deformation import (
+    BlockObstruction,
+    ConditionVerdict,
+    DeformationSpec,
+    DeformedAction,
+    Example1Report,
+    HomomorphismReport,
+    NotTrivializable,
+    ObstructionReport,
+)
 from symdef.geometry import CLASSICAL, Density, Poly
 from symdef.kernel import (
     ParamAlgebra,
@@ -350,3 +369,85 @@ class TestExactWeightEntries:
     def test_int_and_fraction_are_kept(self, name, call, want, exact):
         got = call(exact)
         assert got == want(exact) and type(got) is type(want(exact))
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+SPEC = DeformationSpec(CLASSICAL, Q(1), 3)
+REPORT_FIELDS = {"spec": SPEC, "bounds": BoundsSpec(2, 4), "blocks": [],
+                 "diagonal_clean": True, "unexpected_blocks": [], "verdict": "derived"}
+
+# (record class, its init fields in annotation order, one field and a value
+# that differs, frozen, the fields left out and their defaults)
+RECORDS = [
+    (ParamAlgebra, {"even": ("a0",), "odd": ("b1",)}, ("odd", ("b2",)), True, {}),
+    (BoundsSpec, {"max_operator_order": 2, "max_coefficient_degree": 4},
+     ("max_operator_order", 3), True, {}),
+    (CatalogId, {"family": "A"}, ("family", "B"), True, {"lam": None, "m": None, "k": None}),
+    (Witness, {"cochain": "c"}, ("cochain", "d"), False, {}),
+    (NoSolutionWithinBounds, {"bounds": BoundsSpec(2, 4)}, ("bounds", BoundsSpec(4, 6)),
+     False, {}),
+    (Decomposition, {"coeff": Q(1), "witness": "w"}, ("coeff", Q(2)), False, {}),
+    (DimResult, {"dim": 1, "stabilized": True, "per_weight": {0: 1}, "examined_keys": (0,)},
+     ("dim", 2), False, {}),
+    (DecompositionReport, {"k": 2, "passed": True, "residuals": {}}, ("passed", False),
+     False, {}),
+    (DeformationSpec, {"flavor": CLASSICAL, "delta": Q(1), "window": 3}, ("window", 4),
+     False, {"assignment": None}),
+    (DeformedAction, {"spec": SPEC, "terms": {}}, ("terms", {1: []}), False,
+     {"truncation_order": None, "_cocycle_terms": False}),
+    (HomomorphismReport, {"passed": True, "failures": [], "checked_pairs": [(0, 1)]},
+     ("passed", False), False, {}),
+    (BlockObstruction, {"k": 1, "source_k": 1, "target_k": 0, "basis_id": "Phi:k=1",
+                        "basis": "b", "class_coeff": "x", "witness": "w",
+                        "bounds": BoundsSpec(2, 4), "verdict": "derived"},
+     ("class_coeff", "y"), False, {}),
+    (ObstructionReport, REPORT_FIELDS, ("diagonal_clean", False), False,
+     {"_action": None, "_defects": None}),
+    (ConditionVerdict, {"k": 1, "generator": "g", "value": "0", "satisfied": True},
+     ("value", "1"), False, {}),
+    (Example1Report, {"m": 3, "alphas": [Q(1)], "printed_flat": True, "printed_failures": [],
+                      "printed_c": {1: Q(1)}, "solved_c": {1: Q(1)}, "coincide": True,
+                      "solved_flat": True}, ("solved_c", {1: None}), False, {}),
+    (NotTrivializable, {"reason": "r", "classes": ["x"]}, ("classes", []), False, {}),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, change, frozen, defaults", RECORDS,
+                             ids=[row[0].__name__ for row in RECORDS])
+    def test_equality_hash_and_defaults(self, cls, fields, change, frozen, defaults):
+        a, b = cls(**fields), cls(*fields.values())
+        assert a == b and not a != b
+        name, value = change
+        assert a != cls(**dict(fields, **{name: value}))
+        assert a != type("Other", (cls,), {})(**fields)  # equality needs the same class
+        if frozen:
+            assert hash(a) == hash(b) and {a: "key"}[b] == "key"
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        assert {key: getattr(a, key) for key in defaults} == defaults
+        assert repr(a).startswith(f"{cls.__name__}({next(iter(fields))}=")
+
+    def test_post_init_and_field_options(self):
+        assert ParamAlgebra(even=("b", "a"), odd=("d", "c")) == ParamAlgebra(("a", "b"), ("c", "d"))
+        with pytest.raises(UsageError, match="flavor"):
+            DeformationSpec("quantum", Q(1), 3)
+        with pytest.raises(UsageError, match="bounds"):
+            BoundsSpec(2.5, 1)
+        report = ObstructionReport(**REPORT_FIELDS, _action=DeformedAction(SPEC, {}), _defects={})
+        assert report == ObstructionReport(**REPORT_FIELDS)
+        assert "_action" not in repr(report) and "_defects" not in repr(report)
+        action = DeformedAction(SPEC, {})
+        assert action._cocycle_terms is False and "_cocycle_terms" not in repr(action)
+        action._cocycle_terms = True
+        assert action == DeformedAction(SPEC, {})
+        for args, kwargs in [((SPEC, {}), {"_cocycle_terms": True}), ((SPEC,), {}),
+                             ((SPEC, {}, None, False), {}), ((SPEC, {}), {"spec": SPEC})]:
+            with pytest.raises(TypeError):
+                DeformedAction(*args, **kwargs)

@@ -57,12 +57,14 @@ def test_unknown_name_is_an_attribute_error():
         exec("from symdef import no_such_name", {})
 
 
-# The last line the probe prints: the exit code, then whether `deformation`
-# was loaded.
+# The last line the probe prints: the exit code, whether `deformation` was
+# loaded, and which of the heavy standard modules that no subcommand needs
+# were.  The probe runs without `site` (-S), so no site hook preloads any.
 PROBE = ("import sys\n"
          "from symdef.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         "print(code, 'symdef.deformation' in sys.modules)\n")
+         "print(code, 'symdef.deformation' in sys.modules,\n"
+         "      sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -76,7 +78,7 @@ def test_only_deformation_commands_load_deformation(argv, loaded):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv, "--format", "json"],
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv, "--format", "json"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded} []"
