@@ -21,7 +21,8 @@ from functools import lru_cache
 from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
 from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
                        osp_basis, sl2_basis)
-from .kernel import InternalError, UsageError, as_weight, format_rational, parse_rational, record
+from .kernel import (InternalError, UsageError, as_weight, format_rational, parse_int,
+                     parse_rational, record)
 from .operators import DiffOp, SuperDiffOp
 
 
@@ -264,13 +265,13 @@ def parse_catalog_id(text: str) -> CatalogId:
         keys, usage = {"k"}, "k=<int>"
     if set(args) != keys:
         raise UsageError(f"catalog id {text!r}: {family} takes exactly {usage}")
-    try:  # int() and parse_rational (a UsageError) both raise ValueError
+    try:
         if family in ("A", "Yprime"):
             return CatalogId(family, lam=parse_rational(args["lambda"]))
         if family in ("B", "C"):
-            return CatalogId(family, m=int(args["m"]), k=int(args["k"]))
-        return CatalogId(family, k=int(args["k"]))
-    except ValueError as exc:
+            return CatalogId(family, m=parse_int(args["m"]), k=parse_int(args["k"]))
+        return CatalogId(family, k=parse_int(args["k"]))
+    except UsageError as exc:
         raise UsageError(f"malformed catalog id {text!r}") from exc
 
 

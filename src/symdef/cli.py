@@ -27,7 +27,7 @@ from .cohomology import (
     coboundary_solve,
     is_cocycle,
 )
-from .kernel import UsageError, format_rational, parse_rational
+from .kernel import UsageError, format_rational, parse_int, parse_rational
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -46,8 +46,8 @@ def _parse_bounds(text: str | None) -> BoundsSpec | None:
         return None
     try:
         order_str, _, degree_str = text.partition(",")
-        return BoundsSpec(int(order_str), int(degree_str))
-    except ValueError as exc:
+        return BoundsSpec(parse_int(order_str), parse_int(degree_str))
+    except UsageError as exc:
         raise UsageError(f"--bounds expects 'order,degree', got {text!r}") from exc
 
 
@@ -320,13 +320,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--algebra", choices=("sl2", "osp12"), required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--degree", type=int, choices=(1, 2), required=True)
+    p.add_argument("--degree", type=parse_int, choices=(1, 2), required=True)
 
     p = add("obstruction", _cmd_obstruction,
             "derive integrability conditions for a resonant window")
     p.add_argument("--flavor", choices=("classical", "super"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--m", type=parse_int, required=True)
+    p.add_argument("--window", type=parse_int)
 
     p = add("integrability", _cmd_integrability,
             "evaluate integrability conditions at a parameter point")
@@ -337,13 +337,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--spec", required=True)
 
     p = add("example1", _cmd_example1, "audit the printed one-parameter family")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
     p.add_argument("--alphas", required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=parse_int)
 
     p = add("lemma23", _cmd_lemma23,
             "parity-decomposition identity for the odd 2-cocycle family")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
     return parser
 
 

@@ -688,15 +688,22 @@ def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
     return Cochain0(ctx.name, images[None]) if degree == 0 else Cochain1(ctx.name, images)
 
 
-def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
-                  lead: dict | None = None):
-    """(basis, row index, s, SolvedSystem) of the slice system
-    s * [lead | d^degree] at one weight key, s the scale of the integer
-    columns (``_differential``); right-hand sides are scaled by s too, so
-    solutions are those of [lead | d^degree]."""
-    basis, s, cols = _differential_columns(cache, degree, bounds, key)
-    if lead is not None:
-        cols.insert(0, {k: s * v for k, v in lead.items()})
+def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, keys: Sequence[int],
+                  leads: Sequence[dict] = ()):
+    """(basis, row index, s, SolvedSystem) of s * [d^degree | leads]: the
+    stacked slices of the weight keys `keys` (a row key fixes its weight
+    key), then one column per lead {(slot, monomial): value}.  The keys
+    share a parity, hence the scale s of the integer columns
+    (``_differential``; 1 with no key); right-hand sides are scaled by s
+    too.  Pivots are the earliest independent columns, so a lead is a
+    bounded coboundary plus earlier leads exactly when it is no pivot; when
+    it is one, the d^degree pivots and solution entries are as without it."""
+    basis, s, cols = [], 1, []
+    for key in keys:
+        key_basis, s, key_cols = _differential_columns(cache, degree, bounds, key)
+        basis += key_basis
+        cols += key_cols
+    cols += [{k: s * v for k, v in lead.items()} for lead in leads]
     by_key: dict = {}  # the sparse rows of the slice system, one per row key
     for cnum, col in enumerate(cols):
         for k, v in col.items():
@@ -707,11 +714,11 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, key: int,
 
 def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = None):
     """Solve c = t * family + d(b) exactly, one (parameter monomial, weight
-    key) at a time, with b within bounds, on one slice system per key.  For
-    parametric c, t and b carry c's parameter monomials; for parameter-free
-    c, t is a Fraction; a monomial with nothing at the family's key adds 0
-    to t.  NoSolutionWithinBounds when some slice has no solution or, checked
-    once on the family's key, the family is a bounded coboundary."""
+    key) at a time, with b within bounds, on one slice system per key, the
+    family last on its key's.  For parametric c, t and b carry c's parameter
+    monomials; for parameter-free c, t is a Fraction; a monomial with
+    nothing at the family's key adds 0 to t.  NoSolutionWithinBounds when
+    some slice has no solution or the family's column is no pivot."""
     lam, mu = c.block
     cache = block_cache(c.algebra, lam, mu)
     degree = c.degree - 1
@@ -726,9 +733,10 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = No
         if family.block != (lam, mu) or family.algebra != c.algebra:
             raise UsageError("the family must live on the cochain's block")
         family_key = family_keys[0]
-        systems[family_key] = _slice_system(cache, degree, bounds, family_key, lead)
-        if any(null[0] for null in systems[family_key][3].nullspace()):
-            return NoSolutionWithinBounds(bounds)  # t would not be unique
+        systems[family_key] = _slice_system(cache, degree, bounds, family_keys, [lead])
+        system = systems[family_key][3]
+        if system.ncols - 1 not in system.pivot_cols:
+            return NoSolutionWithinBounds(bounds)
     parametric = set(coords) != {_ONE_MON}
     t = ParamScalar(None, {}) if parametric else Fraction(0)
     witness: dict = {}
@@ -736,7 +744,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = No
         for key, rhs_coords in sorted(_by_weight_key(c, pm_coords).items()):
             hit = systems.get(key)
             if hit is None:
-                hit = systems[key] = _slice_system(cache, degree, bounds, key)
+                hit = systems[key] = _slice_system(cache, degree, bounds, [key])
             slice_basis, row_index, s, system = hit
             if any(k not in row_index for k in rhs_coords):
                 return NoSolutionWithinBounds(bounds)
@@ -747,9 +755,8 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = No
             if solution is None:
                 return NoSolutionWithinBounds(bounds)
             if key == family_key:
-                t_part, solution = solution[0], solution[1:]
-                t = t + (ParamScalar(None, {pmon: t_part}) if parametric else t_part)
-            for item, v in zip(slice_basis, solution):
+                t = t + (ParamScalar(None, {pmon: solution[-1]}) if parametric else solution[-1])
+            for item, v in zip(slice_basis, solution):  # stops before the family's column
                 if v:
                     witness[item] = witness.get(item, 0) + (
                         ParamScalar(None, {pmon: v}) if parametric else v)
@@ -797,30 +804,24 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: BoundsSpec | None = N
 def classes_independent(cocycles: Sequence[Cochain], bounds: BoundsSpec | None = None) -> bool:
     """True when no nonzero rational combination of the given parameter-free
     cocycles is a coboundary within bounds (in particular they are linearly
-    independent in the truncated cohomology)."""
+    independent in the truncated cohomology): each is a pivot column, last
+    on one slice system over their weight keys (``_slice_system``)."""
     if not cocycles:
         return True
     first = cocycles[0]
     if bounds is None:
         bounds = default_witness_bounds(*cocycles)
-    lam, mu = first.block
-    cache = block_cache(first.algebra, lam, mu)
-    degree = first.degree - 1
-    parity = first.parity
-    cocycle_cols = []
+    leads = []
     for c in cocycles:
-        coords = _parameter_free_coords(c, "classes_independent expects parameter-free cocycles")
+        leads.append(_parameter_free_coords(c, "classes_independent expects parameter-free cocycles"))
         if not is_cocycle(c):
             raise UsageError("classes_independent expects cocycles")
-        if c.block != (lam, mu) or c.parity != parity:
+        if c.block != first.block or c.parity != first.parity:
             raise UsageError("cocycles must share a block and parity")
-        cocycle_cols.append(coords)
-    # a row key (slot, monomial) fixes its weight key, so the slices stack
     keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
-    boundary_cols = []  # scaled by s, which leaves every span and rank alone
-    for key in keys:
-        boundary_cols.extend(_differential_columns(cache, degree, bounds, key)[2])
-    return _rank(cocycle_cols + boundary_cols) == _rank(boundary_cols) + len(cocycles)
+    system = _slice_system(block_cache(first.algebra, *first.block), first.degree - 1, bounds,
+                           keys, leads)[3]
+    return set(range(system.ncols - len(leads), system.ncols)) <= set(system.pivot_cols)
 
 
 # ---------------------------------------------------------------------------

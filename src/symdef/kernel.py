@@ -6,10 +6,11 @@ anywhere: weights are ``Fraction``s, deformation parameters live in a
 supercommutative polynomial algebra over ``Fraction``, and all linear
 systems go through one sparse, fraction-free elimination over the integers
 (Bareiss-style updates on primitive integer rows).  Its pivot columns are
-the earliest independent columns, which keeps solutions and nullspace
-bases canonical.  Records are plain classes made by ``record``, not
-dataclasses: ``import dataclasses`` cost each CLI process 12-13 ms and 12
-more modules, and each ``@dataclass`` another ~0.6 ms of ``exec``.
+the earliest independent columns, which keeps solutions canonical and
+decides whether a column lies in the span of the columns before it.
+Records are plain classes made by ``record``, not dataclasses: ``import
+dataclasses`` cost each CLI process 12-13 ms and 12 more modules, and each
+``@dataclass`` another ~0.6 ms of ``exec``.
 """
 
 from __future__ import annotations
@@ -93,11 +94,21 @@ def record(cls=None, *, frozen=False):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
+    """Parse ``"p/q"`` (q > 0) or ``"p"``, p an optional ``-`` and ASCII
+    digits, into an exact rational; ``Fraction()`` alone would also read
+    ``+2``, ``1_000``, ``1e3``, ``0.5`` and non-ASCII digits."""
+    num, slash, den = text.strip().partition("/")
+    digits = (num.removeprefix("-"), den) if slash else (num.removeprefix("-"),)
+    if not all(d.isascii() and d.isdigit() for d in digits) or slash and not int(den):
+        raise UsageError(f"not a rational: {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def parse_int(text: str) -> int:
+    """Parse ``"p"`` into an int, as ``parse_rational`` does."""
+    if "/" in text:
+        raise UsageError(f"not an integer: {text!r}")
+    return int(parse_rational(text))
 
 
 def as_weight(value) -> Fraction:
@@ -502,7 +513,8 @@ def _echelon(rows: Sequence[SparseRow], ncols: int,
     vector.  A row left nonzero becomes the pivot of its leading column.
     Returns {pivot column: row}, each row zero left of its pivot.  Pivot
     columns are the earliest independent columns whatever the row order,
-    which is what makes solutions and nullspace bases canonical.
+    which is what makes solutions canonical: a column is in the span of
+    the columns before it exactly when it is not a pivot.
 
     With ``steps`` given, each input row appends (row number, mult, div,
     ops, pivot column or None), with mult/div as in ``_primitive_row`` and
@@ -545,11 +557,11 @@ class SolvedSystem:
     """Echelon form of a sparse matrix, reusable across right-hand sides.
 
     Elimination happens once (``_echelon``), recording its row steps; each
-    ``solve`` replays them on b and back-substitutes.  Pivot columns are the
-    earliest independent columns, so the particular solution (free
-    variables 0) and the nullspace basis (one vector per free column, that
-    column 1 and the other free columns 0) are canonical.  Entries are ints
-    or Fractions; results are Fractions either way.
+    ``solve`` replays them on b and back-substitutes.  ``pivot_cols`` are
+    the earliest independent columns, so the particular solution (free
+    variables 0) is canonical, and a column lies in the span of the columns
+    before it exactly when it is not among them.  Entries are ints or
+    Fractions; solutions are Fractions either way.
     """
 
     def __init__(self, rows: Sequence[SparseRow], ncols: int):
@@ -559,16 +571,6 @@ class SolvedSystem:
         self._pivots = _echelon(rows, ncols, self._steps)
         self.pivot_cols = sorted(self._pivots)
         self.rank = len(self.pivot_cols)
-        self._nullspace: list[list[Fraction]] | None = None
-
-    def _back_substitute(self, rhs: Mapping[int, Fraction], x: list[Fraction]) -> list[Fraction]:
-        """Fill the pivot entries of x (free entries preset) so that each
-        pivot row dotted with x equals its entry of rhs."""
-        for col in reversed(self.pivot_cols):
-            row = self._pivots[col]
-            acc = rhs.get(col, 0) - sum(v * x[j] for j, v in row.items() if j != col and x[j])
-            x[col] = Fraction(acc) / row[col]
-        return x
 
     def solve(self, b: Sequence[Fraction]) -> list[Fraction] | None:
         """The particular solution of A x = b with free variables 0, or None
@@ -585,15 +587,9 @@ class SolvedSystem:
                 rhs[lead] = r
             elif r:
                 return None
-        return self._back_substitute(rhs, [Fraction(0)] * self.ncols)
-
-    def nullspace(self) -> list[list[Fraction]]:
-        if self._nullspace is None:
-            basis = []
-            for free in range(self.ncols):
-                if free not in self._pivots:
-                    x = [Fraction(0)] * self.ncols
-                    x[free] = Fraction(1)
-                    basis.append(self._back_substitute({}, x))
-            self._nullspace = basis
-        return self._nullspace
+        x = [Fraction(0)] * self.ncols  # back-substitution, pivot rows last to first
+        for col in reversed(self.pivot_cols):
+            row = self._pivots[col]
+            acc = rhs[col] - sum(v * x[j] for j, v in row.items() if j != col and x[j])
+            x[col] = Fraction(acc) / row[col]
+        return x

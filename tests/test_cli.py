@@ -168,7 +168,11 @@ UNCOERCED_SPECS = [
     ({"flavor": "classical", "delta": True, "params": {"a0": "1"}}, "spec.delta"),
     ({"flavor": "classical", "m": 3, "params": {"a0": 0.5}}, "spec.params.a0"),
     ({"flavor": "classical", "m": 3, "params": {**POINT, "a1": False}}, "spec.params.a1"),
+    ({"flavor": "classical", "m": 3, "params": {"a0": "0.5"}}, "not a rational: '0.5'"),
+    ({"flavor": "classical", "m": 3, "params": {"a0": "1e3"}}, "not a rational: '1e3'"),
 ]
+
+DIM_NUMERAL = ["cohomology-dim", "--algebra", "sl2", "--mu=1", "--degree", "1"]
 
 # command lines that must be rejected, never read as something else:
 # (name, argv, text named in the error)
@@ -190,6 +194,22 @@ UNCOERCED_ARGS = [
     ("alphas-trailing-comma", ["example1", "--m", "3", "--alphas", "1,0,5,"], "--alphas"),
     ("lambda-without-value", ["cohomology-dim", "--algebra", "sl2", "--lambda", "--mu", "1",
                               "--degree", "1"], "expected one argument"),
+    # numerals outside ASCII -?[0-9]+(/[0-9]+)?, which int() and Fraction() would read
+    ("lambda-underscore", DIM_NUMERAL + ["--lambda=1_000"], "not a rational: '1_000'"),
+    ("lambda-exponent", DIM_NUMERAL + ["--lambda=1e3"], "not a rational: '1e3'"),
+    ("lambda-arabic-indic-digit", DIM_NUMERAL + ["--lambda=\u0663"], "not a rational"),
+    ("lambda-decimal", DIM_NUMERAL + ["--lambda=0.5"], "not a rational: '0.5'"),
+    ("lambda-plus-sign", DIM_NUMERAL + ["--lambda=+1/2"], "not a rational: '+1/2'"),
+    ("alphas-exponent", ["example1", "--m", "3", "--alphas", "1,1e0,5"], "not a rational"),
+    ("id-plus-sign", ["verify-cocycle", "--id", "Phi:k=+2"], "malformed catalog id"),
+    ("id-underscore", ["verify-cocycle", "--id", "B:m=3,k=1_0"], "malformed catalog id"),
+    ("id-rational-k", ["verify-cocycle", "--id", "Phi:k=4/2"], "malformed catalog id"),
+    ("k-underscore", ["lemma23", "--k", "1_0"], "--k"),
+    ("m-arabic-indic-digit", ["obstruction", "--flavor", "classical", "--m", "\u0663"], "--m"),
+    ("window-plus-sign", ["example1", "--m", "3", "--alphas", "1", "--window", "+8"], "--window"),
+    ("degree-underscore", ["cohomology-dim", "--algebra", "sl2", "--lambda=0", "--mu=1",
+                           "--degree", "0_1"], "--degree"),
+    ("bounds-underscore", ["verify-cocycle", "--id", "Y:k=1", "--bounds", "6,1_6"], "--bounds"),
 ]
 
 # specs without a resonant band, where `integrability` would have nothing to

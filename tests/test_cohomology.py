@@ -549,6 +549,26 @@ class TestCoboundarySolve:
         a = cocycle_A(2)
         assert not classes_independent([a, a.scale(3)])
 
+    def test_dependent_modulo_coboundaries(self):
+        """2A + d0(b) is 2A in cohomology, though not a multiple of A."""
+        a = cocycle_A(1)
+        b = Cochain0(SL2, block_cache(SL2, 1, 1).monomial_op((1, 1)))
+        shifted = a.scale(2) + d0(b)
+        assert not d0(b).is_zero() and cochain_weight_keys(shifted) == [0]
+        assert not classes_independent([a, shifted])
+
+    def test_independent_over_two_weight_keys(self):
+        """B and C + d0(x) on one resonant block: the system stacks keys -4
+        and 2, and the classes stay independent."""
+        from symdef.catalog import cocycle_B, cocycle_C
+
+        c = cocycle_C(3, 2)
+        b = Cochain0(SL2, block_cache(SL2, *c.block).monomial_op((1, 0)))
+        shifted = c + d0(b)
+        assert cochain_weight_keys(shifted) == [-4, 2]
+        assert classes_independent([cocycle_B(3, 2), shifted])
+        assert not classes_independent([cocycle_B(3, 2), d0(b)])
+
 
 # The catalog families on every block of acceptance criterion 3: the diagonal
 # blocks (A, Yprime), the classical resonant blocks in degrees 1 and 2 (B, C,

@@ -561,3 +561,17 @@ class TestReassemblyDefects:
             CLASSICAL, 3, params={"a0": 1, "a2": 1, "b2": 1, "c2": 0}))
         assert not report.verify_reassembly(point)
         assert calls == pairs + pairs
+
+    @pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
+    def test_recomputed_defects_decide(self, flavor, m):
+        """Another action goes through the recompute branch: one rebuilt
+        from the same spec reassembles, and a copy of the action with one
+        first-order term doubled does not."""
+        spec = DeformationSpec.resonant_spec(flavor, m)
+        action = build_infinitesimal(spec)
+        report = obstruction_classes(action)
+        assert report.verify_reassembly(build_infinitesimal(spec))
+        terms = list(action.first_order)
+        assert terms[-1]
+        terms[-1] = terms[-1].scale(2)
+        assert not report.verify_reassembly(DeformedAction(spec, {1: terms}))

@@ -36,6 +36,7 @@ from symdef.kernel import (
     UsageError,
     format_rational,
     matrix_rank,
+    parse_int,
     parse_rational,
 )
 from symdef.operators import GradedOp
@@ -57,6 +58,32 @@ class TestRationalStrings:
     def test_reject_garbage(self):
         with pytest.raises(UsageError):
             parse_rational("1.5x")
+
+    @pytest.mark.parametrize("text,value", [("-1/2", Q(-1, 2)), ("3/2", Q(3, 2)), ("7", Q(7)),
+                                            ("0", Q(0)), (" 5/3 ", Q(5, 3))],
+                             ids=["negative", "proper", "integer", "zero", "spaced"])
+    def test_kept_forms(self, text, value):
+        assert parse_rational(text) == value
+        if "/" not in text:
+            assert parse_int(text) == value and type(parse_int(text)) is int
+
+    @pytest.mark.parametrize("text", ["1_000", "1e3", "0.5", "\u0663", "+2", "1/-2", "- 1",
+                                      "1 / 2", "1/0", "", "-", "\u00b2"],
+                             ids=["underscore", "exponent", "decimal", "arabic-indic-digit",
+                                  "plus-sign", "negative-denominator", "spaced-sign",
+                                  "spaced-slash", "zero-denominator", "empty", "bare-minus",
+                                  "superscript-digit"])
+    def test_refused_forms(self, text):
+        """Only ASCII -?[0-9]+(/[0-9]+)? is a number, though Fraction() or
+        int() read several of these."""
+        with pytest.raises(UsageError, match="not a rational"):
+            parse_rational(text)
+        with pytest.raises(UsageError):
+            parse_int(text)
+
+    def test_integer_refuses_a_quotient(self):
+        with pytest.raises(UsageError, match="not an integer"):
+            parse_int("4/2")
 
 
 class TestParamMul:
@@ -169,9 +196,9 @@ def sparse(rows):
 
 class DenseReference:
     """The dense Fraction Gauss-Jordan elimination the kernel used before
-    its sparse fraction-free core, kept as the oracle: rank, the solution
-    with free variables 0, and the nullspace basis read off the reduced
-    row echelon form, which any correct elimination must reproduce."""
+    its sparse fraction-free core, kept as the oracle: rank, the pivot
+    columns (the earliest independent ones) and the solution with free
+    variables 0, which any correct elimination must reproduce."""
 
     def __init__(self, rows, ncols):
         work = [[Q(x) for x in row] for row in rows]
@@ -192,7 +219,7 @@ class DenseReference:
                 if r != best and factor:
                     work[r] = [x - factor * y for x, y in zip(work[r], work[best])]
                     trans[r] = [x - factor * y for x, y in zip(trans[r], trans[best])]
-        self.ncols, self.reduced, self.transform = ncols, work, trans
+        self.ncols, self.transform = ncols, trans
         self.rank = len(self.pivots)
 
     def solve(self, b):
@@ -203,16 +230,6 @@ class DenseReference:
         for col, row in self.pivots.items():
             x[col] = image[row]
         return x
-
-    def nullspace(self):
-        basis = []
-        for free in range(self.ncols):
-            if free not in self.pivots:
-                vec = [Q(int(j == free)) for j in range(self.ncols)]
-                for col, row in self.pivots.items():
-                    vec[col] = -self.reduced[row][free]
-                basis.append(vec)
-        return basis
 
 
 ENTRIES = st.one_of(
@@ -247,7 +264,7 @@ class TestLinearSolve:
     def test_single_equation(self):
         system = SolvedSystem([[(0, Q(2))]], 1)
         assert system.solve([Q(1)]) == [Q(1, 2)]
-        assert system.nullspace() == []
+        assert system.pivot_cols == [0]
 
     def test_inconsistent(self):
         assert SolvedSystem([[(0, Q(0))]], 1).solve([Q(1)]) is None
@@ -255,9 +272,7 @@ class TestLinearSolve:
     def test_underdetermined(self):
         system = SolvedSystem([[(0, Q(1)), (1, Q(1))]], 2)
         assert system.solve([Q(1)]) == [Q(1), Q(0)]
-        assert len(system.nullspace()) == 1
-        v = system.nullspace()[0]
-        assert v[0] + v[1] == 0 and v != [0, 0]
+        assert system.pivot_cols == [0]  # column 1 equals column 0
 
     def test_random_systems_exact(self):
         rng = random.Random(5)
@@ -266,6 +281,7 @@ class TestLinearSolve:
             rows = [[Q(rng.randrange(-3, 4)) for _ in range(m)] for _ in range(n)]
             b = [Q(rng.randrange(-3, 4)) for _ in range(n)]
             system = SolvedSystem(sparse(rows), m)
+            assert system.pivot_cols == sorted(DenseReference(rows, m).pivots)
             x = system.solve(b)
             if x is None:
                 # rank([A|b]) must exceed rank(A)
@@ -274,17 +290,14 @@ class TestLinearSolve:
             else:
                 for row, bv in zip(rows, b):
                     assert sum(r * xv for r, xv in zip(row, x)) == bv
-                for vec in system.nullspace():
-                    for row in rows:
-                        assert sum(r * xv for r, xv in zip(row, vec)) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             SolvedSystem([[(0, Q(1)), (1, Q(2))]], 2).solve([Q(1), Q(2)])
 
     def test_int_rows_stay_exact(self):
-        """int and mixed int/Fraction rows give the rank, solution and
-        nullspace of the same rows as Fractions, all as Fractions."""
+        """int and mixed int/Fraction rows give the rank, pivot columns and
+        solution of the same rows as Fractions, the solution as Fractions."""
         assert SolvedSystem([[(0, 2), (1, 1)], [(0, 1), (1, 1)]], 2).solve([1, 0]) == [Q(1), Q(-1)]
         rng = random.Random(7)
         for _ in range(300):
@@ -300,9 +313,8 @@ class TestLinearSolve:
                         == matrix_rank(sparse(fracs), m))
                 x = got.solve(b)
                 assert x == want.solve([Q(v) for v in b])
-                assert got.nullspace() == want.nullspace()
-                values = (x or []) + [v for vec in got.nullspace() for v in vec]
-                assert all(type(v) is Q for v in values)
+                assert got.pivot_cols == want.pivot_cols
+                assert all(type(v) is Q for v in x or [])
 
     def test_float_entries_rejected(self):
         with pytest.raises(UsageError):
@@ -321,7 +333,7 @@ class TestLinearSolve:
     @given(rational_systems())
     @settings(max_examples=400)
     def test_matches_dense_reference(self, system):
-        """Rank, solve (value or None) and nullspace equal the dense
+        """Rank, pivot columns and solve (value or None) equal the dense
         reference exactly, zero entries given or left out."""
         rows, ncols, b = system
         want = DenseReference(rows, ncols)
@@ -332,9 +344,8 @@ class TestLinearSolve:
             assert got.rank == want.rank
             x = got.solve(b)
             assert x == want.solve(b)
-            assert got.nullspace() == want.nullspace()
-            values = (x or []) + [v for vec in got.nullspace() for v in vec]
-            assert all(type(v) is Q for v in values)
+            assert got.pivot_cols == sorted(want.pivots)
+            assert all(type(v) is Q for v in x or [])
 
 
 # ---------------------------------------------------------------------------
