@@ -11,6 +11,10 @@ Families (CLI ids in parentheses):
 * ``Yprime`` (``Yprime:lambda=p/q``) degree 1, diagonal super block, even.
 * ``Y``, ``Ytilde`` (``Y:k=1``) degree 1, resonant super block, odd.
 * ``Omega`` (``Omega:k=2``) degree 2, resonant super block, odd.
+
+The table ``_FAMILIES`` is the one description of a family: its builder
+and the keys of its id.  Parsing, printing and building an id all read it,
+and ``deformation`` names the families it places only by ``CatalogId``.
 """
 
 from __future__ import annotations
@@ -226,22 +230,30 @@ def lemma23_check(k: int) -> DecompositionReport:
 # Catalog ids
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("A", "B", "C", "Phi", "Yprime", "Y", "Ytilde", "Omega")
+# family -> (builder, the id keys in argument order)
+_FAMILIES = {
+    "A": (cocycle_A, ("lambda",)),
+    "B": (cocycle_B, ("m", "k")),
+    "C": (cocycle_C, ("m", "k")),
+    "Phi": (cocycle_Phi, ("k",)),
+    "Yprime": (cocycle_Yprime, ("lambda",)),
+    "Y": (cocycle_Y, ("k",)),
+    "Ytilde": (cocycle_Ytilde, ("k",)),
+    "Omega": (cocycle_Omega, ("k",)),
+}
 
 
 @record(frozen=True)
 class CatalogId:
+    """A family and its builder arguments: a rational lambda, integers otherwise."""
+
     family: str
-    lam: Fraction | None = None
-    m: int | None = None
-    k: int | None = None
+    args: tuple
 
     def __str__(self) -> str:
-        if self.family in ("A", "Yprime"):
-            return f"{self.family}:lambda={format_rational(self.lam)}"
-        if self.family in ("B", "C"):
-            return f"{self.family}:m={self.m},k={self.k}"
-        return f"{self.family}:k={self.k}"
+        keys = _FAMILIES[self.family][1]
+        return f"{self.family}:" + ",".join(
+            f"{key}={format_rational(value)}" for key, value in zip(keys, self.args))
 
 
 def parse_catalog_id(text: str) -> CatalogId:
@@ -257,20 +269,13 @@ def parse_catalog_id(text: str) -> CatalogId:
             if name in args:
                 raise UsageError(f"catalog id {text!r}: repeated key {name!r}")
             args[name] = value.strip()
-    if family in ("A", "Yprime"):
-        keys, usage = {"lambda"}, "lambda=p/q"
-    elif family in ("B", "C"):
-        keys, usage = {"m", "k"}, "m=<int>,k=<int>"
-    else:
-        keys, usage = {"k"}, "k=<int>"
-    if set(args) != keys:
+    keys = _FAMILIES[family][1]
+    if set(args) != set(keys):
+        usage = ",".join(f"{key}=p/q" if key == "lambda" else f"{key}=<int>" for key in keys)
         raise UsageError(f"catalog id {text!r}: {family} takes exactly {usage}")
     try:
-        if family in ("A", "Yprime"):
-            return CatalogId(family, lam=parse_rational(args["lambda"]))
-        if family in ("B", "C"):
-            return CatalogId(family, m=parse_int(args["m"]), k=parse_int(args["k"]))
-        return CatalogId(family, k=parse_int(args["k"]))
+        return CatalogId(family, tuple(parse_rational(args[key]) if key == "lambda"
+                                       else parse_int(args[key]) for key in keys))
     except UsageError as exc:
         raise UsageError(f"malformed catalog id {text!r}") from exc
 
@@ -278,21 +283,7 @@ def parse_catalog_id(text: str) -> CatalogId:
 def build_cocycle(cid: CatalogId | str):
     if isinstance(cid, str):
         cid = parse_catalog_id(cid)
-    if cid.family == "A":
-        return cocycle_A(cid.lam)
-    if cid.family == "B":
-        return cocycle_B(cid.m, cid.k)
-    if cid.family == "C":
-        return cocycle_C(cid.m, cid.k)
-    if cid.family == "Phi":
-        return cocycle_Phi(cid.k)
-    if cid.family == "Yprime":
-        return cocycle_Yprime(cid.lam)
-    if cid.family == "Y":
-        return cocycle_Y(cid.k)
-    if cid.family == "Ytilde":
-        return cocycle_Ytilde(cid.k)
-    return cocycle_Omega(cid.k)
+    return _FAMILIES[cid.family][0](*cid.args)
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import (
-    cocycle_A,
-    cocycle_B,
-    cocycle_C,
-    cocycle_Omega,
-    cocycle_Phi,
-    cocycle_Y,
-    cocycle_Yprime,
-    cocycle_Ytilde,
-)
+from .catalog import _FAMILIES, CatalogId, build_cocycle
 from .cohomology import (
     BoundsSpec,
     Cochain1,
@@ -62,7 +53,6 @@ from .kernel import (
     ParamScalar,
     UsageError,
     as_weight,
-    field,
     format_rational,
     parse_rational,
     record,
@@ -120,14 +110,10 @@ class DeformationSpec:
         self.delta = as_weight(self.delta)
         if self.window < 1:
             raise UsageError("window must be positive")
-        if self.resonant and self.flavor == CLASSICAL:
-            m = self.m
-            if m - 1 > self.window:
-                raise UsageError("window too small for the resonant band")
-        if self.resonant and self.flavor == SUPER:
-            if 2 * self.m - 1 > self.window:
-                raise UsageError("window too small for the resonant band")
+        if any(max(self.off_diagonal_block(k)) > self.window for k in self.resonant_range()):
+            raise UsageError("window too small for the resonant band")
         if self.assignment is not None:
+            self.assignment = {name: as_weight(value) for name, value in self.assignment.items()}
             algebra = self.algebra()
             for name, value in self.assignment.items():
                 if name not in algebra:
@@ -187,6 +173,21 @@ class DeformationSpec:
                 odd.extend([b, c])
         return ParamAlgebra(even=tuple(even), odd=tuple(odd))
 
+    def placements(self) -> list[tuple[tuple[int, int], str, CatalogId]]:
+        """(block, parameter, catalog id) of every degree-1 family placed in
+        the first-order action, in the order they are summed."""
+        if self.flavor == CLASSICAL:
+            diagonal, pair, step = "A", ("B", "C"), 1
+        else:
+            diagonal, pair, step = "Yprime", ("Y", "Ytilde"), Fraction(1, 2)
+        out = [((c, c), self.diagonal_param(c), CatalogId(diagonal, (self.delta - step * c,)))
+               for c in range(self.window + 1)]
+        for k in self.resonant_range():
+            args = (self.m, k) if self.flavor == CLASSICAL else (k,)
+            out += [(self.off_diagonal_block(k), name, CatalogId(family, args))
+                    for name, family in zip(self.off_diagonal_params(k), pair)]
+        return out
+
     # -- construction ----------------------------------------------------------
 
     @staticmethod
@@ -245,25 +246,34 @@ class DeformedAction:
     """Undeformed window action plus parameter-weighted terms by order."""
 
     spec: DeformationSpec
-    terms: dict[int, list[GradedOp]]  # parameter order -> per-basis-index term
+    terms: dict[int, tuple[GradedOp, ...]]  # parameter order -> per-basis-index term
     truncation_order: int | None = None
-    # set by _assemble_first_order once L0 and every placed family are certified
-    _cocycle_terms: bool = field(default=False, init=False, repr=False, compare=False)
+    # the first-order terms _assemble_first_order certified, if it built this action
+    _certified_first_order = None
+
+    def __post_init__(self):
+        self.terms = {order: tuple(row) for order, row in self.terms.items()}
 
     @property
     def ctx(self):
         return algebra_for_flavor(self.spec.flavor)
 
     @property
-    def first_order(self) -> list[GradedOp]:
+    def first_order(self) -> tuple[GradedOp, ...]:
         return self.terms.get(1, self._zero_terms())
 
-    def higher_terms(self) -> dict[int, list[GradedOp]]:
+    def higher_terms(self) -> dict[int, tuple[GradedOp, ...]]:
         return {o: t for o, t in self.terms.items() if o >= 2}
 
-    def _zero_terms(self) -> list[GradedOp]:
-        return [GradedOp(self.spec.flavor, self.spec.delta, self.spec.window)
-                for _ in range(self.ctx.dim)]
+    def _zero_terms(self) -> tuple[GradedOp, ...]:
+        return tuple(GradedOp(self.spec.flavor, self.spec.delta, self.spec.window)
+                     for _ in range(self.ctx.dim))
+
+    def _certified(self) -> bool:
+        """Whether the terms are exactly {1: the tuple _assemble_first_order
+        certified}, untruncated: then the defect is [Phi_i, Phi_j]."""
+        return (self.truncation_order is None and self.terms.keys() == {1}
+                and self.terms[1] is self._certified_first_order)
 
     def undeformed(self, index: int) -> GradedOp:
         """L0 of basis element `index`, certified and shared: never mutate it."""
@@ -315,13 +325,13 @@ def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[Grade
 
 
 @lru_cache(maxsize=512)
-def _certified_family(build: Callable[..., Cochain1], *args) -> Cochain1:
-    """The catalog family instance build(*args) to be placed in Phi, checked
-    once to be a cocycle (``is_cocycle``, on the action tables);
-    InternalError otherwise."""
-    family = build(*args)
+def _certified_family(cid: CatalogId) -> Cochain1:
+    """The catalog family instance to be placed in Phi, checked once to be
+    a cocycle (``is_cocycle``, on the action tables); InternalError otherwise."""
+    family = build_cocycle(cid)
     if not is_cocycle(family):
-        raise InternalError(f"{build.__name__}({', '.join(map(str, args))}) placed in the "
+        build = _FAMILIES[cid.family][0]
+        raise InternalError(f"{build.__name__}({', '.join(map(str, cid.args))}) placed in the "
                             "deformation is not a cocycle")
     return family
 
@@ -335,24 +345,10 @@ def _assemble_first_order(spec: DeformationSpec,
     homomorphism, so ``bracket_defect`` may take the defect as
     [Phi_i, Phi_j]."""
     _undeformed_window(spec.flavor, spec.delta, spec.window)
-    ctx = algebra_for_flavor(spec.flavor)
-    if spec.flavor == CLASSICAL:
-        diag, off_b, off_c, step = cocycle_A, cocycle_B, cocycle_C, 1
-    else:
-        diag, off_b, off_c, step = cocycle_Yprime, cocycle_Y, cocycle_Ytilde, Fraction(1, 2)
-    placed = []  # (block, coefficient, family), in the order they are summed
-    for comp in range(spec.window + 1):
-        coeff = coeff_of(spec.diagonal_param(comp))
-        if coeff:
-            placed.append(((comp, comp), coeff, _certified_family(diag, spec.delta - step * comp)))
-    for k in spec.resonant_range():
-        args = (spec.m, k) if spec.flavor == CLASSICAL else (k,)
-        for name, build in zip(spec.off_diagonal_params(k), (off_b, off_c)):
-            coeff = coeff_of(name)
-            if coeff:
-                placed.append((spec.off_diagonal_block(k), coeff, _certified_family(build, *args)))
+    placed = [(block, coeff, _certified_family(cid))
+              for block, name, cid in spec.placements() if (coeff := coeff_of(name))]
     terms = []
-    for index in range(ctx.dim):
+    for index in range(algebra_for_flavor(spec.flavor).dim):
         g = GradedOp(spec.flavor, spec.delta, spec.window)
         for (src, tgt), coeff, family in placed:
             term = family.images[index].scale(coeff)
@@ -360,7 +356,7 @@ def _assemble_first_order(spec: DeformationSpec,
             g.set_block(src, tgt, term if existing is None else existing + term)
         terms.append(g)
     action = DeformedAction(spec, {1: terms})
-    action._cocycle_terms = True
+    action._certified_first_order = action.terms[1]
     return action
 
 
@@ -395,7 +391,7 @@ def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
     action was assembled.  Any other action is expanded in full."""
     ctx = action.ctx
     sign = -1 if (ctx.parities[i] and ctx.parities[j]) else 1
-    if action._cocycle_terms and set(action.terms) == {1} and action.truncation_order is None:
+    if action._certified():
         phi = action.terms[1]
         return phi[i].bracket(phi[j], sign)
     li, lj = action.full(i), action.full(j)
@@ -469,9 +465,8 @@ class ObstructionReport:
     diagonal_clean: bool
     unexpected_blocks: list
     verdict: str
-    # the action the report was built from and its defects; not serialized
-    _action: DeformedAction | None = field(default=None, repr=False, compare=False)
-    _defects: dict | None = field(default=None, repr=False, compare=False)
+    # the action the report was built from and its defects; set by obstruction_classes
+    _action = _defects = None
 
     @property
     def condition_generators(self) -> list[ParamScalar]:
@@ -481,10 +476,11 @@ class ObstructionReport:
         """Exact check: class*basis + d1(witness) reproduces every defect block.
 
         The defects are the ones the report was built on when `action` is
-        the action it was built from, and are recomputed otherwise."""
+        the certified action it was built from, terms unchanged, and are
+        recomputed otherwise."""
         ctx = action.ctx
         pairs = ctx.canonical_pairs()
-        if action is self._action:
+        if action is self._action and action._certified():
             defects = self._defects
         else:
             defects = {pair: bracket_defect(action, *pair) for pair in pairs}
@@ -511,12 +507,9 @@ class ObstructionReport:
 def _recognized_blocks(spec: DeformationSpec) -> dict[tuple[int, int], tuple[str, Cochain2]]:
     out = {}
     for k in spec.resonant_range():
-        src, tgt = spec.off_diagonal_block(k)
-        if spec.flavor == CLASSICAL:
-            kappa = 2 * k - spec.m + 1
-            out[(src, tgt)] = (f"Phi:k={kappa}", cocycle_Phi(kappa))
-        else:
-            out[(src, tgt)] = (f"Omega:k={k}", cocycle_Omega(k))
+        cid = (CatalogId("Phi", (2 * k - spec.m + 1,)) if spec.flavor == CLASSICAL
+               else CatalogId("Omega", (k,)))
+        out[spec.off_diagonal_block(k)] = (str(cid), build_cocycle(cid))
     return out
 
 
@@ -579,9 +572,8 @@ def obstruction_classes(action: DeformedAction,
         diagonal_clean=not diag_bad,
         unexpected_blocks=unexpected,
         verdict=verdict,
-        _action=action,
-        _defects=defects,
     )
+    report._action, report._defects = action, defects
     return report
 
 
@@ -635,7 +627,7 @@ def _complete_even_assignment(spec: DeformationSpec) -> dict[str, Fraction]:
     if spec.assignment is None:
         raise UsageError("condition checking needs a numeric parameter assignment")
     full = {name: Fraction(0) for name in spec.algebra().even}
-    full.update((name, Fraction(value)) for name, value in spec.assignment.items())
+    full.update(spec.assignment)
     return full
 
 
@@ -743,7 +735,7 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
     spec = DeformationSpec.resonant_spec(CLASSICAL, m, window)
     if not spec.resonant_range():
         raise UsageError("example1 needs a resonant band: --m >= 2")
-    alphas = [parse_rational(a) if isinstance(a, str) else Fraction(a) for a in alphas]
+    alphas = [as_weight(a) for a in alphas]
     if len(alphas) < m:
         raise UsageError(f"need at least {m} alpha values for m={m}")
     alpha = {k: (alphas[k] if k < len(alphas) else Fraction(0)) for k in range(spec.window + 1)}

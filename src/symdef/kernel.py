@@ -32,50 +32,36 @@ class InternalError(AssertionError):
 # Records
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
-class field:
-    """A record field's default and its ``__init__``, ``repr`` and ``==`` flags."""
-
-    def __init__(self, *, default=_MISSING, init=True, repr=True, compare=True):
-        self.default, self.init, self.repr, self.compare = default, init, repr, compare
-
-
 def record(cls=None, *, frozen=False):
     """Give a class of annotated fields ``__init__`` (arguments in annotation
-    order, with defaults, then ``__post_init__``), ``__eq__`` (same class,
-    equal compared fields) and ``__repr__``, as closures.  A frozen record
-    refuses assignment and hashes its compared fields; any other is unhashable."""
+    order, a class attribute of the same name as default, then
+    ``__post_init__``), ``__eq__`` (same class, equal fields) and
+    ``__repr__``, as closures.  Other attributes are not fields: they are
+    neither arguments nor compared nor shown.  A frozen record refuses
+    assignment and hashes its fields; any other is unhashable."""
     if cls is None:
         return lambda c: record(c, frozen=frozen)
-    fields = []
-    for name in cls.__dict__.get("__annotations__", {}):
-        spec = cls.__dict__.get(name, _MISSING)
-        spec = spec if isinstance(spec, field) else field(default=spec)
-        if spec.default is not _MISSING:
-            setattr(cls, name, spec.default)
-        fields.append((name, spec))
-    params = [name for name, spec in fields if spec.init]
-    required = {name for name, spec in fields if spec.init and spec.default is _MISSING}
+    fields = list(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    required = set(fields) - defaults.keys()
 
     def __init__(self, *args, **kwargs):
-        values = dict(**dict(zip(params, args)), **kwargs)  # a repeated argument raises
-        if len(args) > len(params) or not required <= values.keys() <= set(params):
-            raise TypeError(f"{cls.__qualname__}() takes ({', '.join(params)})")
-        for name, spec in fields:
-            object.__setattr__(self, name, values.get(name, spec.default))
+        values = dict(**dict(zip(fields, args)), **kwargs)  # a repeated argument raises
+        if len(args) > len(fields) or not required <= values.keys() <= set(fields):
+            raise TypeError(f"{cls.__qualname__}() takes ({', '.join(fields)})")
+        for name in fields:
+            object.__setattr__(self, name, values[name] if name in values else defaults[name])
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
     def key(self):
-        return tuple(getattr(self, name) for name, spec in fields if spec.compare)
+        return tuple(getattr(self, name) for name in fields)
 
     def __eq__(self, other):
         return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self):
-        shown = (f"{name}={getattr(self, name)!r}" for name, spec in fields if spec.repr)
+        shown = (f"{name}={getattr(self, name)!r}" for name in fields)
         return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def refuse(self, name, *value):
@@ -112,13 +98,15 @@ def parse_int(text: str) -> int:
 
 
 def as_weight(value) -> Fraction:
-    """A density weight (or any exact constant) as a rational.  A float or
-    bool is refused: ``Fraction(0.1)`` is the binary expansion of 0.1, not
-    1/10, and ``True`` is not a number here."""
+    """A density weight (or any exact constant) as a rational.  A string is
+    read by ``parse_rational``.  A float or bool is refused: ``Fraction(0.1)``
+    is the binary expansion of 0.1, not 1/10, and ``True`` is not a number here."""
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, (float, bool)):
-        raise UsageError(f"{value!r} is not exact: pass an int or a Fraction")
+        raise UsageError(f"{value!r} is not exact: pass an int, a Fraction or a string")
     return Fraction(value)
 
 
@@ -378,7 +366,7 @@ class ParamScalar:
         """
         values: dict[str, Fraction] = {}
         for name, raw in assignment.items():
-            value = parse_rational(raw) if isinstance(raw, str) else Fraction(raw)
+            value = as_weight(raw)
             if self.algebra is not None and name in self.algebra.odd and value != 0:
                 raise UsageError(f"odd parameter {name!r} cannot take the nonzero value {value}")
             values[name] = value

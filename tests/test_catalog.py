@@ -6,6 +6,7 @@ import pytest
 
 import symdef.catalog as catalog
 from symdef.catalog import (
+    CatalogId,
     build_cocycle,
     calibrate_convention,
     cocycle_A,
@@ -166,21 +167,31 @@ class TestDecompositionIdentity:
         assert set(report.residuals) == {pair}
 
 
+# (catalog id, its family's builder, the builder's arguments)
+FAMILY_IDS = [
+    ("A:lambda=3/2", cocycle_A, (Q(3, 2),)),
+    ("B:m=3,k=2", cocycle_B, (3, 2)),
+    ("C:m=4,k=3", cocycle_C, (4, 3)),
+    ("Phi:k=2", cocycle_Phi, (2,)),
+    ("Yprime:lambda=-1/2", cocycle_Yprime, (Q(-1, 2),)),
+    ("Y:k=1", cocycle_Y, (1,)),
+    ("Ytilde:k=3", cocycle_Ytilde, (3,)),
+    ("Omega:k=2", cocycle_Omega, (2,)),
+]
+
+
 class TestCatalogIds:
     def test_parse_and_build_round_trip(self):
-        for text in [
-            "A:lambda=3/2",
-            "B:m=3,k=2",
-            "C:m=4,k=3",
-            "Phi:k=2",
-            "Yprime:lambda=-1/2",
-            "Y:k=1",
-            "Ytilde:k=3",
-            "Omega:k=2",
-        ]:
+        """Each family of the table: the id prints back as written and
+        builds what its builder gives."""
+        for text, build, args in FAMILY_IDS:
             cid = parse_catalog_id(text)
+            assert cid == CatalogId(text.partition(":")[0], args)
             assert str(cid) == text
-            build_cocycle(cid)
+            assert build_cocycle(text) == build(*args), text
+
+    def test_keys_print_in_table_order(self):
+        assert str(parse_catalog_id("B:k=2, m=3")) == "B:m=3,k=2"
 
     def test_lambda_normalization(self):
         cid = parse_catalog_id("A:lambda=0/1")

@@ -360,7 +360,7 @@ def engine_fault(capsys, argv):
 
 
 def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certificates):
-    build = deformation.cocycle_B
+    build, keys = catalog._FAMILIES["B"]
 
     def not_closed(m, k):
         family = build(m, k)
@@ -368,7 +368,7 @@ def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certif
         extra = DiffOp.partial(1, lam, mu, Poly.x_power(3))
         return Cochain1("sl2", {**family.images, 0: family.images[0] + extra})
 
-    monkeypatch.setattr(deformation, "cocycle_B", not_closed)
+    monkeypatch.setitem(catalog._FAMILIES, "B", (not_closed, keys))
     error = engine_fault(capsys, ["obstruction", "--flavor", "classical", "--m", "3"])
     assert error == "not_closed(3, 2) placed in the deformation is not a cocycle"
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symdef.catalog as catalog
 import symdef.deformation as deformation
 from symdef.cohomology import Cochain1, block_cache, d1
 from symdef.deformation import (
@@ -141,6 +142,29 @@ class TestBuildInfinitesimal:
         assert all(j == i or (j, i) == (2, 0) for (j, i) in blocks)
         off = action.first_order[2].block(2, 0)
         assert off.lam == Q(-1, 2) and off.mu == Q(3, 2)
+
+    def test_placements(self):
+        """Every degree-1 family placed, by block, parameter and catalog id."""
+        got = {(flavor, m): [(block, name, str(cid)) for block, name, cid
+                             in DeformationSpec.resonant_spec(flavor, m).placements()]
+               for flavor, m in [(CLASSICAL, 3), (SUPER, 2)]}
+        assert got[(CLASSICAL, 3)] == [
+            ((0, 0), "a0", "A:lambda=3/2"), ((1, 1), "a1", "A:lambda=1/2"),
+            ((2, 2), "a2", "A:lambda=-1/2"), ((3, 3), "a3", "A:lambda=-3/2"),
+            ((4, 4), "a4", "A:lambda=-5/2"), ((5, 5), "a5", "A:lambda=-7/2"),
+            ((6, 6), "a6", "A:lambda=-9/2"), ((7, 7), "a7", "A:lambda=-11/2"),
+            ((8, 8), "a8", "A:lambda=-13/2"),
+            ((2, 0), "b2", "B:m=3,k=2"), ((2, 0), "c2", "C:m=3,k=2"),
+        ]
+        assert got[(SUPER, 2)] == [
+            ((0, 0), "a2", "Yprime:lambda=1"), ((1, 1), "a1", "Yprime:lambda=1/2"),
+            ((2, 2), "a0", "Yprime:lambda=0"), ((3, 3), "a-1", "Yprime:lambda=-1/2"),
+            ((4, 4), "a-2", "Yprime:lambda=-1"), ((5, 5), "a-3", "Yprime:lambda=-3/2"),
+            ((6, 6), "a-4", "Yprime:lambda=-2"), ((7, 7), "a-5", "Yprime:lambda=-5/2"),
+            ((8, 8), "a-6", "Yprime:lambda=-3"),
+            ((2, 1), "b1", "Y:k=1"), ((2, 1), "c1", "Ytilde:k=1"),
+            ((3, 0), "b2", "Y:k=2"), ((3, 0), "c2", "Ytilde:k=2"),
+        ]
 
     def test_super_m1_block_layout(self):
         spec = DeformationSpec.resonant_spec(SUPER, 1)
@@ -460,8 +484,7 @@ def typed_defect(action, i, j):
     return defect
 
 
-BUILDERS = {CLASSICAL: ("cocycle_A", "cocycle_B", "cocycle_C"),
-            SUPER: ("cocycle_Yprime", "cocycle_Y", "cocycle_Ytilde")}
+BUILDERS = {CLASSICAL: ("A", "B", "C"), SUPER: ("Yprime", "Y", "Ytilde")}
 
 
 def perturbed(family):
@@ -478,15 +501,16 @@ def perturbed(family):
 
 @contextmanager
 def broken_family(name):
-    """Within the block, the named family builder of `deformation` returns a
+    """Within the block, the builder of the named catalog family returns a
     non-cocycle; the per-instance certificates are cleared on both sides."""
     deformation._certified_family.cache_clear()
     try:
         if name is None:
             yield
         else:
-            build = getattr(deformation, name)
-            with mock.patch.object(deformation, name, lambda *args: perturbed(build(*args))):
+            build, keys = catalog._FAMILIES[name]
+            with mock.patch.dict(catalog._FAMILIES,
+                                 {name: (lambda *args: perturbed(build(*args)), keys)}):
                 yield
     finally:
         deformation._certified_family.cache_clear()
@@ -524,7 +548,7 @@ def test_fast_path_only_for_assembled_actions():
     agrees."""
     action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
     hand = DeformedAction(action.spec, {1: action.first_order})
-    assert action._cocycle_terms and not hand._cocycle_terms
+    assert action._certified() and not hand._certified()
     for pair in action.ctx.canonical_pairs():
         assert bracket_defect(action, *pair) == bracket_defect(hand, *pair)
 
@@ -561,6 +585,29 @@ class TestReassemblyDefects:
             CLASSICAL, 3, params={"a0": 1, "a2": 1, "b2": 1, "c2": 0}))
         assert not report.verify_reassembly(point)
         assert calls == pairs + pairs
+
+    @pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
+    def test_replaced_terms_are_expanded_in_full(self, flavor, m):
+        """An assembled action's terms are tuples, so no term can be edited
+        in place; once its first order is replaced, the defect is the full
+        expansion and the kept defects no longer serve the reassembly."""
+        action = build_infinitesimal(DeformationSpec.resonant_spec(flavor, m))
+        report = obstruction_classes(action)
+        phi = action.terms[1]
+        with pytest.raises(TypeError):
+            phi[-1] = phi[-1].scale(2)
+        assert type(DeformedAction(action.spec, {1: list(phi)}).terms[1]) is tuple
+        action.terms[1] = phi[:-1] + (phi[-1].scale(2),)
+        parities = action.ctx.parities
+        changed = 0
+        for (i, j) in action.ctx.canonical_pairs():
+            defect = bracket_defect(action, i, j)
+            assert defect == typed_defect(action, i, j), (i, j)
+            fast = action.terms[1][i].bracket(action.terms[1][j],
+                                              -1 if parities[i] and parities[j] else 1)
+            changed += defect != fast
+        assert changed
+        assert not report.verify_reassembly(action)
 
     @pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
     def test_recomputed_defects_decide(self, flavor, m):

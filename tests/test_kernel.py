@@ -27,6 +27,7 @@ from symdef.deformation import (
     HomomorphismReport,
     NotTrivializable,
     ObstructionReport,
+    example1_family,
 )
 from symdef.geometry import CLASSICAL, Density, Poly
 from symdef.kernel import (
@@ -360,7 +361,12 @@ WEIGHT_ENTRIES = [
     ("Density", lambda w: Density(w, Poly([1]), CLASSICAL).weight, Q),
     ("GradedOp", lambda w: GradedOp(CLASSICAL, w, 2).delta, Q),
     ("DeformationSpec", lambda w: DeformationSpec(CLASSICAL, w, 8).delta, Q),
+    ("DeformationSpec.assignment",
+     lambda w: DeformationSpec(CLASSICAL, Q(1), 4, {"a0": w}).assignment["a0"], Q),
+    ("example1_family", lambda w: example1_family(3, [w, 2, 5]).alphas[0], Q),
     ("ParamScalar.const", lambda w: ParamScalar.const(w).constant_value(), Q),
+    ("ParamScalar.substitute", lambda w: ParamScalar.symbol(ParamAlgebra(("a0",), ()), "a0")
+     .substitute({"a0": w}).constant_value(), Q),
     ("cohomology_dim", lambda w: cohomology_dim((w, w), 1, SL2, BoundsSpec(2, 4)).dim,
      lambda w: 1),  # a diagonal sl(2) block has H^1 of dimension 1
 ]
@@ -396,7 +402,7 @@ RECORDS = [
     (ParamAlgebra, {"even": ("a0",), "odd": ("b1",)}, ("odd", ("b2",)), True, {}),
     (BoundsSpec, {"max_operator_order": 2, "max_coefficient_degree": 4},
      ("max_operator_order", 3), True, {}),
-    (CatalogId, {"family": "A"}, ("family", "B"), True, {"lam": None, "m": None, "k": None}),
+    (CatalogId, {"family": "A", "args": (Q(1),)}, ("family", "Yprime"), True, {}),
     (Witness, {"cochain": "c"}, ("cochain", "d"), False, {}),
     (NoSolutionWithinBounds, {"bounds": BoundsSpec(2, 4)}, ("bounds", BoundsSpec(4, 6)),
      False, {}),
@@ -408,15 +414,14 @@ RECORDS = [
     (DeformationSpec, {"flavor": CLASSICAL, "delta": Q(1), "window": 3}, ("window", 4),
      False, {"assignment": None}),
     (DeformedAction, {"spec": SPEC, "terms": {}}, ("terms", {1: []}), False,
-     {"truncation_order": None, "_cocycle_terms": False}),
+     {"truncation_order": None}),
     (HomomorphismReport, {"passed": True, "failures": [], "checked_pairs": [(0, 1)]},
      ("passed", False), False, {}),
     (BlockObstruction, {"k": 1, "source_k": 1, "target_k": 0, "basis_id": "Phi:k=1",
                         "basis": "b", "class_coeff": "x", "witness": "w",
                         "bounds": BoundsSpec(2, 4), "verdict": "derived"},
      ("class_coeff", "y"), False, {}),
-    (ObstructionReport, REPORT_FIELDS, ("diagonal_clean", False), False,
-     {"_action": None, "_defects": None}),
+    (ObstructionReport, REPORT_FIELDS, ("diagonal_clean", False), False, {}),
     (ConditionVerdict, {"k": 1, "generator": "g", "value": "0", "satisfied": True},
      ("value", "1"), False, {}),
     (Example1Report, {"m": 3, "alphas": [Q(1)], "printed_flat": True, "printed_failures": [],
@@ -445,20 +450,26 @@ class TestRecords:
         assert {key: getattr(a, key) for key in defaults} == defaults
         assert repr(a).startswith(f"{cls.__name__}({next(iter(fields))}=")
 
-    def test_post_init_and_field_options(self):
+    def test_post_init_and_plain_attributes(self):
+        """Only annotated fields are arguments, compared and shown; a plain
+        attribute such as the report's kept action is set by its owner."""
         assert ParamAlgebra(even=("b", "a"), odd=("d", "c")) == ParamAlgebra(("a", "b"), ("c", "d"))
         with pytest.raises(UsageError, match="flavor"):
             DeformationSpec("quantum", Q(1), 3)
         with pytest.raises(UsageError, match="bounds"):
             BoundsSpec(2.5, 1)
-        report = ObstructionReport(**REPORT_FIELDS, _action=DeformedAction(SPEC, {}), _defects={})
+        report = ObstructionReport(**REPORT_FIELDS)
+        assert report._action is None and report._defects is None
+        report._action, report._defects = DeformedAction(SPEC, {}), {}
         assert report == ObstructionReport(**REPORT_FIELDS)
         assert "_action" not in repr(report) and "_defects" not in repr(report)
         action = DeformedAction(SPEC, {})
-        assert action._cocycle_terms is False and "_cocycle_terms" not in repr(action)
-        action._cocycle_terms = True
+        assert action._certified_first_order is None and "_certified" not in repr(action)
+        action._certified_first_order = ()
         assert action == DeformedAction(SPEC, {})
-        for args, kwargs in [((SPEC, {}), {"_cocycle_terms": True}), ((SPEC,), {}),
-                             ((SPEC, {}, None, False), {}), ((SPEC, {}), {"spec": SPEC})]:
+        for args, kwargs in [((SPEC, {}), {"_certified_first_order": ()}), ((SPEC,), {}),
+                             ((SPEC, {}, None, ()), {}), ((SPEC, {}), {"spec": SPEC})]:
             with pytest.raises(TypeError):
                 DeformedAction(*args, **kwargs)
+        with pytest.raises(TypeError):
+            ObstructionReport(**REPORT_FIELDS, _action=action, _defects={})
