@@ -280,6 +280,14 @@ class _CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_option(text: str) -> int:
+    """``parse_int`` for an option, refusing in its words, not argparse's."""
+    try:
+        return parse_int(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # options whose value may start with '-': negative rationals, alpha lists
 _SIGNED_OPTIONS = ("--lambda", "--mu", "--alphas")
 
@@ -320,13 +328,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--algebra", choices=("sl2", "osp12"), required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--degree", type=parse_int, choices=(1, 2), required=True)
+    p.add_argument("--degree", type=_int_option, choices=(1, 2), required=True)
 
     p = add("obstruction", _cmd_obstruction,
             "derive integrability conditions for a resonant window")
     p.add_argument("--flavor", choices=("classical", "super"), required=True)
-    p.add_argument("--m", type=parse_int, required=True)
-    p.add_argument("--window", type=parse_int)
+    p.add_argument("--m", type=_int_option, required=True)
+    p.add_argument("--window", type=_int_option)
 
     p = add("integrability", _cmd_integrability,
             "evaluate integrability conditions at a parameter point")
@@ -337,13 +345,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--spec", required=True)
 
     p = add("example1", _cmd_example1, "audit the printed one-parameter family")
-    p.add_argument("--m", type=parse_int, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.add_argument("--alphas", required=True)
-    p.add_argument("--window", type=parse_int)
+    p.add_argument("--window", type=_int_option)
 
     p = add("lemma23", _cmd_lemma23,
             "parity-decomposition identity for the odd 2-cocycle family")
-    p.add_argument("--k", type=parse_int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     return parser
 
 

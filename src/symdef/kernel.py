@@ -91,10 +91,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_int(text: str) -> int:
-    """Parse ``"p"`` into an int, as ``parse_rational`` does."""
-    if "/" in text:
+    """Parse ``"p"``, p an optional ``-`` and ASCII digits, into an int."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"not an integer: {text!r}")
-    return int(parse_rational(text))
+    return int(text)
 
 
 def as_weight(value) -> Fraction:

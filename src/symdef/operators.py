@@ -517,6 +517,10 @@ class GradedOp:
             return op
         return op_class(self.flavor).zero(self.weight_of(j), self.weight_of(i))
 
+    def _like(self, blocks) -> "GradedOp":
+        """An operator on this window with the given blocks, zeros dropped."""
+        return GradedOp(self.flavor, self.delta, self.kmax, blocks)
+
     def _check_compatible(self, other: "GradedOp"):
         if (self.flavor, self.delta, self.kmax) != (other.flavor, other.delta, other.kmax):
             raise UsageError("graded operators live on different windows")
@@ -534,13 +538,10 @@ class GradedOp:
 
     def __add__(self, other: "GradedOp") -> "GradedOp":
         self._check_compatible(other)
-        out = GradedOp(self.flavor, self.delta, self.kmax)
-        for key, op in self.blocks.items():
-            out.set_block(*key, op)
+        blocks = dict(self.blocks)
         for key, op in other.blocks.items():
-            existing = out.blocks.get(key)
-            out.set_block(*key, op if existing is None else existing + op)
-        return out
+            blocks[key] = blocks[key] + op if key in blocks else op
+        return self._like(blocks)
 
     def __neg__(self) -> "GradedOp":
         return self.scale(-1)
@@ -549,15 +550,11 @@ class GradedOp:
         return self + other.scale(-1)
 
     def scale(self, s) -> "GradedOp":
-        out = GradedOp(self.flavor, self.delta, self.kmax)
-        for (j, i), op in self.blocks.items():
-            out.set_block(j, i, op.scale(s))
-        return out
+        return self._like({key: op.scale(s) for key, op in self.blocks.items()})
 
     def compose(self, other: "GradedOp") -> "GradedOp":
         """Block-wise composition self o other (apply `other` first)."""
         self._check_compatible(other)
-        out = GradedOp(self.flavor, self.delta, self.kmax)
         acc: dict[tuple[int, int], AnyOp] = {}
         for (j, mid), b_op in other.blocks.items():
             for (mid2, i), a_op in self.blocks.items():
@@ -568,41 +565,22 @@ class GradedOp:
                     continue
                 key = (j, i)
                 acc[key] = term if key not in acc else acc[key] + term
-        for (j, i), op in acc.items():
-            out.set_block(j, i, op)
-        return out
-
-    def parity(self) -> int | None:
-        parities = {op.parity() for op in self.blocks.values() if op}
-        parities.discard(None)
-        if not parities:
-            return None
-        if len(parities) > 1:
-            raise UsageError("graded operator is not parity-homogeneous")
-        return parities.pop()
+        return self._like(acc)
 
     def bracket(self, other: "GradedOp", sign: int) -> "GradedOp":
         """self o other - sign * other o self with an explicit Koszul sign."""
         return self.compose(other) - other.compose(self).scale(sign)
 
     def truncate_params(self, max_degree: int) -> "GradedOp":
-        out = GradedOp(self.flavor, self.delta, self.kmax)
-        for (j, i), op in self.blocks.items():
-            out.set_block(j, i, op.truncate_params(max_degree))
-        return out
+        return self._like({key: op.truncate_params(max_degree) for key, op in self.blocks.items()})
 
     def max_param_degree(self) -> int:
         return max((op.max_param_degree() for op in self.blocks.values()), default=0)
 
     def param_component(self, degree: int) -> "GradedOp":
         """Keep only coefficient terms of the given total parameter degree."""
-        out = GradedOp(self.flavor, self.delta, self.kmax)
-        for (j, i), op in self.blocks.items():
-            low = op.truncate_params(degree)
-            if degree > 0:
-                low = low - op.truncate_params(degree - 1)
-            out.set_block(j, i, low)
-        return out
+        low = self.truncate_params(degree)
+        return low - self.truncate_params(degree - 1) if degree > 0 else low
 
     def __repr__(self):
         body = ", ".join(f"({j}->{i}): {op!r}" for (j, i), op in sorted(self.blocks.items()))

@@ -168,8 +168,16 @@ UNCOERCED_SPECS = [
     ({"flavor": "classical", "delta": True, "params": {"a0": "1"}}, "spec.delta"),
     ({"flavor": "classical", "m": 3, "params": {"a0": 0.5}}, "spec.params.a0"),
     ({"flavor": "classical", "m": 3, "params": {**POINT, "a1": False}}, "spec.params.a1"),
-    ({"flavor": "classical", "m": 3, "params": {"a0": "0.5"}}, "not a rational: '0.5'"),
-    ({"flavor": "classical", "m": 3, "params": {"a0": "1e3"}}, "not a rational: '1e3'"),
+    ({"flavor": "classical", "m": 3, "params": {"a0": "0.5"}},
+     "spec.params.a0: not a rational: '0.5'"),
+    ({"flavor": "classical", "m": 3, "params": {"a0": "1e3"}},
+     "spec.params.a0: not a rational: '1e3'"),
+    # refused outright
+    ({"flavor": "classical", "m": 3, "window": 0, "params": POINT}, "window must be positive"),
+    ({"flavor": "classical", "m": 3, "params": {"zz": "1"}}, "unknown parameter 'zz'"),
+    ([{"flavor": "classical", "m": 3, "params": POINT}], "must contain a JSON object"),
+    ({"flavor": "classical", "window": 8, "params": POINT}, "either 'm' or 'delta'"),
+    ({"flavor": "classical", "m": 3, "params": [1]}, "spec.params must be an object"),
 ]
 
 DIM_NUMERAL = ["cohomology-dim", "--algebra", "sl2", "--mu=1", "--degree", "1"]
@@ -204,11 +212,13 @@ UNCOERCED_ARGS = [
     ("id-plus-sign", ["verify-cocycle", "--id", "Phi:k=+2"], "malformed catalog id"),
     ("id-underscore", ["verify-cocycle", "--id", "B:m=3,k=1_0"], "malformed catalog id"),
     ("id-rational-k", ["verify-cocycle", "--id", "Phi:k=4/2"], "malformed catalog id"),
-    ("k-underscore", ["lemma23", "--k", "1_0"], "--k"),
-    ("m-arabic-indic-digit", ["obstruction", "--flavor", "classical", "--m", "\u0663"], "--m"),
-    ("window-plus-sign", ["example1", "--m", "3", "--alphas", "1", "--window", "+8"], "--window"),
+    ("k-underscore", ["lemma23", "--k", "1_0"], "argument --k: not an integer: '1_0'"),
+    ("m-arabic-indic-digit", ["obstruction", "--flavor", "classical", "--m", "\u0663"],
+     "argument --m: not an integer: '\u0663'"),
+    ("window-plus-sign", ["example1", "--m", "3", "--alphas", "1", "--window", "+8"],
+     "argument --window: not an integer: '+8'"),
     ("degree-underscore", ["cohomology-dim", "--algebra", "sl2", "--lambda=0", "--mu=1",
-                           "--degree", "0_1"], "--degree"),
+                           "--degree", "0_1"], "argument --degree: not an integer: '0_1'"),
     ("bounds-underscore", ["verify-cocycle", "--id", "Y:k=1", "--bounds", "6,1_6"], "--bounds"),
 ]
 

@@ -569,6 +569,22 @@ class TestCoboundarySolve:
         assert classes_independent([cocycle_B(3, 2), shifted])
         assert not classes_independent([cocycle_B(3, 2), d0(b)])
 
+    def test_no_cocycles_are_independent(self):
+        assert classes_independent([])
+
+    @pytest.mark.parametrize("cocycles,reason", [
+        (lambda: [Cochain1(SL2, [DiffOp.identity(0), DiffOp.zero(0, 0), DiffOp.zero(0, 0)])],
+         "expects cocycles"),
+        (lambda: [cocycle_A(1), cocycle_A(2)], "share a block and parity"),
+        (lambda: [cocycle_Yprime(0),
+                  d0(Cochain0(OSP12, block_cache(OSP12, 0, 0).monomial_op((0, 1, 0))))],
+         "share a block and parity"),
+    ], ids=["non-cocycle", "different-blocks", "different-parities"])
+    def test_refused_inputs(self, cocycles, reason):
+        """Only cocycles of one block and one parity are compared."""
+        with pytest.raises(UsageError, match=reason):
+            classes_independent(cocycles())
+
 
 # The catalog families on every block of acceptance criterion 3: the diagonal
 # blocks (A, Yprime), the classical resonant blocks in degrees 1 and 2 (B, C,

@@ -553,6 +553,26 @@ def test_fast_path_only_for_assembled_actions():
         assert bracket_defect(action, *pair) == bracket_defect(hand, *pair)
 
 
+def test_first_order_builds_nothing_when_present(monkeypatch):
+    """`first_order` is the order-1 terms themselves; zero operators, one per
+    basis element, are built only for an action without them."""
+    action = build_infinitesimal(DeformationSpec.resonant_spec(SUPER, 3))
+    assert action.first_order is action.terms[1]
+    built = []
+    original = deformation.GradedOp
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "GradedOp", counting)
+    for _ in range(100):
+        assert action.first_order is action.terms[1]
+    assert built == []
+    zeros = DeformedAction(action.spec, {2: action.terms[1]}).first_order
+    assert len(built) == len(zeros) == action.ctx.dim and not any(zeros)
+
+
 class TestReassemblyDefects:
     def _counted(self, monkeypatch):
         calls = []
