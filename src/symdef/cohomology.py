@@ -22,10 +22,18 @@ Euler element, under explicit operator-order and coefficient-degree
 bounds.  A failed solve is therefore always *within bounds*, never a
 claim about the untruncated complex.
 
-Slices are indexed by weight key alone: the key fixes the parity
-(``AlgebraContext.key_parity``).  In osp(1|2) x^d theta^eps eta^i has key
-2d + eps - i = eps + i (its parity) mod 2, and the odd generators are those
-of odd weight; in sl(2) every key and every cochain is even.
+One Euler-weight rule serves both algebras: the monomial x^d theta^eps D^i
+has the doubled weight (its key) 2d + eps - w_D i (``operators.monomial_key``),
+where w_D = 2 for D = d_x and 1 for D = eta is the doubled weight by which D
+lowers it (the operator class's ``dweight``); sl(2) monomials have no eps.
+An algebra is one row of ``_ALGEBRAS``: its flavor, basis and doubled
+weights.  The generator parities are read off those weights (the odd
+generators are those of odd weight), and the Euler element is the
+generator of weight 0.
+
+Slices are indexed by weight key alone: the key fixes the parity, key & 1
+(``AlgebraContext.key_parity``).  In osp(1|2) that is eps + i, the parity of
+x^d theta^eps eta^i; in sl(2) every key and every cochain is even.
 
 Differential columns are built in integers: the action tables of a block
 hold D times the action (one block denominator D) and the differential's
@@ -74,7 +82,6 @@ from .kernel import (
     as_weight,
     matrix_rank,
     record,
-    scalar_as_fraction,
 )
 from .operators import (
     AnyOp,
@@ -83,6 +90,7 @@ from .operators import (
     lie_derivative_op,
     monomial_action,
     monomial_coords,
+    monomial_key,
     op_class,
     super_lie_derivative_op,
 )
@@ -115,52 +123,43 @@ class BoundsSpec:
 # ---------------------------------------------------------------------------
 
 
+# name -> (flavor, basis builder, doubled Euler weights of the basis): the
+# odd generators are those of odd weight and the Euler element has weight 0
+_ALGEBRAS = {SL2: (CLASSICAL, sl2_basis, (-2, 0, 2)),
+             OSP12: (SUPER, osp_basis, (-2, -1, 0, 1, 2))}
+
+
 class AlgebraContext:
     """A finite basis of the acting algebra with brackets expanded over it."""
 
     def __init__(self, name: str):
-        if name == SL2:
-            self.name = name
-            self.flavor = CLASSICAL
-            self.basis = sl2_basis()
-            self.parities = (0, 0, 0)
-            self.euler_index = 1
-            self.weights2 = (-2, 0, 2)
-        elif name == OSP12:
-            self.name = name
-            self.flavor = SUPER
-            self.basis = osp_basis()
-            self.parities = (0, 1, 0, 1, 0)
-            self.euler_index = 2
-            self.weights2 = (-2, -1, 0, 1, 2)
-        else:
+        if name not in _ALGEBRAS:
             raise UsageError(f"unknown algebra {name!r}")
+        self.name = name
+        self.flavor, basis, self.weights2 = _ALGEBRAS[name]
+        self.basis = basis()
+        self.parities = tuple(w & 1 for w in self.weights2)
+        self.euler_index = self.weights2.index(0)
         self.dim = len(self.basis)
         self.structure = self._structure_constants()
 
     def _structure_constants(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """[X_i, X_j] = sum_g c_g X_g.  X_g is generated by the monomial
+        x^((w + 2) // 2) theta^(w & 1) of its doubled weight w, so c_g is that
+        coefficient of the bracket's generator, whose halves (f0, f1) hold
+        nothing else."""
         out = {}
         for i in range(self.dim):
             for j in range(self.dim):
+                x, y = self.basis[i], self.basis[j]
                 if self.flavor == CLASSICAL:
-                    g = vf_bracket(self.basis[i], self.basis[j]).g
-                    if (g.degree or 0) > 2:
-                        raise InternalError("sl(2) bracket left the span")
-                    coeffs = tuple(Fraction(g.coefficient(n)) for n in range(3))
+                    halves = (vf_bracket(x, y).g,)
                 else:
-                    h = contact_bracket(self.basis[i], self.basis[j]).generator
-                    if (h.f0.degree or 0) > 2 or (h.f1.degree or 0) > 1:
-                        raise InternalError("osp(1|2) bracket left the span")
-                    coeffs = tuple(
-                        Fraction(scalar_as_fraction(c))
-                        for c in (
-                            h.f0.coefficient(0),
-                            h.f1.coefficient(0),
-                            h.f0.coefficient(1),
-                            h.f1.coefficient(1),
-                            h.f0.coefficient(2),
-                        )
-                    )
+                    h = contact_bracket(x, y).generator
+                    halves = (h.f0, h.f1)
+                coeffs = tuple(halves[w & 1].coefficient((w + 2) // 2) for w in self.weights2)
+                if sum(map(bool, coeffs)) != sum(bool(c) for half in halves for c in half.coeffs):
+                    raise InternalError(f"{self.name} bracket left the span")
                 out[(i, j)] = coeffs
         return out
 
@@ -173,9 +172,10 @@ class AlgebraContext:
             return super_lie_derivative_op(x, value)
         raise UsageError(f"cannot act on {type(value).__name__}")
 
-    def key_parity(self, key: int) -> int:
+    @staticmethod
+    def key_parity(key: int) -> int:
         """The parity of every cochain of weight key `key` (module docstring)."""
-        return key & 1 if self.flavor == SUPER else 0
+        return key & 1
 
     def canonical_pairs(self) -> list[tuple[int, int]]:
         pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
@@ -201,7 +201,7 @@ def get_algebra(name: str) -> AlgebraContext:
 
 
 def algebra_for_flavor(flavor: str) -> AlgebraContext:
-    return get_algebra(SL2 if flavor == CLASSICAL else OSP12)
+    return get_algebra(next(name for name, row in _ALGEBRAS.items() if row[0] == flavor))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +415,16 @@ def _parameter_free_coords(c: Cochain, refusal: str) -> dict:
 
 
 def _by_weight_key(c: Cochain, coords: dict) -> dict[int, dict]:
-    """Coordinates grouped by Euler-weight key (doubled integers): a classical
-    monomial x^d d_x^i has key 2(d - i), a super monomial x^d theta^eps eta^i
-    key 2d + eps - i, and a coordinate's key is its monomial's less the
-    weight of its slot.  The Euler element acts diagonally with these keys
-    up to a block constant, so d preserves them."""
-    weight = {slot: wt for slot, wt, _ in _cochain_slots(get_algebra(c.algebra), c.degree)}
+    """Coordinates grouped by Euler-weight key (``monomial_key``, module
+    docstring): a coordinate's key is its monomial's less the weight of its
+    slot.  The Euler element acts diagonally with these keys up to a block
+    constant, so d preserves them."""
+    ctx = get_algebra(c.algebra)
+    dweight = op_class(ctx.flavor).dweight
+    weight = {slot: wt for slot, wt, _ in _cochain_slots(ctx, c.degree)}
     out: dict = {}
     for (slot, mon), value in coords.items():
-        out.setdefault(BlockCache.monomial_key(mon) - weight[slot], {})[(slot, mon)] = value
+        out.setdefault(monomial_key(mon, dweight) - weight[slot], {})[(slot, mon)] = value
     return out
 
 
@@ -469,12 +470,6 @@ class BlockCache:
             SuperPoly.x_power(d, theta=bool(eps)), i, self.lam, self.mu
         )
 
-    @staticmethod
-    def monomial_key(mon: tuple) -> int:
-        if len(mon) == 2:
-            return 2 * (mon[0] - mon[1])
-        return 2 * mon[0] + mon[1] - mon[2]
-
     def act_monomial(self, gen: int, mon: tuple) -> tuple[tuple[tuple, int], ...]:
         """The tabled action of basis element `gen` on monomial `mon`: sorted
         integer coordinates, D (``den``) times the true ones, as a tuple.
@@ -499,10 +494,11 @@ def bounded_monomials(flavor: str, bounds: BoundsSpec, key: int) -> list[tuple]:
     """The monomials of weight key `key` within bounds, in order of operator
     order i, which fits at most one: x^d d_x^i with 2(d - i) = key (none for
     an odd key), or x^d theta^eps eta^i with 2d + eps - i = key."""
+    dweight = op_class(flavor).dweight
     mons = [(key // 2 + i, i) if flavor == CLASSICAL else ((key + i) // 2, (key + i) & 1, i)
             for i in range(bounds.max_operator_order + 1)]
     return [mon for mon in mons if 0 <= mon[0] <= bounds.max_coefficient_degree
-            and BlockCache.monomial_key(mon) == key]
+            and monomial_key(mon, dweight) == key]
 
 
 _BLOCK_CACHES: dict[tuple, BlockCache] = {}
@@ -877,10 +873,11 @@ def cohomology_dim(weights, degree: int, algebra: str,
     ctx = get_algebra(algebra)
     lam, mu = as_weight(weights[0]), as_weight(weights[1])
     key = critical_weight_key(lam, mu)
-    if key is None or (ctx.flavor == CLASSICAL and key & 1):
+    dweight = op_class(ctx.flavor).dweight
+    if key is None or key % dweight:
         return DimResult(dim=0, stabilized=True, per_weight={}, examined_keys=())
     cache = block_cache(algebra, lam, mu)
-    n0 = -key // 2 if ctx.flavor == CLASSICAL else -key  # delta, 2 delta on osp(1|2)
+    n0 = -key // dweight  # delta, 2 delta on osp(1|2)
     covered = bounds is None or n0 < 0 or (
         bounds.max_operator_order >= n0 and bounds.max_coefficient_degree >= 1)
     dim = _critical_dimension(cache, degree, BoundsSpec(max(0, n0), 1) if covered else bounds, key)

@@ -183,11 +183,10 @@ class DeformationSpec:
     def placements(self) -> list[tuple[tuple[int, int], str, CatalogId]]:
         """(block, parameter, catalog id) of every degree-1 family placed in
         the first-order action, in the order they are summed."""
-        if self.flavor == CLASSICAL:
-            diagonal, pair, step = "A", ("B", "C"), 1
-        else:
-            diagonal, pair, step = "Yprime", ("Y", "Ytilde"), Fraction(1, 2)
-        out = [((c, c), self.diagonal_param(c), CatalogId(diagonal, (self.delta - step * c,)))
+        diagonal, pair = (("A", ("B", "C")) if self.flavor == CLASSICAL
+                          else ("Yprime", ("Y", "Ytilde")))
+        window = GradedOp(self.flavor, self.delta, self.window)
+        out = [((c, c), self.diagonal_param(c), CatalogId(diagonal, (window.weight_of(c),)))
                for c in range(self.window + 1)]
         for k in self.resonant_range():
             args = (self.m, k) if self.flavor == CLASSICAL else (k,)

@@ -424,9 +424,6 @@ class ContactField:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def scale(self, s) -> "ContactField":
-        return ContactField(self.a.scale(s), self.b.scale(s), self.generator.scale(s), self.parity)
-
     def contact_condition_holds(self) -> bool:
         """Check [X, eta] = h*eta for some superfunction h."""
         comm_a, comm_b = _field_bracket_components(

@@ -453,12 +453,6 @@ def scalar_truncate(c: Scalar, max_degree: int) -> Scalar:
     return c.truncate(max_degree) if isinstance(c, ParamScalar) else c
 
 
-def scalar_as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, ParamScalar):
-        return c.constant_value()
-    return Fraction(c)
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ class _NormalFormOp:
 
     A subclass fixes the coefficient ring (``_ring``, with zero ``_zero``),
     the derivation (``_derive``) and its twist (``_twist``), chosen so that
-    ``D o mult(u) = mult(D u) + mult(twist u) D``.  Everything else about
-    the normal form is written here once.
+    ``D o mult(u) = mult(D u) + mult(twist u) D``, and the doubled weight
+    ``dweight`` by which ``D`` lowers the Euler weight (``monomial_key``).
+    Everything else about the normal form is written here once.
     """
 
     __slots__ = ("lam", "mu", "coeffs")
@@ -169,6 +170,7 @@ class DiffOp(_NormalFormOp):
     _derive = staticmethod(Poly.derivative)
     _twist = staticmethod(lambda u: u)
     _symbol = "dx"
+    dweight = 2
 
     @staticmethod
     def partial(order: int, lam, mu, coeff: Poly = None) -> "DiffOp":
@@ -197,6 +199,7 @@ class SuperDiffOp(_NormalFormOp):
     _derive = staticmethod(eta_bar)
     _twist = staticmethod(SuperPoly.involute)
     _symbol = "eta"
+    dweight = 1
 
     @staticmethod
     def _coerce(c) -> SuperPoly:
@@ -379,6 +382,13 @@ def monomial_coords(op: AnyOp) -> dict[tuple, Scalar]:
     return out
 
 
+def monomial_key(mon: tuple, dweight: int) -> int:
+    """The doubled Euler weight 2d + eps - dweight*i of the monomial
+    x^d theta^eps D^i, given as (d, i) or (d, eps, i), where D lowers the
+    weight by dweight/2 (the operator class's ``dweight``)."""
+    return 2 * mon[0] + sum(mon[1:-1]) - dweight * mon[-1]
+
+
 def _leibniz(i: int, u: tuple) -> tuple[tuple[tuple, int, int], ...]:
     """d_x^i o mult(x^n) = sum_s C(i,s) n(n-1)...(n-s+1) mult(x^(n-s)) d_x^(i-s),
     as ((coefficient monomial, power, value), ...) for u = (n,)."""
@@ -478,9 +488,9 @@ def principal_symbol(a: DiffOp) -> Density:
 class GradedOp:
     """Block matrix of operators on a finite window of the symbol module.
 
-    Component ``k`` of the window carries weight ``delta - k`` in the
-    classical flavor and ``delta - k/2`` in the super flavor; the block
-    keyed ``(j, i)`` maps component ``j`` to component ``i``.
+    Component ``k`` of the window carries weight ``delta - k dweight/2``:
+    ``delta - k`` in the classical flavor and ``delta - k/2`` in the super
+    flavor; the block keyed ``(j, i)`` maps component ``j`` to component ``i``.
     """
 
     __slots__ = ("flavor", "delta", "kmax", "blocks")
@@ -496,8 +506,7 @@ class GradedOp:
     def weight_of(self, index: int) -> Fraction:
         if not 0 <= index <= self.kmax:
             raise UsageError(f"component {index} outside window 0..{self.kmax}")
-        step = Fraction(1) if self.flavor == CLASSICAL else Fraction(1, 2)
-        return self.delta - step * index
+        return self.delta - Fraction(op_class(self.flavor).dweight * index, 2)
 
     def set_block(self, j: int, i: int, op: AnyOp) -> None:
         expected = (self.weight_of(j), self.weight_of(i))
@@ -542,9 +551,6 @@ class GradedOp:
         for key, op in other.blocks.items():
             blocks[key] = blocks[key] + op if key in blocks else op
         return self._like(blocks)
-
-    def __neg__(self) -> "GradedOp":
-        return self.scale(-1)
 
     def __sub__(self, other: "GradedOp") -> "GradedOp":
         return self + other.scale(-1)

@@ -14,7 +14,7 @@ import symdef.cohomology as cohomology
 import symdef.deformation as deformation
 import symdef.operators as operators
 from symdef.cli import ENGINE_FAULT, FALSIFIED, INCONCLUSIVE, USAGE, VERIFIED, main, render, run
-from symdef.cohomology import Cochain1
+from symdef.cohomology import Cochain0, Cochain1, d0
 from symdef.geometry import Poly
 from symdef.kernel import InternalError
 from symdef.operators import DiffOp, SuperDiffOp
@@ -52,6 +52,21 @@ class TestVerifyCocycle:
     def test_malformed_bounds(self):
         _, code = run(["verify-cocycle", "--id", "Y:k=1", "--bounds", "six"])
         assert code == USAGE
+
+    @pytest.mark.parametrize("cochain,result", [
+        (Cochain1("sl2", [DiffOp.partial(1, 1, 1, Poly.x_power(3))] * 3), {"is_cocycle": False}),
+        (d0(Cochain0("sl2", DiffOp.partial(1, 1, 1, Poly.x_power(2)))),
+         {"is_cocycle": True, "coboundary": True}),
+    ], ids=["not-closed", "coboundary"])
+    def test_falsified_verdicts(self, monkeypatch, fresh_convention_check, cochain, result):
+        """A cochain that is not closed, and a coboundary, each exit 1; the
+        sign-convention check reads catalog.build_cocycle and still passes."""
+        monkeypatch.setattr(cli, "build_cocycle", lambda cid: cochain)
+        report, code = run(["verify-cocycle", "--id", "A:lambda=1"])
+        assert code == FALSIFIED
+        assert report["verdict"] == "falsified"
+        assert report["result"] == {"id": "A:lambda=1", **result}
+        assert report["sign_convention"]["is_default"] is True
 
 
 class TestCohomologyDim:
@@ -125,6 +140,13 @@ class TestIntegrability:
         report, code = run(["integrability", "--spec", path])
         assert code == USAGE
         assert "flavor" in report["error"]
+
+    def test_spec_that_is_not_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("not json")
+        report, code = run(["integrability", "--spec", str(path)])
+        assert code == USAGE
+        assert f"spec file {str(path)!r} is not valid JSON" in report["error"]
 
     def test_missing_params(self, tmp_path):
         path = write_spec(tmp_path, {"flavor": "classical", "m": 3})
@@ -426,6 +448,15 @@ class TestFlatDeform:
         )
         report, code = run(["flat-deform", "--spec", path])
         assert code == VERIFIED
+
+    def test_spec_with_delta(self, tmp_path):
+        """A non-resonant spec given by delta renders its delta back."""
+        path = write_spec(tmp_path, {"flavor": "classical", "delta": "1/3", "params": {"a0": "1"}})
+        report, code = run(["flat-deform", "--spec", path])
+        assert code == VERIFIED
+        assert report["result"]["spec"] == {"flavor": "classical", "window": 8, "delta": "1/3",
+                                            "params": {"a0": "1"}}
+        assert '"delta": "1/3"' in render(report, "json")
 
 
 class TestExample1AndLemma23:

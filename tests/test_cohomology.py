@@ -58,7 +58,7 @@ from symdef.geometry import (
     super_density_action,
 )
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
-from symdef.operators import DiffOp, SuperDiffOp, monomial_coords
+from symdef.operators import DiffOp, GradedOp, SuperDiffOp, monomial_coords, monomial_key
 from test_kernel import DenseReference
 
 
@@ -199,6 +199,36 @@ class TestCochainShape:
     def test_wrong_slots_refused(self, build):
         with pytest.raises(UsageError):
             build()
+
+
+class TestAlgebraFacts:
+    """The facts derived from each algebra's doubled weights and each
+    operator class's ``dweight`` equal the literals they replace."""
+
+    @pytest.mark.parametrize("algebra,parities,euler_index", [
+        (SL2, (0, 0, 0), 1), (OSP12, (0, 1, 0, 1, 0), 2)])
+    def test_parities_and_euler_index(self, algebra, parities, euler_index):
+        ctx = get_algebra(algebra)
+        assert ctx.parities == parities and ctx.euler_index == euler_index
+
+    def test_monomial_keys_and_their_parity(self):
+        """2(d - i) for x^d d_x^i, whose every key is even, and 2d + eps - i
+        for x^d theta^eps eta^i, whose key has the parity eps + i."""
+        sl2, osp12 = get_algebra(SL2), get_algebra(OSP12)
+        for d in range(9):
+            for i in range(9):
+                key = monomial_key((d, i), DiffOp.dweight)
+                assert key == 2 * (d - i)
+                assert [sl2.key_parity(key - w) for w in sl2.weights2] == [0, 0, 0]
+                for eps in (0, 1):
+                    key = monomial_key((d, eps, i), SuperDiffOp.dweight)
+                    assert key == 2 * d + eps - i
+                    assert osp12.key_parity(key) == (eps + i) & 1
+
+    @pytest.mark.parametrize("flavor,step", [(CLASSICAL, Q(1)), (SUPER, Q(1, 2))])
+    def test_window_weights_step_by_half_the_derivation_weight(self, flavor, step):
+        window = GradedOp(flavor, Q(5, 3), 6)
+        assert [window.weight_of(k) for k in range(7)] == [Q(5, 3) - step * k for k in range(7)]
 
 
 def weight_slices(c):

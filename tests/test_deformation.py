@@ -36,9 +36,9 @@ from symdef.deformation import (
     trivialize_second_order,
     verify_homomorphism,
 )
-from symdef.geometry import CLASSICAL, SUPER, Poly
+from symdef.geometry import CLASSICAL, SUPER, Poly, SuperPoly
 from symdef.kernel import InternalError, ParamScalar, UsageError
-from symdef.operators import DiffOp, GradedOp, undeformed_action
+from symdef.operators import DiffOp, GradedOp, SuperDiffOp, undeformed_action
 
 X_NAMES = {0: [1], 1: [0, 1], 2: [0, 0, 1]}  # sl2 generator coefficient lists
 
@@ -420,6 +420,20 @@ class TestGauge:
         assert gauged.first_order == action.first_order
         assert verify_homomorphism(gauged).passed
 
+    def test_super_gauge_preserves_first_order_and_verdict(self):
+        """An order-2 gauge of a super action leaves its first-order part and
+        its homomorphism verdict as they were."""
+        action = build_infinitesimal(DeformationSpec(SUPER, Q(2, 3), 4))
+        spec = action.spec
+        algebra = spec.algebra()
+        t2 = ParamScalar.symbol(algebra, "a0") * ParamScalar.symbol(algebra, "a1")
+        g = GradedOp(SUPER, spec.delta, spec.window)
+        w = g.weight_of(1)
+        g.set_block(1, 1, SuperDiffOp(w, w, [SuperPoly(Poly([0, 1]))]).scale(t2))
+        gauged = gauge_transform(action, [(2, g)], truncation_order=3)
+        assert gauged.first_order == action.first_order and gauged.higher_terms()
+        assert verify_homomorphism(gauged).passed is verify_homomorphism(action).passed is True
+
     def test_trivialize_removes_artificial_coboundary(self):
         action = self._flat_formal_action()
         spec = action.spec
@@ -440,6 +454,18 @@ class TestGauge:
         gauge, same = trivialize_second_order(action)
         assert not gauge
         assert same.first_order == action.first_order
+
+    def test_trivialize_refuses_a_second_order_class(self):
+        """A second-order term with a class in H^1, A:lambda=3/2 on block
+        (0, 0) of a flat action, is no bounded coboundary."""
+        action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3, params={"a0": 1}))
+        spec = action.spec
+        assert verify_homomorphism(action).passed
+        second = [GradedOp(CLASSICAL, spec.delta, spec.window, {(0, 0): image})
+                  for image in catalog.build_cocycle("A:lambda=3/2").images.values()]
+        dressed = DeformedAction(spec, {1: action.first_order, 2: second}, truncation_order=2)
+        assert trivialize_second_order(dressed) == NotTrivializable(
+            reason="second-order term is not a bounded coboundary", classes=[])
 
     def test_trivialize_blocked_by_nonzero_class(self):
         action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
@@ -541,6 +567,22 @@ def test_fast_defect_is_the_typed_bracket(flavor, m, data):
             return
         for (i, j) in action.ctx.canonical_pairs():
             assert bracket_defect(action, i, j) == typed_defect(action, i, j), (i, j)
+
+
+def test_witness_with_content_renders():
+    """Every witness the engine derives is zero, so the rendering of one with
+    content is pinned here, on an osp(1|2) block."""
+    report = obstruction_classes(build_infinitesimal(DeformationSpec.resonant_spec(SUPER, 2)))
+    entry = report.blocks[0]
+    lam, mu = entry.witness.block
+    a0 = ParamScalar.symbol(report.spec.algebra(), "a0")
+    images = list(entry.witness.images.values())  # all zero
+    images[0] = SuperDiffOp(lam, mu, [SuperPoly(Poly([Q(1, 2), 0, a0]))])
+    entry.witness = Cochain1("osp12", images)
+    rendered = entry.to_json()["witness"]["images"]
+    assert rendered[0] == {"lambda": "0", "mu": "1/2", "parity": "even",
+                           "coeffs": [{"f0": ["1/2", "0", "a0"], "f1": []}]}
+    assert rendered[1:] == [{"lambda": "0", "mu": "1/2", "parity": "zero", "coeffs": []}] * 4
 
 
 def test_fast_path_only_for_assembled_actions():
