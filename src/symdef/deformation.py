@@ -28,6 +28,12 @@ degree-2 family plus a coboundary, and the per-block class coefficients
 are the engine-derived integrability conditions.  The published
 closed-form conditions are evaluated side by side and the report records
 whether the two agree up to a nonzero scalar; neither is assumed.
+
+A gauge is one ``GradedOp``; ``gauge_transform`` conjugates by Id + gauge.
+In a gauged action the order of a term is its total parameter degree,
+read once off the conjugated operators: the order-n term is the part of
+parameter degree n.  A parameter-free part has no order, so an action or
+gauge with a parameter-free coefficient is refused rather than dropped.
 """
 
 from __future__ import annotations
@@ -754,46 +760,43 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
 # ---------------------------------------------------------------------------
 
 
-def gauge_transform(action: DeformedAction, gauge_terms: Sequence[tuple[int, GradedOp]],
+def gauge_transform(action: DeformedAction, gauge: GradedOp,
                     truncation_order: int) -> DeformedAction:
-    """Conjugate by Id + sum(T_order), truncated in total parameter degree.
+    """Conjugate by Id + gauge, truncated in total parameter degree.
 
-    Gauge terms of order >= 2 leave the first-order part untouched; the
+    The order-n term of the result is the part of parameter degree n of
+    (Id + gauge) L (Id + gauge)^-1 - L0, and orders with no nonzero term are
+    left out.  A parameter-free part has no order under this rule, so an
+    action or gauge that leaves one (a numeric action, a gauge with a
+    parameter-free coefficient) is refused with ``UsageError``.  A gauge of
+    parameter degree >= 2 leaves the first-order part untouched; the
     obstruction classes are invariant either way."""
     spec = action.spec
-    ctx = action.ctx
     ident = graded_identity(spec.flavor, spec.delta, spec.window)
-    perturb = None
-    for order, term in gauge_terms:
-        if order < 1:
-            raise UsageError("gauge orders start at 1")
-        if term.max_param_degree() > truncation_order:
-            term = term.truncate_params(truncation_order)
-        perturb = term if perturb is None else perturb + term
-    if perturb is None:
-        perturb = GradedOp(spec.flavor, spec.delta, spec.window)
-    # Neumann inverse of Id + S up to the truncation order
+    gauge = gauge.truncate_params(truncation_order)
+    # Neumann inverse of Id + gauge up to the truncation order
     inverse = ident
     power = ident
     for _ in range(truncation_order):
-        power = power.compose(perturb).scale(-1).truncate_params(truncation_order)
+        power = power.compose(gauge).scale(-1).truncate_params(truncation_order)
         if not power:
             break
         inverse = inverse + power
-    phi = ident + perturb
-    new_terms: dict[int, list[GradedOp]] = {}
-    for index in range(ctx.dim):
+    phi = ident + gauge
+    deltas = []
+    for index in range(action.ctx.dim):
         conjugated = phi.compose(action.full(index)).compose(inverse)
-        conjugated = conjugated.truncate_params(truncation_order)
-        delta_part = conjugated - action.undeformed(index)
-        for order in range(1, truncation_order + 1):
-            component = delta_part.param_component(order)
-            if component:
-                new_terms.setdefault(order, [None] * ctx.dim)[index] = component
+        delta_part = conjugated.truncate_params(truncation_order) - action.undeformed(index)
+        if delta_part.param_component(0):
+            raise UsageError("gauge_transform needs every deformation and gauge coefficient "
+                             "to be of positive parameter degree; a parameter-free term "
+                             "has no order")
+        deltas.append(delta_part)
     terms = {}
-    for order, row in new_terms.items():
-        zero = GradedOp(spec.flavor, spec.delta, spec.window)
-        terms[order] = [item if item is not None else zero for item in row]
+    for order in range(1, truncation_order + 1):
+        row = tuple(d.param_component(order) for d in deltas)
+        if any(row):
+            terms[order] = row
     return DeformedAction(spec, terms, truncation_order=truncation_order)
 
 
@@ -808,7 +811,8 @@ def trivialize_second_order(action: DeformedAction,
     """Remove the second-order term by a gauge when the obstruction vanishes.
 
     Returns (gauge, new_action); NotTrivializable carries the nonzero
-    class coefficients otherwise."""
+    class coefficients, or names the block whose second-order term is no
+    bounded coboundary, otherwise."""
     spec = action.spec
     ctx = action.ctx
     first_only = DeformedAction(spec, {1: action.first_order})
@@ -818,24 +822,20 @@ def trivialize_second_order(action: DeformedAction,
         return NotTrivializable(reason="obstruction analysis inconclusive", classes=live)
     if live:
         return NotTrivializable(reason="nonzero obstruction class", classes=live)
-    second = action.terms.get(2)
-    truncation = action.truncation_order or max(2, max(action.terms, default=1))
-    if not second or not any(second):
-        return GradedOp(spec.flavor, spec.delta, spec.window), action
+    second = action.terms.get(2, ())
     # solve d0(T) = second-order term, one block at a time
     gauge = GradedOp(spec.flavor, spec.delta, spec.window)
-    blocks: set[tuple[int, int]] = set()
-    for g in second:
-        blocks.update(g.blocks)
-    for (j, i) in sorted(blocks):
+    for (j, i) in sorted({key for g in second for key in g.blocks}):
         result = coboundary_solve(Cochain1(ctx.name, [g.block(j, i) for g in second]), bounds)
         if isinstance(result, NoSolutionWithinBounds):
             return NotTrivializable(
-                reason="second-order term is not a bounded coboundary", classes=live
-            )
-        if result.cochain.value:
-            gauge.set_block(j, i, result.cochain.value)
-    transformed = gauge_transform(action, [(2, gauge)], truncation_order=truncation)
-    if transformed.terms.get(2) and any(transformed.terms[2]):
+                reason=f"second-order term is not a bounded coboundary on block ({j}, {i})",
+                classes=[])
+        gauge.set_block(j, i, result.cochain.value)
+    if not gauge:
+        return gauge, action
+    truncation = action.truncation_order or max(2, max(action.terms))
+    transformed = gauge_transform(action, gauge, truncation_order=truncation)
+    if 2 in transformed.terms:
         raise InternalError("gauge failed to cancel the second-order term")
     return gauge, transformed

@@ -164,9 +164,6 @@ class Poly:
                     out.add(0)
         return out
 
-    def max_param_degree(self) -> int:
-        return max((c.max_degree() for c in self.coeffs if isinstance(c, ParamScalar)), default=0)
-
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -287,9 +284,6 @@ class SuperPoly:
     def truncate_params(self, max_degree: int) -> "SuperPoly":
         return SuperPoly(self.f0.truncate_params(max_degree), self.f1.truncate_params(max_degree))
 
-    def max_param_degree(self) -> int:
-        return max(self.f0.max_param_degree(), self.f1.max_param_degree())
-
     def has_params(self) -> bool:
         return self.f0.has_params() or self.f1.has_params()
 
@@ -409,11 +403,6 @@ class ContactField:
         a = f + ef.scale(half).times_theta()
         b = ef.scale(-half)
         return ContactField(a, b, f, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, ContactField):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
 
     def __repr__(self):
         return f"ContactField(({self.a}) d_x + ({self.b}) d_th)"

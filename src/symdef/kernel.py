@@ -347,9 +347,6 @@ class ParamScalar:
             {m: (-c if _monomial_parity(m) else c) for m, c in self.terms.items()},
         )
 
-    def max_degree(self) -> int:
-        return max((_monomial_degree(m) for m in self.terms), default=0)
-
     def truncate(self, max_degree: int) -> "ParamScalar":
         return ParamScalar(
             self.algebra,

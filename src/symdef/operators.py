@@ -143,9 +143,6 @@ class _NormalFormOp:
     def truncate_params(self, max_degree: int) -> "_NormalFormOp":
         return type(self)(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
 
-    def max_param_degree(self) -> int:
-        return max((c.max_param_degree() for c in self.coeffs), default=0)
-
     def __repr__(self):
         name = type(self).__name__
         if not self.coeffs:
@@ -579,9 +576,6 @@ class GradedOp:
 
     def truncate_params(self, max_degree: int) -> "GradedOp":
         return self._like({key: op.truncate_params(max_degree) for key, op in self.blocks.items()})
-
-    def max_param_degree(self) -> int:
-        return max((op.max_param_degree() for op in self.blocks.values()), default=0)
 
     def param_component(self, degree: int) -> "GradedOp":
         """Keep only coefficient terms of the given total parameter degree."""

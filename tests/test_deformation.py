@@ -403,10 +403,47 @@ class TestGauge:
     def _flat_formal_action(self):
         return build_infinitesimal(DeformationSpec(CLASSICAL, Q(5, 3), 6))
 
-    def test_zero_gauge_is_identity(self):
+    def _dressed_formal_action(self):
+        """A flat formal action with a formal order-2 term: the coboundary of
+        a0 a2 x d_x placed on block (0, 0)."""
         action = self._flat_formal_action()
-        out = gauge_transform(action, [], truncation_order=3)
-        assert out.first_order == action.first_order and not out.higher_terms()
+        spec = action.spec
+        algebra = spec.algebra()
+        t2 = ParamScalar.symbol(algebra, "a0") * ParamScalar.symbol(algebra, "a2")
+        b = DiffOp(spec.delta, spec.delta, [Poly(), Poly([0, 1])]).scale(t2)
+        second = [GradedOp(CLASSICAL, spec.delta, spec.window, {(0, 0): action.ctx.act(idx, b)})
+                  for idx in range(3)]
+        return DeformedAction(spec, {1: action.first_order, 2: second}, truncation_order=2)
+
+    @pytest.mark.parametrize("dressed", [False, True], ids=["first-order", "with-order-2"])
+    def test_zero_gauge_is_identity(self, dressed):
+        action = self._dressed_formal_action() if dressed else self._flat_formal_action()
+        spec = action.spec
+        out = gauge_transform(action, GradedOp(CLASSICAL, spec.delta, spec.window),
+                              truncation_order=3)
+        assert out.terms == action.terms and set(out.terms) == ({1, 2} if dressed else {1})
+
+    @pytest.mark.parametrize("flavor, m, params", [
+        (CLASSICAL, 3, {"a0": "1", "a2": "3", "b2": "1", "c2": "3"}),
+        (SUPER, 2, {"a0": "1", "a2": "2"}),
+    ], ids=["classical-m3", "super-m2"])
+    def test_numeric_action_is_refused(self, flavor, m, params):
+        """A numeric first-order term has parameter degree 0, so it has no
+        order; it is refused rather than dropped."""
+        action = build_infinitesimal(DeformationSpec.resonant_spec(flavor, m, params=params))
+        spec = action.spec
+        assert any(action.first_order)
+        with pytest.raises(UsageError, match="parameter-free"):
+            gauge_transform(action, GradedOp(flavor, spec.delta, spec.window), truncation_order=2)
+
+    def test_parameter_free_gauge_is_refused(self):
+        action = self._flat_formal_action()
+        spec = action.spec
+        g = GradedOp(CLASSICAL, spec.delta, spec.window)
+        w = g.weight_of(1)
+        g.set_block(1, 1, DiffOp(w, w, [Poly([0, 1])]))
+        with pytest.raises(UsageError, match="parameter-free"):
+            gauge_transform(action, g, truncation_order=2)
 
     def test_gauge_preserves_homomorphism_of_flat_action(self):
         action = self._flat_formal_action()
@@ -416,7 +453,7 @@ class TestGauge:
         g = GradedOp(CLASSICAL, spec.delta, spec.window)
         w = g.weight_of(1)
         g.set_block(1, 1, DiffOp(w, w, [Poly([0, 0, 1])]).scale(t2))
-        gauged = gauge_transform(action, [(2, g)], truncation_order=3)
+        gauged = gauge_transform(action, g, truncation_order=3)
         assert gauged.first_order == action.first_order
         assert verify_homomorphism(gauged).passed
 
@@ -430,21 +467,13 @@ class TestGauge:
         g = GradedOp(SUPER, spec.delta, spec.window)
         w = g.weight_of(1)
         g.set_block(1, 1, SuperDiffOp(w, w, [SuperPoly(Poly([0, 1]))]).scale(t2))
-        gauged = gauge_transform(action, [(2, g)], truncation_order=3)
+        gauged = gauge_transform(action, g, truncation_order=3)
         assert gauged.first_order == action.first_order and gauged.higher_terms()
         assert verify_homomorphism(gauged).passed is verify_homomorphism(action).passed is True
 
     def test_trivialize_removes_artificial_coboundary(self):
         action = self._flat_formal_action()
-        spec = action.spec
-        algebra = spec.algebra()
-        t2 = ParamScalar.symbol(algebra, "a0") * ParamScalar.symbol(algebra, "a2")
-        b = DiffOp(spec.delta, spec.delta, [Poly(), Poly([0, 1])]).scale(t2)
-        # the coboundary of b placed at window block (0, 0), acted on block-wise
-        second = [GradedOp(CLASSICAL, spec.delta, spec.window, {(0, 0): action.ctx.act(idx, b)})
-                  for idx in range(3)]
-        dressed = DeformedAction(spec, {1: action.first_order, 2: second}, truncation_order=2)
-        gauge, fixed = trivialize_second_order(dressed)
+        gauge, fixed = trivialize_second_order(self._dressed_formal_action())
         assert bool(gauge)
         assert not fixed.terms.get(2) or not any(fixed.terms[2])
         assert fixed.first_order == action.first_order
@@ -465,7 +494,7 @@ class TestGauge:
                   for image in catalog.build_cocycle("A:lambda=3/2").images.values()]
         dressed = DeformedAction(spec, {1: action.first_order, 2: second}, truncation_order=2)
         assert trivialize_second_order(dressed) == NotTrivializable(
-            reason="second-order term is not a bounded coboundary", classes=[])
+            reason="second-order term is not a bounded coboundary on block (0, 0)", classes=[])
 
     def test_trivialize_blocked_by_nonzero_class(self):
         action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
@@ -481,7 +510,7 @@ class TestGauge:
         g = GradedOp(CLASSICAL, spec.delta, spec.window)
         w = g.weight_of(2)
         g.set_block(2, 2, DiffOp(w, w, [Poly([1, 1])]).scale(t2))
-        gauged = gauge_transform(action, [(2, g)], truncation_order=2)
+        gauged = gauge_transform(action, g, truncation_order=2)
         before = [str(b.class_coeff) for b in obstruction_classes(action).blocks]
         after = [
             str(b.class_coeff)

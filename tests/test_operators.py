@@ -303,6 +303,13 @@ class TestNormalFormUniqueness:
             killed = all(not a.apply_to(f) for f in X_THETA_PROBES)
             assert killed == (not a)
 
+    def test_super_coefficient_pairs_are_coerced(self):
+        """An (f0, f1) coefficient reads as SuperPoly(f0, f1)."""
+        pairs = [(poly([1, 2]), poly([0, -1])), (poly([]), poly([3])), (poly([0, 0, 5]), poly([]))]
+        built = SuperDiffOp(Q(1, 2), Q(3, 2), pairs)
+        assert built == SuperDiffOp(Q(1, 2), Q(3, 2), [SuperPoly(f0, f1) for f0, f1 in pairs])
+        assert all(type(c) is SuperPoly for c in built.coeffs) and built.order == 2
+
 
 class TestGradedOp:
     def test_block_weight_validation(self):
