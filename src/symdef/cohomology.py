@@ -615,6 +615,27 @@ def _differential(cache: BlockCache, table: tuple[int, dict], coords) -> dict:
     return col
 
 
+def homomorphism_failure(algebra: str, ops: Sequence[AnyOp]) -> tuple[int, int] | None:
+    """The first ordered basis pair (i, j) with act(X_i, ops[j]) other than
+    sum_g c_ij^g ops[g], for parameter-free ops on one block, one per basis
+    element, or None.  At X_i, d0 of the 0-cochain ops[j] by the one column
+    builder (``_differential``) is s (-1)^{p_i p_j} act(X_i, ops[j])."""
+    ctx, cache = get_algebra(algebra), block_cache(algebra, ops[0].lam, ops[0].mu)
+    coords = [monomial_coords(op) for op in ops]
+    for j in range(ctx.dim):
+        table = _ce_table(algebra, 0, ctx.parities[j])
+        col = _differential(cache, table, (((None, mon), v) for mon, v in coords[j].items()))
+        for i in range(ctx.dim):
+            scale = _sign(ctx.parities[i] * ctx.parities[j]) * cache.den * table[0]
+            want: dict = {}
+            for g, c in enumerate(ctx.structure[(i, j)]):
+                for mon, v in coords[g].items() if c else ():
+                    want[(i, mon)] = want.get((i, mon), 0) + scale * c * v
+            if {k: v for k, v in col.items() if k[0] == i} != {k: v for k, v in want.items() if v}:
+                return i, j
+    return None
+
+
 def _differential_columns(cache: BlockCache, degree: int, bounds: BoundsSpec,
                           key: int) -> tuple[list, int, list[dict]]:
     """(basis, s, columns) of the bounded slice of C^degree at weight key

@@ -14,10 +14,13 @@ term [Phi_X, Phi_Y] (the second-order obstruction of Nijenhuis and
 Richardson): the L0 L0 part cancels because L0 is a homomorphism, and the
 linear part is d1(Phi) = 0 because every block of Phi is a catalog
 cocycle.  Neither fact is assumed.  L0 is checked to be a homomorphism on
-the action tables once per window, and every family instance placed in Phi
-is checked to be a cocycle once; a failed check is an ``InternalError``.
-Any other action (gauge-transformed, truncated, hand-built) has its defect
-expanded in full.
+the action tables once per window (``cohomology.homomorphism_failure``:
+d0 of each L0_j by the one column builder), and every family placed in
+Phi is checked to be a cocycle once; a failed check is an
+``InternalError``.  The certified first-order row is a type of its own
+that keeps its defects, so every action holding it alone, untruncated, on
+its window shares them; any other action (truncated, hand-built, a
+plain-tuple copy) is expanded in full.
 
 A spec has one reader, ``DeformationSpec.from_json``: ``resonant_spec``
 builds a payload and reads it there too, so a field is checked in the same
@@ -49,11 +52,11 @@ from .cohomology import (
     Cochain2,
     NoSolutionWithinBounds,
     algebra_for_flavor,
-    block_cache,
     coboundary_solve,
     d1,
     decompose_cocycle,
     default_witness_bounds,
+    homomorphism_failure,
     is_cocycle,
 )
 from .geometry import CLASSICAL, SUPER
@@ -67,7 +70,7 @@ from .kernel import (
     parse_rational,
     record,
 )
-from .operators import GradedOp, graded_identity, monomial_coords, undeformed_action
+from .operators import GradedOp, graded_identity, undeformed_action
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +261,10 @@ class DeformedAction:
     spec: DeformationSpec
     terms: dict[int, tuple[GradedOp, ...]]  # parameter order -> per-basis-index term
     truncation_order: int | None = None
-    # the first-order terms _assemble_first_order certified, if it built this action
-    _certified_first_order = None
 
-    def __post_init__(self):
-        self.terms = {order: tuple(row) for order, row in self.terms.items()}
+    def __post_init__(self):  # a tuple is kept as given: tuple() would strip a _CertifiedRow
+        self.terms = {order: row if isinstance(row, tuple) else tuple(row)
+                      for order, row in self.terms.items()}
 
     @property
     def ctx(self):
@@ -279,10 +281,12 @@ class DeformedAction:
         return {o: t for o, t in self.terms.items() if o >= 2}
 
     def _certified(self) -> bool:
-        """Whether the terms are exactly {1: the tuple _assemble_first_order
-        certified}, untruncated: then the defect is [Phi_i, Phi_j]."""
+        """Whether the action is untruncated and holds only a row certified on
+        its flavor, delta and window: then the defect is [Phi_i, Phi_j]."""
+        row = self.terms.get(1)
         return (self.truncation_order is None and self.terms.keys() == {1}
-                and self.terms[1] is self._certified_first_order)
+                and type(row) is _CertifiedRow
+                and row.on == (self.spec.flavor, self.spec.delta, self.spec.window))
 
     def undeformed(self, index: int) -> GradedOp:
         """L0 of basis element `index`, certified and shared: never mutate it."""
@@ -295,41 +299,20 @@ class DeformedAction:
         return acc
 
 
-def _coords_sum(pairs) -> dict:
-    """{monomial: value} summed over (monomial, value) pairs, zeros dropped."""
-    out: dict = {}
-    for mon, value in pairs:
-        out[mon] = out.get(mon, 0) + value
-    return {mon: value for mon, value in out.items() if value}
-
-
 @lru_cache(maxsize=32)
 def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[GradedOp, ...]:
     """The undeformed window action L0, one operator per basis element,
-    certified a homomorphism on the action tables.
-
-    For every window weight w and basis pair, act(X_i, L0^w_j) must equal
-    L0^w_{[X_i, X_j]} coordinate by coordinate; act(X_i, M) is
-    L^w_{X_i} o M - (-1)^{p(M)p(X_i)} M o L^w_{X_i}, the super bracket for an
-    odd pair.  The action tables hold D times the action (D = ``den`` of the
-    block cache), so the right-hand side is scaled by D.  A failure is an
-    InternalError."""
+    certified a homomorphism on the action tables: at every window weight w
+    and for every ordered basis pair, act(X_i, L0^w_j) must be
+    L0^w_{[X_i, X_j]}, read off d0 of the 0-cochain L0^w_j
+    (``homomorphism_failure``).  A failure is an InternalError."""
     ctx = algebra_for_flavor(flavor)
     l0 = tuple(undeformed_action(x, flavor, delta, window) for x in ctx.basis)
     for k in range(window + 1):
-        w = l0[0].weight_of(k)
-        cache = block_cache(ctx.name, w, w)
-        coords = [monomial_coords(op.block(k, k)) for op in l0]
-        for i in range(ctx.dim):
-            for j in range(ctx.dim):
-                lhs = _coords_sum((mon2, value * v) for mon, value in coords[j].items()
-                                  for mon2, v in cache.act_monomial(i, mon))
-                rhs = _coords_sum((mon, cache.den * c * value)
-                                  for g, c in enumerate(ctx.structure[(i, j)])
-                                  if c for mon, value in coords[g].items())
-                if lhs != rhs:
-                    raise InternalError(f"the undeformed {flavor} action on weight {w} is not "
-                                        f"a homomorphism on the pair ({i}, {j})")
+        failure = homomorphism_failure(ctx.name, [op.block(k, k) for op in l0])
+        if failure:
+            raise InternalError(f"the undeformed {flavor} action on weight {l0[0].weight_of(k)} "
+                                f"is not a homomorphism on the pair {failure}")
     return l0
 
 
@@ -343,6 +326,16 @@ def _certified_family(cid: CatalogId) -> Cochain1:
         raise InternalError(f"{build.__name__}({', '.join(map(str, cid.args))}) placed in the "
                             "deformation is not a cocycle")
     return family
+
+
+class _CertifiedRow(tuple):
+    """A row as ``_assemble_first_order`` certified it on the flavor, delta and
+    window ``on``, keeping [Phi_i, Phi_j] by pair (``defects``) for its holders."""
+
+    def __new__(cls, terms, spec: DeformationSpec):
+        row = super().__new__(cls, terms)
+        row.on, row.defects = (spec.flavor, spec.delta, spec.window), {}
+        return row
 
 
 def _assemble_first_order(spec: DeformationSpec,
@@ -363,9 +356,7 @@ def _assemble_first_order(spec: DeformationSpec,
             term = family.images[index].scale(coeff)
             blocks[block] = blocks[block] + term if block in blocks else term
         terms.append(GradedOp(spec.flavor, spec.delta, spec.window, blocks))
-    action = DeformedAction(spec, {1: terms})
-    action._certified_first_order = action.terms[1]
-    return action
+    return DeformedAction(spec, {1: _CertifiedRow(terms, spec)})
 
 
 def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
@@ -393,15 +384,18 @@ def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
 def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
     """[L_i, L_j] - L_{[e_i, e_j]}, exact in the parameters.
 
-    For an action as ``_assemble_first_order`` built it this is
-    [Phi_i, Phi_j] = Phi_i o Phi_j - (-1)^{p_i p_j} Phi_j o Phi_i: the
+    For an action holding only a certified row (``DeformedAction._certified``)
+    this is [Phi_i, Phi_j] = Phi_i o Phi_j - (-1)^{p_i p_j} Phi_j o Phi_i: the
     L0 L0 part and the linear part d1(Phi) vanish, both certified when the
-    action was assembled.  Any other action is expanded in full."""
+    row was assembled.  The row keeps it, shared: never mutate it.  Any
+    other action is expanded in full."""
     ctx = action.ctx
     sign = -1 if (ctx.parities[i] and ctx.parities[j]) else 1
     if action._certified():
         phi = action.terms[1]
-        return phi[i].bracket(phi[j], sign)
+        if (i, j) not in phi.defects:
+            phi.defects[(i, j)] = phi[i].bracket(phi[j], sign)
+        return phi.defects[(i, j)]
     li, lj = action.full(i), action.full(j)
     defect = li.bracket(lj, sign)
     for g, coeff in enumerate(ctx.structure[(i, j)]):
@@ -473,31 +467,21 @@ class ObstructionReport:
     diagonal_clean: bool
     unexpected_blocks: list
     verdict: str
-    # the action the report was built from and its defects; set by obstruction_classes
-    _action = _defects = None
 
     @property
     def condition_generators(self) -> list[ParamScalar]:
         return [b.class_coeff for b in self.blocks]
 
     def verify_reassembly(self, action: DeformedAction) -> bool:
-        """Exact check: class*basis + d1(witness) reproduces every defect block.
-
-        The defects are the ones the report was built on when `action` is
-        the certified action it was built from, terms unchanged, and are
-        recomputed otherwise."""
-        ctx = action.ctx
-        pairs = ctx.canonical_pairs()
-        if action is self._action and action._certified():
-            defects = self._defects
-        else:
-            defects = {pair: bracket_defect(action, *pair) for pair in pairs}
+        """Exact check: class*basis + d1(witness) reproduces every defect
+        block of `action`, each defect asked of ``bracket_defect`` (which a
+        certified row answers from the defects it keeps)."""
+        defects = {pair: bracket_defect(action, *pair) for pair in action.ctx.canonical_pairs()}
         for entry in self.blocks:
-            key = (entry.source_k, entry.target_k)
-            reassembled = entry.basis.scale(entry.class_coeff) + d1(entry.witness)
-            for pair in pairs:
-                if defects[pair].block(*key) != reassembled.images[pair]:
-                    return False
+            reassembled = (entry.basis.scale(entry.class_coeff) + d1(entry.witness)).images
+            if any(defect.block(entry.source_k, entry.target_k) != reassembled[pair]
+                   for pair, defect in defects.items()):
+                return False
         return True
 
     def to_json(self) -> dict:
@@ -536,19 +520,14 @@ def obstruction_classes(action: DeformedAction,
     ctx = action.ctx
     pairs = ctx.canonical_pairs()
     defects = {pair: bracket_defect(action, *pair) for pair in pairs}
-    touched: set[tuple[int, int]] = set()
-    for defect in defects.values():
-        touched.update(defect.blocks)
+    touched = {key for defect in defects.values() for key in defect.blocks}
     recognized = _recognized_blocks(spec)
     diag_bad = [key for key in touched if key[0] == key[1]]
-    unexpected = sorted(
-        key for key in touched if key[0] != key[1] and key not in recognized
-    )
+    unexpected = sorted(key for key in touched if key[0] != key[1] and key not in recognized)
     entries = []
     verdict = "derived"
-    for (k, key) in sorted(
-        ((k, spec.off_diagonal_block(k)) for k in spec.resonant_range()), key=lambda t: t[1]
-    ):
+    for k, key in sorted(((k, spec.off_diagonal_block(k)) for k in spec.resonant_range()),
+                         key=lambda t: t[1]):
         basis_id, basis = recognized[key]
         j, i = key
         images = {pair: defects[pair].block(j, i) for pair in pairs}
@@ -558,31 +537,22 @@ def obstruction_classes(action: DeformedAction,
         if isinstance(split, NoSolutionWithinBounds):
             verdict = "inconclusive"
             continue
-        entries.append(
-            BlockObstruction(
-                k=k,
-                source_k=j,
-                target_k=i,
-                basis_id=basis_id,
-                basis=basis,
-                class_coeff=ParamScalar(spec.algebra(), {}) + split.coeff,  # in the spec's alphabet
-                witness=split.witness,
-                bounds=use_bounds,
-                verdict="decomposed",
-            )
-        )
+        entries.append(BlockObstruction(
+            k=k,
+            source_k=j,
+            target_k=i,
+            basis_id=basis_id,
+            basis=basis,
+            class_coeff=ParamScalar(spec.algebra(), {}) + split.coeff,  # in the spec's alphabet
+            witness=split.witness,
+            bounds=use_bounds,
+            verdict="decomposed",
+        ))
     if diag_bad or unexpected:
         verdict = "inconclusive"
-    report = ObstructionReport(
-        spec=spec,
-        bounds=bounds if bounds is not None else default_obstruction_bounds_from_spec(spec),
-        blocks=entries,
-        diagonal_clean=not diag_bad,
-        unexpected_blocks=unexpected,
-        verdict=verdict,
-    )
-    report._action, report._defects = action, defects
-    return report
+    return ObstructionReport(
+        spec=spec, bounds=bounds if bounds is not None else default_obstruction_bounds_from_spec(spec),
+        blocks=entries, diagonal_clean=not diag_bad, unexpected_blocks=unexpected, verdict=verdict)
 
 
 def default_obstruction_bounds_from_spec(spec: DeformationSpec) -> BoundsSpec:
@@ -760,6 +730,13 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
 # ---------------------------------------------------------------------------
 
 
+def _refuse_parameter_free(op: GradedOp, caller: str):
+    """UsageError when op has a part of parameter degree 0: it has no order."""
+    if op.param_component(0):
+        raise UsageError(f"{caller} needs every deformation and gauge coefficient to be of "
+                         "positive parameter degree; a parameter-free term has no order")
+
+
 def gauge_transform(action: DeformedAction, gauge: GradedOp,
                     truncation_order: int) -> DeformedAction:
     """Conjugate by Id + gauge, truncated in total parameter degree.
@@ -769,8 +746,9 @@ def gauge_transform(action: DeformedAction, gauge: GradedOp,
     left out.  A parameter-free part has no order under this rule, so an
     action or gauge that leaves one (a numeric action, a gauge with a
     parameter-free coefficient) is refused with ``UsageError``.  A gauge of
-    parameter degree >= 2 leaves the first-order part untouched; the
-    obstruction classes are invariant either way."""
+    parameter degree >= 2 leaves the first-order part untouched, and the
+    result holds the input's row itself, so a certified row stays certified;
+    the obstruction classes are invariant either way."""
     spec = action.spec
     ident = graded_identity(spec.flavor, spec.delta, spec.window)
     gauge = gauge.truncate_params(truncation_order)
@@ -787,16 +765,13 @@ def gauge_transform(action: DeformedAction, gauge: GradedOp,
     for index in range(action.ctx.dim):
         conjugated = phi.compose(action.full(index)).compose(inverse)
         delta_part = conjugated.truncate_params(truncation_order) - action.undeformed(index)
-        if delta_part.param_component(0):
-            raise UsageError("gauge_transform needs every deformation and gauge coefficient "
-                             "to be of positive parameter degree; a parameter-free term "
-                             "has no order")
+        _refuse_parameter_free(delta_part, "gauge_transform")
         deltas.append(delta_part)
     terms = {}
     for order in range(1, truncation_order + 1):
         row = tuple(d.param_component(order) for d in deltas)
         if any(row):
-            terms[order] = row
+            terms[order] = action.terms[1] if order == 1 and row == action.terms.get(1) else row
     return DeformedAction(spec, terms, truncation_order=truncation_order)
 
 
@@ -812,9 +787,12 @@ def trivialize_second_order(action: DeformedAction,
 
     Returns (gauge, new_action); NotTrivializable carries the nonzero
     class coefficients, or names the block whose second-order term is no
-    bounded coboundary, otherwise."""
+    bounded coboundary, otherwise.  A numeric action is refused first, as
+    ``gauge_transform`` refuses it."""
     spec = action.spec
     ctx = action.ctx
+    for term in (term for row in action.terms.values() for term in row):
+        _refuse_parameter_free(term, "trivialize_second_order")
     first_only = DeformedAction(spec, {1: action.first_order})
     report = obstruction_classes(first_only, bounds)
     live = [str(b.class_coeff) for b in report.blocks if b.class_coeff]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,20 +406,32 @@ def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certif
     assert error == "not_closed(3, 2) placed in the deformation is not a cocycle"
 
 
+SUPER_LIE_OP = operators.super_lie_op
+
+
+def flipped_eta(x, lam):
+    """The super density action with its eta coefficient of the wrong sign."""
+    op = SUPER_LIE_OP(x, lam)
+    return SuperDiffOp(op.lam, op.mu, [op.coefficient(0), -op.coefficient(1), op.coefficient(2)])
+
+
+def second_derivative(x, lam):
+    """g d_x + lam g'' in place of g d_x + lam g': no representation of sl(2)."""
+    return DiffOp(lam, lam, [x.g.derivative().derivative().scale(lam), x.g])
+
+
+@pytest.mark.parametrize("name, mutant, spec", [
+    ("super_lie_op", flipped_eta,
+     {"flavor": "super", "m": 1, "params": {"a0": "0", "a1": "0", "a-1": "4"}}),
+    ("lie_op", second_derivative,
+     {"flavor": "classical", "m": 3, "params": {"a0": "1", "a2": "3", "b2": "1", "c2": "3"}}),
+], ids=["super", "classical"])
 def test_broken_undeformed_action_is_an_engine_fault(monkeypatch, capsys, tmp_path,
-                                                     fresh_certificates):
-    lie_op = operators.super_lie_op
-
-    def flipped(x, lam):  # the eta coefficient with the wrong sign
-        op = lie_op(x, lam)
-        return SuperDiffOp(op.lam, op.mu, [op.coefficient(0), -op.coefficient(1),
-                                           op.coefficient(2)])
-
-    monkeypatch.setattr(operators, "super_lie_op", flipped)
-    path = write_spec(tmp_path, {"flavor": "super", "m": 1,
-                                 "params": {"a0": "0", "a1": "0", "a-1": "4"}})
-    error = engine_fault(capsys, ["flat-deform", "--spec", path])
-    assert "not a homomorphism" in error
+                                                     fresh_certificates, name, mutant, spec):
+    monkeypatch.setattr(operators, name, mutant)
+    error = engine_fault(capsys, ["flat-deform", "--spec", write_spec(tmp_path, spec)])
+    assert re.fullmatch(rf"the undeformed {spec['flavor']} action on weight \S+ is not a "
+                        r"homomorphism on the pair \(\d, \d\)", error), error
 
 
 class TestFlatDeform:

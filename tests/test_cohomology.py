@@ -35,6 +35,7 @@ from symdef.cohomology import (
     decompose_cocycle,
     default_witness_bounds,
     get_algebra,
+    homomorphism_failure,
     is_cocycle,
 )
 from symdef.cohomology import (
@@ -58,7 +59,15 @@ from symdef.geometry import (
     super_density_action,
 )
 from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
-from symdef.operators import DiffOp, GradedOp, SuperDiffOp, monomial_coords, monomial_key
+from symdef.operators import (
+    DiffOp,
+    GradedOp,
+    SuperDiffOp,
+    lie_op,
+    monomial_coords,
+    monomial_key,
+    super_lie_op,
+)
 from test_kernel import DenseReference
 
 
@@ -435,6 +444,34 @@ class TestIsCocycle:
         typed = d1(c).is_zero() if degree == 1 else not any(d2(c).values())
         assert is_cocycle(c) == typed
         assert typed or perturbed
+
+    @pytest.mark.parametrize("algebra", [SL2, OSP12])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @settings(max_examples=4)
+    @given(lam=st.fractions(-2, 2, max_denominator=2), seed=st.integers(0, 2 ** 16))
+    def test_homomorphism_failure_is_the_typed_one(self, algebra, perturbed, lam, seed):
+        """The density action on one weight is a homomorphism; with one of its
+        operators perturbed, the first failing pair read off the tables is the
+        first one the typed action finds, j before i."""
+        rng = random.Random(seed)
+        ctx = get_algebra(algebra)
+        ops = [lie_op(x, lam) if algebra == SL2 else super_lie_op(x, lam) for x in ctx.basis]
+        if perturbed:
+            r = rng.randrange(ctx.dim)
+            ops[r] = ops[r] + (random_diffop(rng, lam, lam) if algebra == SL2
+                               else random_superop(rng, lam, lam, ctx.parities[r]))
+
+        def typed_failure():
+            for j in range(ctx.dim):
+                for i in range(ctx.dim):
+                    want = sum((ops[g].scale(c) for g, c in enumerate(ctx.structure[(i, j)]) if c),
+                               ops[j].scale(0))
+                    if ctx.act(i, ops[j]) != want:
+                        return i, j
+            return None
+
+        assert homomorphism_failure(algebra, ops) == typed_failure()
+        assert perturbed or typed_failure() is None
 
     def test_perturbed_families(self):
         rng = random.Random(3)

@@ -485,16 +485,44 @@ class TestGauge:
         assert same.first_order == action.first_order
 
     def test_trivialize_refuses_a_second_order_class(self):
-        """A second-order term with a class in H^1, A:lambda=3/2 on block
-        (0, 0) of a flat action, is no bounded coboundary."""
-        action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3, params={"a0": 1}))
+        """A second-order term with a class in H^1, a0*a1 * A:lambda=5/3 on
+        block (0, 0) of a flat formal action, is no bounded coboundary."""
+        action = self._flat_formal_action()
         spec = action.spec
+        algebra = spec.algebra()
+        t2 = ParamScalar.symbol(algebra, "a0") * ParamScalar.symbol(algebra, "a1")
         assert verify_homomorphism(action).passed
-        second = [GradedOp(CLASSICAL, spec.delta, spec.window, {(0, 0): image})
-                  for image in catalog.build_cocycle("A:lambda=3/2").images.values()]
+        second = [GradedOp(CLASSICAL, spec.delta, spec.window, {(0, 0): image.scale(t2)})
+                  for image in catalog.build_cocycle("A:lambda=5/3").images.values()]
         dressed = DeformedAction(spec, {1: action.first_order, 2: second}, truncation_order=2)
         assert trivialize_second_order(dressed) == NotTrivializable(
             reason="second-order term is not a bounded coboundary on block (0, 0)", classes=[])
+
+    @pytest.mark.parametrize("flavor, m, params, second", [
+        (CLASSICAL, 3, {"a0": "1"}, False),
+        (CLASSICAL, 3, {"a0": "1"}, True),
+        (SUPER, 2, {"a0": "1", "a2": "2"}, False),
+    ], ids=["classical-flat", "classical-with-order-2", "super-flat"])
+    def test_trivialize_refuses_a_numeric_action_first(self, monkeypatch, flavor, m, params,
+                                                        second):
+        """A numeric action is refused in the words of gauge_transform before
+        any obstruction work, with or without an order-2 term."""
+        action = build_infinitesimal(DeformationSpec.resonant_spec(flavor, m, params=params))
+        spec = action.spec
+        if second:  # the coboundary of x d_x on block (0, 0)
+            b = DiffOp(spec.delta, spec.delta, [Poly(), Poly([0, 1])])
+            action = DeformedAction(spec, {1: action.first_order, 2: [
+                GradedOp(flavor, spec.delta, spec.window, {(0, 0): action.ctx.act(idx, b)})
+                for idx in range(action.ctx.dim)]}, truncation_order=2)
+
+        def no_obstruction_work(*args, **kwargs):
+            raise AssertionError("obstruction_classes ran on a numeric action")
+
+        monkeypatch.setattr(deformation, "obstruction_classes", no_obstruction_work)
+        with pytest.raises(UsageError, match="trivialize_second_order needs every deformation "
+                                             "and gauge coefficient to be of positive "
+                                             "parameter degree; a parameter-free term"):
+            trivialize_second_order(action)
 
     def test_trivialize_blocked_by_nonzero_class(self):
         action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
@@ -614,14 +642,80 @@ def test_witness_with_content_renders():
     assert rendered[1:] == [{"lambda": "0", "mu": "1/2", "parity": "zero", "coeffs": []}] * 4
 
 
-def test_fast_path_only_for_assembled_actions():
-    """A hand-built action with the same terms is expanded in full, and
-    agrees."""
+def count_calls(monkeypatch, owner, name):
+    """The arguments of every call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
+def test_certificate_travels_with_the_row(monkeypatch, flavor, m):
+    """Every action that holds the certified row untruncated and alone on
+    the row's flavor, delta and window takes the short defect, kept once by
+    the row: the built action, a wrapper (under a numeric spec too) and the
+    first-order view of a gauge result that left the first order as it was.
+    A plain-tuple copy of the row is expanded in full and agrees; the row
+    under a spec with another window is expanded in full too, and refused
+    there."""
+    action = build_infinitesimal(DeformationSpec.resonant_spec(flavor, m))
+    spec, row = action.spec, action.first_order
+    g = GradedOp(flavor, spec.delta, spec.window)
+    w = g.weight_of(1)
+    t2 = ParamScalar.symbol(spec.algebra(), "a0") * ParamScalar.symbol(spec.algebra(), "a1")
+    g.set_block(1, 1, (DiffOp(w, w, [Poly([0, 1])]) if flavor == CLASSICAL
+                       else SuperDiffOp(w, w, [SuperPoly(Poly([0, 1]))])).scale(t2))
+    gauged = gauge_transform(action, g, truncation_order=3)
+    assert gauged.first_order is row and gauged.higher_terms()
+    numeric = DeformationSpec(flavor, spec.delta, spec.window, {"a0": 1})
+    holders = [action, DeformedAction(spec, {1: row}), DeformedAction(numeric, {1: row}),
+               DeformedAction(spec, {1: gauged.first_order})]
+    copy = DeformedAction(spec, {1: tuple(row)})
+    elsewhere = DeformedAction(DeformationSpec(flavor, spec.delta, spec.window + 2), {1: row})
+    assert all(a._certified() for a in holders)
+    assert not any(a._certified() for a in (copy, gauged, elsewhere))
+    full = count_calls(monkeypatch, DeformedAction, "full")
+    composed = count_calls(monkeypatch, GradedOp, "compose")
+    pairs = action.ctx.canonical_pairs()
+    kept = {pair: bracket_defect(action, *pair) for pair in pairs}
+    assert len(composed) == 2 * len(pairs) and not full
+    for holder in holders[1:]:
+        assert {pair: bracket_defect(holder, *pair) for pair in pairs} == kept
+    assert len(composed) == 2 * len(pairs) and not full
+    for pair in pairs:
+        assert bracket_defect(copy, *pair) == kept[pair] == typed_defect(action, *pair)
+    assert full
+    with pytest.raises(UsageError, match="different windows"):
+        bracket_defect(elsewhere, *pairs[0])
+
+
+def test_trivialize_expands_no_defect_in_full(monkeypatch):
+    """Trivializing a built action, or a gauged one with the same first
+    order, asks no full action: the obstruction step reads the certified
+    row.  The result is the one a plain-tuple copy gets in full."""
     action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
-    hand = DeformedAction(action.spec, {1: action.first_order})
-    assert action._certified() and not hand._certified()
-    for pair in action.ctx.canonical_pairs():
-        assert bracket_defect(action, *pair) == bracket_defect(hand, *pair)
+    spec = action.spec
+    g = GradedOp(CLASSICAL, spec.delta, spec.window)
+    w = g.weight_of(2)
+    t2 = ParamScalar.symbol(spec.algebra(), "b2") * ParamScalar.symbol(spec.algebra(), "c2")
+    g.set_block(2, 2, DiffOp(w, w, [Poly([1, 1])]).scale(t2))
+    gauged = gauge_transform(action, g, truncation_order=2)
+    assert gauged.first_order is action.first_order and gauged.higher_terms()
+    copies = [DeformedAction(spec, {order: tuple(row) for order, row in a.terms.items()},
+                             a.truncation_order) for a in (action, gauged)]
+    full = count_calls(monkeypatch, DeformedAction, "full")
+    results = [trivialize_second_order(a) for a in (action, gauged)]
+    assert full == []
+    assert results == [trivialize_second_order(a) for a in copies]
+    assert full
+    assert results[0] == NotTrivializable(reason="nonzero obstruction class",
+                                          classes=["a0*c2 + 2*a2*b2 - a2*c2"])
 
 
 def test_first_order_builds_nothing_when_present(monkeypatch):
@@ -645,43 +739,39 @@ def test_first_order_builds_nothing_when_present(monkeypatch):
 
 
 class TestReassemblyDefects:
-    def _counted(self, monkeypatch):
-        calls = []
-        original = deformation.bracket_defect
-
-        def counting(action, i, j):
-            calls.append((i, j))
-            return original(action, i, j)
-
-        monkeypatch.setattr(deformation, "bracket_defect", counting)
-        return calls
-
-    def test_kept_defects_serve_the_same_action(self, monkeypatch):
+    def test_kept_defects_serve_the_same_row(self, monkeypatch):
+        """The defects the report was built on are the row's: reassembly on
+        the action, or on a wrapper of its row, composes nothing."""
         action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))
         report = obstruction_classes(action)
-        calls = self._counted(monkeypatch)
+        composed = count_calls(monkeypatch, GradedOp, "compose")
         assert report.verify_reassembly(action)
-        assert calls == []
+        assert report.verify_reassembly(DeformedAction(action.spec, {1: action.first_order}))
+        assert composed == []
 
-    def test_other_action_is_recomputed(self, monkeypatch):
+    def test_other_row_is_recomputed(self, monkeypatch):
         spec = DeformationSpec.resonant_spec(CLASSICAL, 3)
         report = obstruction_classes(build_infinitesimal(spec))
-        calls = self._counted(monkeypatch)
-        pairs = report._action.ctx.canonical_pairs()
-        # an equal action built again: recomputed, and it agrees
-        assert report.verify_reassembly(build_infinitesimal(spec))
-        assert calls == pairs
-        # a numeric point has other defects: recomputed, and it disagrees
+        composed = count_calls(monkeypatch, GradedOp, "compose")
+        # an equal action built again has a new row: composed once, and it agrees
+        again = build_infinitesimal(spec)
+        pairs = again.ctx.canonical_pairs()
+        assert report.verify_reassembly(again)
+        assert len(composed) == 2 * len(pairs)
+        assert report.verify_reassembly(again)
+        assert len(composed) == 2 * len(pairs)
+        # a numeric point has other defects: composed, and it disagrees
         point = build_infinitesimal(DeformationSpec.resonant_spec(
             CLASSICAL, 3, params={"a0": 1, "a2": 1, "b2": 1, "c2": 0}))
         assert not report.verify_reassembly(point)
-        assert calls == pairs + pairs
+        assert len(composed) == 4 * len(pairs)
 
     @pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
     def test_replaced_terms_are_expanded_in_full(self, flavor, m):
         """An assembled action's terms are tuples, so no term can be edited
-        in place; once its first order is replaced, the defect is the full
-        expansion and the kept defects no longer serve the reassembly."""
+        in place; once its first order is replaced by a plain tuple, the
+        defect is the full expansion and the row's kept defects no longer
+        serve the reassembly."""
         action = build_infinitesimal(DeformationSpec.resonant_spec(flavor, m))
         report = obstruction_classes(action)
         phi = action.terms[1]
@@ -702,9 +792,9 @@ class TestReassemblyDefects:
 
     @pytest.mark.parametrize("flavor,m", [(CLASSICAL, 3), (SUPER, 2)])
     def test_recomputed_defects_decide(self, flavor, m):
-        """Another action goes through the recompute branch: one rebuilt
-        from the same spec reassembles, and a copy of the action with one
-        first-order term doubled does not."""
+        """Another row is asked afresh: an action rebuilt from the same spec
+        reassembles, and a copy of the action with one first-order term
+        doubled, expanded in full, does not."""
         spec = DeformationSpec.resonant_spec(flavor, m)
         action = build_infinitesimal(spec)
         report = obstruction_classes(action)

@@ -452,24 +452,22 @@ class TestRecords:
 
     def test_post_init_and_plain_attributes(self):
         """Only annotated fields are arguments, compared and shown; a plain
-        attribute such as the report's kept action is set by its owner."""
+        attribute set later is none of these.  An action keeps a row given
+        as a tuple, the same object, and makes a tuple of any other row."""
         assert ParamAlgebra(even=("b", "a"), odd=("d", "c")) == ParamAlgebra(("a", "b"), ("c", "d"))
         with pytest.raises(UsageError, match="flavor"):
             DeformationSpec("quantum", Q(1), 3)
         with pytest.raises(UsageError, match="bounds"):
             BoundsSpec(2.5, 1)
         report = ObstructionReport(**REPORT_FIELDS)
-        assert report._action is None and report._defects is None
-        report._action, report._defects = DeformedAction(SPEC, {}), {}
-        assert report == ObstructionReport(**REPORT_FIELDS)
-        assert "_action" not in repr(report) and "_defects" not in repr(report)
-        action = DeformedAction(SPEC, {})
-        assert action._certified_first_order is None and "_certified" not in repr(action)
-        action._certified_first_order = ()
-        assert action == DeformedAction(SPEC, {})
-        for args, kwargs in [((SPEC, {}), {"_certified_first_order": ()}), ((SPEC,), {}),
+        report.note = "kept"
+        assert report == ObstructionReport(**REPORT_FIELDS) and "note" not in repr(report)
+        row = (GradedOp(CLASSICAL, Q(1), 3),)
+        assert DeformedAction(SPEC, {1: row}).terms[1] is row
+        assert DeformedAction(SPEC, {1: list(row)}).terms == {1: row}
+        for args, kwargs in [((SPEC, {}), {"note": ()}), ((SPEC,), {}),
                              ((SPEC, {}, None, ()), {}), ((SPEC, {}), {"spec": SPEC})]:
             with pytest.raises(TypeError):
                 DeformedAction(*args, **kwargs)
         with pytest.raises(TypeError):
-            ObstructionReport(**REPORT_FIELDS, _action=action, _defects={})
+            ObstructionReport(**REPORT_FIELDS, note="kept")
