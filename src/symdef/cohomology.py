@@ -631,7 +631,7 @@ def homomorphism_failure(algebra: str, ops: Sequence[AnyOp]) -> tuple[int, int] 
             for g, c in enumerate(ctx.structure[(i, j)]):
                 for mon, v in coords[g].items() if c else ():
                     want[(i, mon)] = want.get((i, mon), 0) + scale * c * v
-            if {k: v for k, v in col.items() if k[0] == i} != {k: v for k, v in want.items() if v}:
+            if {k: v for k, v in col.items() if k[0] == i} != want:
                 return i, j
     return None
 
