@@ -52,8 +52,12 @@ the single parameter monomial ((), ()).  Formal parameters are constants
 for the action, so d acts on each parameter monomial's coefficient cochain
 on its own, whose parity is the cochain's less the monomial's odd letters.
 ``is_cocycle``, ``coboundary_solve`` and ``decompose_cocycle`` accept
-parametric cochains and split them by parameter monomial and weight key
-inside the one per-weight solver (``_solve_by_weight``).
+parametric cochains.  One solver (``_solve_by_weight``) answers every class
+question: it splits c into class coefficients times parameter-free classes
+plus a coboundary, on one slice system per parity stacked over the weight
+keys of c and the classes, with one solve per parameter monomial.
+``coboundary_solve`` passes no class, ``decompose_cocycle`` one, and
+``classes_independent`` splits the zero cochain against its cocycles.
 """
 
 from __future__ import annotations
@@ -405,15 +409,6 @@ def _cochain_coords(c: Cochain) -> dict[tuple, dict]:
     return out or {_ONE_MON: {}}
 
 
-def _parameter_free_coords(c: Cochain, refusal: str) -> dict:
-    """{(slot, monomial): Fraction} of a parameter-free c; UsageError(refusal)
-    otherwise."""
-    coords = _cochain_coords(c)
-    if set(coords) != {_ONE_MON}:
-        raise UsageError(refusal)
-    return coords[_ONE_MON]
-
-
 def _by_weight_key(c: Cochain, coords: dict) -> dict[int, dict]:
     """Coordinates grouped by Euler-weight key (``monomial_key``, module
     docstring): a coordinate's key is its monomial's less the weight of its
@@ -532,11 +527,9 @@ def _cochain_slots(ctx: AlgebraContext, degree: int) -> list[tuple]:
 
 def _enumerate_cochain_basis(cache: BlockCache, degree: int, bounds: BoundsSpec,
                              key: int) -> list:
-    """Basis of the bounded weight-key slice of C^degree: monomials in
-    degree 0, (slot, monomial) pairs otherwise, all of parity
-    ``key_parity(key)``."""
-    return [mon if slot is None else (slot, mon)
-            for slot, wt, _ in _cochain_slots(cache.ctx, degree)
+    """Basis of the bounded weight-key slice of C^degree: (slot, monomial)
+    pairs, all of parity ``key_parity(key)``."""
+    return [(slot, mon) for slot, wt, _ in _cochain_slots(cache.ctx, degree)
             for mon in bounded_monomials(cache.ctx.flavor, bounds, key + wt)]
 
 
@@ -647,8 +640,7 @@ def _differential_columns(cache: BlockCache, degree: int, bounds: BoundsSpec,
     basis = _enumerate_cochain_basis(cache, degree, bounds, key)
     table = _ce_table(cache.ctx.name, degree, cache.ctx.key_parity(key))
     return basis, cache.den * table[0], [
-        _differential(cache, table, ((((None, item) if degree == 0 else item), 1),))
-        for item in basis]
+        _differential(cache, table, ((item, 1),)) for item in basis]
 
 
 def _rank(cols: list[dict], skip=()) -> int:
@@ -680,7 +672,7 @@ class NoSolutionWithinBounds:
 class Decomposition:
     """c = coeff * family + d(witness), exactly."""
 
-    coeff: Fraction
+    coeff: Fraction | ParamScalar
     witness: Cochain
 
 
@@ -699,8 +691,7 @@ def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
     ctx = cache.ctx
     zero = op_class(ctx.flavor).zero(cache.lam, cache.mu)
     images = {slot: zero for slot, _, _ in _cochain_slots(ctx, degree)}
-    for item, coeff in coeffs.items():
-        slot, mon = (None, item) if degree == 0 else item
+    for (slot, mon), coeff in coeffs.items():
         images[slot] = images[slot] + cache.monomial_op(mon).scale(coeff)
     return Cochain0(ctx.name, images[None]) if degree == 0 else Cochain1(ctx.name, images)
 
@@ -729,55 +720,63 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, keys: Sequ
     return basis, row_index, s, SolvedSystem(list(by_key.values()), len(cols))
 
 
-def _solve_by_weight(c: Cochain, bounds: BoundsSpec, family: Cochain | None = None):
-    """Solve c = t * family + d(b) exactly, one (parameter monomial, weight
-    key) at a time, with b within bounds, on one slice system per key, the
-    family last on its key's.  For parametric c, t and b carry c's parameter
-    monomials; for parameter-free c, t is a Fraction; a monomial with
-    nothing at the family's key adds 0 to t.  NoSolutionWithinBounds when
-    some slice has no solution or the family's column is no pivot."""
-    lam, mu = c.block
-    cache = block_cache(c.algebra, lam, mu)
-    degree = c.degree - 1
-    coords = _cochain_coords(c)
-    systems: dict = {}  # key -> slice system, built once per call
-    family_key = None
-    if family is not None:
-        lead = _parameter_free_coords(family, "the family must be parameter-free")
-        family_keys = list(_by_weight_key(family, lead))
-        if len(family_keys) != 1:
-            raise UsageError("the family must be nonzero and lie in a single weight key")
-        if family.block != (lam, mu) or family.algebra != c.algebra:
-            raise UsageError("the family must live on the cochain's block")
-        family_key = family_keys[0]
-        systems[family_key] = _slice_system(cache, degree, bounds, family_keys, [lead])
-        system = systems[family_key][3]
-        if system.ncols - 1 not in system.pivot_cols:
+def _solve_by_weight(c: Cochain, bounds: BoundsSpec, classes: Sequence[Cochain] = ()):
+    """Solve c = sum_j t_j * classes[j] + d(b) exactly, with b within bounds.
+
+    One slice system per parity is stacked over every weight key of c and
+    of the classes (``_slice_system``), the class columns last on the
+    classes' parity.  Parameters are constants for d and a parameter
+    monomial's coefficient cochain has a single parity, so each monomial
+    takes one solve; a solution entry becomes a Fraction at the unit
+    monomial and a ParamScalar carrying its monomial otherwise.  The classes
+    must be parameter-free cocycles of c's algebra, degree and block, all of
+    one parity.  Returns ([t_j], b), or NoSolutionWithinBounds when some
+    monomial has no solution or some class column is no pivot."""
+    cache = block_cache(c.algebra, *c.block)
+    leads = []
+    for cls in classes:
+        coords = _cochain_coords(cls)
+        if set(coords) != {_ONE_MON}:
+            raise UsageError("the classes must be parameter-free cocycles")
+        if not is_cocycle(cls):
+            raise UsageError("a class decomposition expects cocycles")
+        if (cls.algebra, cls.degree, cls.block, cls.parity) != (
+                c.algebra, c.degree, c.block, classes[0].parity):
+            raise UsageError("the classes must share a block and parity, and the cochain's "
+                             "algebra and degree")
+        leads.append(coords[_ONE_MON])
+    pieces = {pmon: _by_weight_key(c, coords) for pmon, coords in _cochain_coords(c).items()}
+    parity = classes[0].parity if classes else None  # of the class columns
+    by_parity: dict = {} if parity is None else {parity: []}  # also for classes with no key
+    for key in sorted({k for piece in pieces.values() for k in piece}
+                      | {k for cls in classes for k in cochain_weight_keys(cls)}):
+        by_parity.setdefault(cache.ctx.key_parity(key), []).append(key)
+    systems = {p: _slice_system(cache, c.degree - 1, bounds, keys, leads if p == parity else ())
+               for p, keys in by_parity.items()}
+    if classes:
+        system = systems[parity][3]
+        if not set(range(system.ncols - len(leads), system.ncols)) <= set(system.pivot_cols):
             return NoSolutionWithinBounds(bounds)
-    parametric = set(coords) != {_ONE_MON}
-    t = ParamScalar(None, {}) if parametric else Fraction(0)
-    witness: dict = {}
-    for pmon, pm_coords in sorted(coords.items()):
-        for key, rhs_coords in sorted(_by_weight_key(c, pm_coords).items()):
-            hit = systems.get(key)
-            if hit is None:
-                hit = systems[key] = _slice_system(cache, degree, bounds, [key])
-            slice_basis, row_index, s, system = hit
-            if any(k not in row_index for k in rhs_coords):
+    coeffs, witness = [Fraction(0)] * len(leads), {}
+    for pmon, piece in sorted(pieces.items()):
+        if not piece:
+            continue
+        basis, row_index, s, system = systems[cache.ctx.key_parity(next(iter(piece)))]
+        rhs = [Fraction(0)] * len(row_index)
+        for k, v in (item for coords in piece.values() for item in coords.items()):
+            if k not in row_index:
                 return NoSolutionWithinBounds(bounds)
-            rhs = [Fraction(0)] * len(row_index)
-            for k, v in rhs_coords.items():
-                rhs[row_index[k]] = s * v
-            solution = system.solve(rhs)
-            if solution is None:
-                return NoSolutionWithinBounds(bounds)
-            if key == family_key:
-                t = t + (ParamScalar(None, {pmon: solution[-1]}) if parametric else solution[-1])
-            for item, v in zip(slice_basis, solution):  # stops before the family's column
-                if v:
-                    witness[item] = witness.get(item, 0) + (
-                        ParamScalar(None, {pmon: v}) if parametric else v)
-    return Decomposition(t, _assemble_witness(cache, degree, witness))
+            rhs[row_index[k]] = s * v
+        solution = system.solve(rhs)
+        if solution is None:
+            return NoSolutionWithinBounds(bounds)
+        scalars = solution if pmon == _ONE_MON else [ParamScalar(None, {pmon: v}) for v in solution]
+        for j, v in enumerate(scalars[len(basis):]):
+            coeffs[j] = coeffs[j] + v
+        for item, v in zip(basis, scalars):
+            if v:
+                witness[item] = witness.get(item, 0) + v
+    return coeffs, _assemble_witness(cache, c.degree - 1, witness)
 
 
 def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):
@@ -795,7 +794,7 @@ def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):
     solved = _solve_by_weight(c, bounds)
     if isinstance(solved, NoSolutionWithinBounds):
         return solved
-    witness = solved.witness
+    witness = solved[1]
     check = d0(witness) if witness.degree == 0 else d1(witness)
     if check.images != c.images:
         raise InternalError("witness failed the exact re-check")
@@ -806,39 +805,33 @@ def decompose_cocycle(c: Cochain, family: Cochain, bounds: BoundsSpec | None = N
     """Write c = t * family + d(b) with b within bounds.
 
     c may hold formal parameters; t and b then carry its parameter
-    monomials, one exact solve per monomial and weight key; a monomial with
-    nothing at the family's key gets t = 0 there.  The family must be
-    nonzero, parameter-free, live on c's block and lie in a single weight
-    key (Phi:k lies in key -2k, Omega:k in 1-2k).  Returns a Decomposition,
-    or NoSolutionWithinBounds when no split exists within bounds or the
-    family is itself a bounded coboundary, which is checked once, on the
-    family's key, whatever keys c has."""
+    monomials, one exact solve per monomial; a monomial with nothing at the
+    family's keys adds 0 to t.  The family must be a parameter-free cocycle
+    of c's algebra, degree and block; it may span several weight keys.
+    Returns a Decomposition, or NoSolutionWithinBounds when no split exists
+    within bounds or the family is itself a bounded coboundary, which is
+    checked whatever keys c has."""
     if bounds is None:
         bounds = default_witness_bounds(c)
-    return _solve_by_weight(c, bounds, family)
+    solved = _solve_by_weight(c, bounds, [family])
+    if isinstance(solved, NoSolutionWithinBounds):
+        return solved
+    (coeff,), witness = solved
+    return Decomposition(coeff, witness)
 
 
 def classes_independent(cocycles: Sequence[Cochain], bounds: BoundsSpec | None = None) -> bool:
     """True when no nonzero rational combination of the given parameter-free
     cocycles is a coboundary within bounds (in particular they are linearly
-    independent in the truncated cohomology): each is a pivot column, last
-    on one slice system over their weight keys (``_slice_system``)."""
+    independent in the truncated cohomology): the zero cochain splits
+    against them (``_solve_by_weight``), which needs every class column to be
+    a pivot."""
     if not cocycles:
         return True
-    first = cocycles[0]
     if bounds is None:
         bounds = default_witness_bounds(*cocycles)
-    leads = []
-    for c in cocycles:
-        leads.append(_parameter_free_coords(c, "classes_independent expects parameter-free cocycles"))
-        if not is_cocycle(c):
-            raise UsageError("classes_independent expects cocycles")
-        if c.block != first.block or c.parity != first.parity:
-            raise UsageError("cocycles must share a block and parity")
-    keys = sorted({k for c in cocycles for k in cochain_weight_keys(c)})
-    system = _slice_system(block_cache(first.algebra, *first.block), first.degree - 1, bounds,
-                           keys, leads)[3]
-    return set(range(system.ncols - len(leads), system.ncols)) <= set(system.pivot_cols)
+    solved = _solve_by_weight(cocycles[0].scale(0), bounds, cocycles)
+    return not isinstance(solved, NoSolutionWithinBounds)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,8 @@ def _is_int(x: Fraction) -> bool:
     return x.denominator == 1
 
 
-def _spec_int(payload: dict, name: str) -> int:
-    """A spec field that must be a JSON integer; nothing is coerced."""
-    value = payload[name]
+def _spec_int(value, name: str) -> int:
+    """A spec field that must be an integer (not a bool); nothing is coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"spec.{name} must be an integer, got {value!r}")
     return value
@@ -124,7 +123,7 @@ class DeformationSpec:
         if self.flavor not in (CLASSICAL, SUPER):
             raise UsageError("flavor must be 'classical' or 'super'")
         self.delta = as_weight(self.delta)
-        if self.window < 1:
+        if _spec_int(self.window, "window") < 1:
             raise UsageError("window must be positive")
         if any(max(self.off_diagonal_block(k)) > self.window for k in self.resonant_range()):
             raise UsageError("window too small for the resonant band")
@@ -223,12 +222,12 @@ class DeformationSpec:
         if flavor not in (CLASSICAL, SUPER):
             raise UsageError("spec.flavor must be 'classical' or 'super'")
         if "m" in payload:
-            delta = Fraction(_spec_int(payload, "m"), 2)
+            delta = Fraction(_spec_int(payload["m"], "m"), 2)
         elif "delta" in payload:
             delta = _spec_rational(payload["delta"], "delta")
         else:
             raise UsageError("spec needs either 'm' or 'delta'")
-        window = _spec_int(payload, "window") if "window" in payload else _default_window(delta)
+        window = payload["window"] if "window" in payload else _default_window(delta)
         params = payload.get("params")
         assignment = None
         if params is not None:
@@ -688,6 +687,9 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
     alphas = [as_weight(a) for a in alphas]
     if len(alphas) < m:
         raise UsageError(f"need at least {m} alpha values for m={m}")
+    if len(alphas) > spec.window + 1:
+        raise UsageError(f"--alphas gives {len(alphas)} values, but the window {spec.window} "
+                         f"reads only alpha_0..alpha_{spec.window}")
     alpha = {k: (alphas[k] if k < len(alphas) else Fraction(0)) for k in range(spec.window + 1)}
     printed_c: dict[int, Fraction] = {}
     for k in spec.resonant_range():

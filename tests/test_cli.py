@@ -232,6 +232,8 @@ UNCOERCED_ARGS = [
     ("lambda-decimal", DIM_NUMERAL + ["--lambda=0.5"], "not a rational: '0.5'"),
     ("lambda-plus-sign", DIM_NUMERAL + ["--lambda=+1/2"], "not a rational: '+1/2'"),
     ("alphas-exponent", ["example1", "--m", "3", "--alphas", "1,1e0,5"], "not a rational"),
+    ("alphas-beyond-window", ["example1", "--m", "3", "--alphas", "1,0,5,7,9,11,13",
+                              "--window", "4"], "--alphas gives 7 values, but the window 4"),
     ("id-plus-sign", ["verify-cocycle", "--id", "Phi:k=+2"], "malformed catalog id"),
     ("id-underscore", ["verify-cocycle", "--id", "B:m=3,k=1_0"], "malformed catalog id"),
     ("id-rational-k", ["verify-cocycle", "--id", "Phi:k=4/2"], "malformed catalog id"),

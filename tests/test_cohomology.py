@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdef.catalog import (_CALIBRATION_SAMPLES, build_cocycle, cocycle_A, cocycle_Omega,
-                            cocycle_Phi, cocycle_Yprime)
+from symdef.catalog import (_CALIBRATION_SAMPLES, build_cocycle, cocycle_A, cocycle_B, cocycle_C,
+                            cocycle_Omega, cocycle_Phi, cocycle_Y, cocycle_Yprime, cocycle_Ytilde)
 from symdef.cohomology import (
     BlockCache,
     BoundsSpec,
@@ -47,6 +47,7 @@ from symdef.cohomology import (
     _differential,
     _differential_columns,
     _enumerate_cochain_basis,
+    _solve_by_weight,
     critical_weight_key,
 )
 from symdef.geometry import (
@@ -304,10 +305,10 @@ class TestWeightSlicing:
 def typed_column(cache, degree, item, parity):
     """Coordinates of the typed differential of a one-slot basis cochain."""
     ctx = cache.ctx
+    slot, mon = item
     if degree == 0:
-        images = d0(Cochain0(ctx.name, cache.monomial_op(item), parity)).images.items()
+        images = d0(Cochain0(ctx.name, cache.monomial_op(mon), parity)).images.items()
     else:
-        slot, mon = item
         zero = cache.monomial_op(mon).scale(0)
         if degree == 1:
             values = [cache.monomial_op(mon) if s == slot else zero for s in range(ctx.dim)]
@@ -557,6 +558,23 @@ class TestParametricCochains:
         assert result.coeff == t
         assert family.scale(result.coeff) + d1(result.witness) == c
 
+    @pytest.mark.parametrize("classes,coeffs", [
+        (lambda: [cocycle_B(5, 3), cocycle_C(5, 3)], (S, 3 * U)),
+        (lambda: [cocycle_Y(2), cocycle_Ytilde(2)], (BETA, 3 * U * BETA)),
+    ], ids=["classical-B-C", "super-Y-Ytilde"])
+    def test_two_classes_recover_parametric_coefficients(self, classes, coeffs):
+        """t0 * B + t1 * C + d0(b) (and the same with Y, Ytilde and odd
+        coefficients) splits back into (t0, t1) exactly in one solver call,
+        with a witness whose typed coboundary closes the sum."""
+        classes = classes()
+        first = classes[0]
+        parity = first.parity ^ scalar_parity(coeffs[0]) if first.algebra == OSP12 else 0
+        b = parametric_cochain(random.Random(47), 0, first.algebra, *first.block, parity)
+        c = classes[0].scale(coeffs[0]) + classes[1].scale(coeffs[1]) + d0(b)
+        solved, witness = _solve_by_weight(c, default_witness_bounds(c), classes)
+        assert solved == list(coeffs)
+        assert classes[0].scale(solved[0]) + classes[1].scale(solved[1]) + d0(witness) == c
+
     @pytest.mark.parametrize("call", [
         lambda: classes_independent([cocycle_A(1).scale(S)]),
         lambda: classes_independent([cocycle_A(1), cocycle_A(1).scale(S)]),
@@ -608,8 +626,6 @@ class TestCoboundarySolve:
             assert isinstance(result, Witness)
 
     def test_independence_of_fresh_cocycles(self):
-        from symdef.catalog import cocycle_B, cocycle_C
-
         assert classes_independent([cocycle_B(3, 2), cocycle_C(3, 2)])
 
     def test_dependent_cocycles_detected(self):
@@ -627,8 +643,6 @@ class TestCoboundarySolve:
     def test_independent_over_two_weight_keys(self):
         """B and C + d0(x) on one resonant block: the system stacks keys -4
         and 2, and the classes stay independent."""
-        from symdef.catalog import cocycle_B, cocycle_C
-
         c = cocycle_C(3, 2)
         b = Cochain0(SL2, block_cache(SL2, *c.block).monomial_op((1, 0)))
         shifted = c + d0(b)
@@ -639,18 +653,27 @@ class TestCoboundarySolve:
     def test_no_cocycles_are_independent(self):
         assert classes_independent([])
 
-    @pytest.mark.parametrize("cocycles,reason", [
-        (lambda: [Cochain1(SL2, [DiffOp.identity(0), DiffOp.zero(0, 0), DiffOp.zero(0, 0)])],
+    @pytest.mark.parametrize("call,reason", [
+        (lambda: classes_independent([Cochain1(SL2, [DiffOp.identity(0), DiffOp.zero(0, 0),
+                                                     DiffOp.zero(0, 0)])]),
          "expects cocycles"),
-        (lambda: [cocycle_A(1), cocycle_A(2)], "share a block and parity"),
-        (lambda: [cocycle_Yprime(0),
-                  d0(Cochain0(OSP12, block_cache(OSP12, 0, 0).monomial_op((0, 1, 0))))],
+        (lambda: classes_independent([cocycle_A(1), cocycle_A(2)]), "share a block and parity"),
+        (lambda: classes_independent([
+            cocycle_Yprime(0),
+            d0(Cochain0(OSP12, block_cache(OSP12, 0, 0).monomial_op((0, 1, 0))))]),
          "share a block and parity"),
-    ], ids=["non-cocycle", "different-blocks", "different-parities"])
-    def test_refused_inputs(self, cocycles, reason):
-        """Only cocycles of one block and one parity are compared."""
+        (lambda: classes_independent([cocycle_A(Q(1, 2)), cocycle_Yprime(Q(1, 2))]),
+         "algebra and degree"),
+        (lambda: classes_independent([cocycle_B(3, 2), cocycle_Phi(2)]), "algebra and degree"),
+        (lambda: decompose_cocycle(cocycle_Phi(2), cocycle_B(3, 2)), "algebra and degree"),
+    ], ids=["non-cocycle", "different-blocks", "different-parities", "different-algebras",
+            "different-degrees", "decompose-different-degrees"])
+    def test_refused_inputs(self, call, reason):
+        """Only cocycles of one algebra, degree, block and parity are
+        compared; a family of another degree is refused, not read as
+        inconclusive."""
         with pytest.raises(UsageError, match=reason):
-            classes_independent(cocycles())
+            call()
 
 
 # The catalog families on every block of acceptance criterion 3: the diagonal
@@ -740,15 +763,17 @@ class TestDecomposition:
         result = decompose_cocycle(c, family, BoundsSpec(4, 8))
         assert isinstance(result, NoSolutionWithinBounds)
 
-    def test_family_spanning_two_keys_rejected(self):
+    def test_family_spanning_two_keys(self):
+        """Phi = family - d1(slice) for a family on two weight keys."""
         rng = random.Random(43)
         phi = cocycle_Phi(2)
         b = random_cochain1(rng, SL2, *phi.block)
         other = next(k for k in cochain_weight_keys(d1(b)) if k != -4)
         family = phi + d1(weight_slices(b)[other])
         assert cochain_weight_keys(family) == sorted([-4, other])
-        with pytest.raises(UsageError):
-            decompose_cocycle(phi, family)
+        result = decompose_cocycle(phi, family)
+        assert isinstance(result, Decomposition) and result.coeff == 1
+        assert family.scale(result.coeff) + d1(result.witness) == phi
 
 
 def threshold_cases():
@@ -846,7 +871,7 @@ class TestCohomologyDim:
             key = -2 * n0 if algebra == SL2 else -n0
             for q in (1, 2):
                 witnesses, cocycles = (
-                    [item if deg == 0 else item[1] for item in oracle_slices(
+                    [item[1] for item in oracle_slices(
                         ctx, deg, BoundsSpec(n0, 2 * n0 + 12), ctx.key_parity(key)).get(key, [])]
                     for deg in (q - 1, q))
                 assert max(mon[0] for mon in witnesses) <= 1, (n0, q)
@@ -883,8 +908,7 @@ def oracle_slices(ctx, degree, bounds, parity):
                     shapes = [((d, eps, i), 2 * d + eps - i, (eps + i) & 1) for eps in (0, 1)]
                 for mon, key, mon_parity in shapes:
                     if mon_parity ^ slot_parity == parity:
-                        out.setdefault(key - weight, []).append(
-                            mon if slot is None else (slot, mon))
+                        out.setdefault(key - weight, []).append((slot, mon))
     return out
 
 

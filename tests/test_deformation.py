@@ -9,6 +9,7 @@ of L0 + Phi.
 """
 
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction as Q
 from unittest import mock
@@ -178,6 +179,13 @@ class TestBuildInfinitesimal:
     def test_window_too_small_rejected(self):
         with pytest.raises(UsageError):
             DeformationSpec.resonant_spec(CLASSICAL, 5, window=3)
+
+    @pytest.mark.parametrize("window", [True, 8.0, Q(8)])
+    def test_window_is_not_coerced(self, window):
+        """The constructor refuses a window that is no int, in the words of a
+        spec file, rather than reading True as 1 or failing later."""
+        with pytest.raises(UsageError, match=re.escape(f"spec.window must be an integer, got {window!r}")):
+            DeformationSpec(CLASSICAL, Q(1, 3), window)
 
     def test_numeric_assignment_substitutes_evens(self):
         spec = DeformationSpec.resonant_spec(CLASSICAL, 3, params={"a0": 2})
