@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
-from .geometry import (P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power,
-                       osp_basis, sl2_basis)
+from .geometry import P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power
 from .kernel import (InternalError, UsageError, as_weight, format_rational, parse_int,
                      parse_rational, record)
 from .operators import DiffOp, SuperDiffOp
@@ -38,9 +37,7 @@ from .operators import DiffOp, SuperDiffOp
 def cocycle_A(lam) -> Cochain1:
     """Degree-1 family on the diagonal block: g d/dx acts by mult(g')."""
     lam = as_weight(lam)
-    images = [
-        DiffOp.multiplication(x.g.derivative(), lam, lam) for x in sl2_basis()
-    ]
+    images = [DiffOp.multiplication(x.g.derivative(), lam, lam) for x in get_algebra(SL2).basis]
     return Cochain1(SL2, images)
 
 
@@ -61,9 +58,7 @@ def cocycle_B(m: int, k: int) -> Cochain1:
     _bc_range_check(m, k)
     lam, mu = bc_block_weights(m, k)
     order = 2 * k - m + 1
-    images = [
-        DiffOp.partial(order, lam, mu, x.g.derivative()) for x in sl2_basis()
-    ]
+    images = [DiffOp.partial(order, lam, mu, x.g.derivative()) for x in get_algebra(SL2).basis]
     return Cochain1(SL2, images)
 
 
@@ -72,9 +67,8 @@ def cocycle_C(m: int, k: int) -> Cochain1:
     _bc_range_check(m, k)
     lam, mu = bc_block_weights(m, k)
     order = 2 * k - m
-    images = [
-        DiffOp.partial(order, lam, mu, x.g.derivative().derivative()) for x in sl2_basis()
-    ]
+    images = [DiffOp.partial(order, lam, mu, x.g.derivative().derivative())
+              for x in get_algebra(SL2).basis]
     return Cochain1(SL2, images)
 
 
@@ -91,7 +85,7 @@ def cocycle_Phi(k: int) -> Cochain2:
     if k < 1:
         raise UsageError("Phi requires k >= 1")
     lam, mu = phi_block_weights(k)
-    basis = sl2_basis()
+    basis = get_algebra(SL2).basis
     images = {}
     for (i, j) in get_algebra(SL2).canonical_pairs():
         images[(i, j)] = DiffOp.partial(k - 1, lam, mu, _wronskian(basis[i].g, basis[j].g))
@@ -106,9 +100,8 @@ def cocycle_Phi(k: int) -> Cochain2:
 def cocycle_Yprime(lam) -> Cochain1:
     """Even degree-1 family on the diagonal super block: X_F acts by mult(F')."""
     lam = as_weight(lam)
-    images = [
-        SuperDiffOp.multiplication(x.generator.derivative_x(), lam, lam) for x in osp_basis()
-    ]
+    images = [SuperDiffOp.multiplication(x.generator.derivative_x(), lam, lam)
+              for x in get_algebra(OSP12).basis]
     return Cochain1(OSP12, images, parity=0)
 
 
@@ -126,7 +119,7 @@ def cocycle_Y(k: int) -> Cochain1:
         raise UsageError("Y requires k >= 1")
     lam, mu = super_block_weights(k)
     images = []
-    for x in osp_basis():
+    for x in get_algebra(OSP12).basis:
         coeff = eta_power(x.generator, 2).scale(_gen_sign(x.parity))
         images.append(SuperDiffOp.eta_power_term(coeff, 2 * k - 1, lam, mu))
     return Cochain1(OSP12, images, parity=1)
@@ -145,7 +138,7 @@ def cocycle_Ytilde(k: int) -> Cochain1:
         raise UsageError("Ytilde requires k >= 1")
     lam, mu = super_block_weights(k)
     images = []
-    for x in osp_basis():
+    for x in get_algebra(OSP12).basis:
         sign = _gen_sign(x.parity)
         op = SuperDiffOp.eta_power_term(
             eta_plus_power(x.generator, 3).scale(sign), 2 * k - 2, lam, mu
@@ -163,7 +156,7 @@ def cocycle_Omega(k: int) -> Cochain2:
     if k < 1:
         raise UsageError("Omega requires k >= 1")
     lam, mu = super_block_weights(k)
-    basis = osp_basis()
+    basis = get_algebra(OSP12).basis
     images = {}
     for (i, j) in get_algebra(OSP12).canonical_pairs():
         f, g = basis[i], basis[j]
@@ -207,14 +200,15 @@ def lemma23_check(k: int) -> DecompositionReport:
         raise UsageError("the decomposition check needs k >= 2")
     omega = cocycle_Omega(k)
     lam, mu = super_block_weights(k)
-    sl2 = sl2_basis()
-    even_indices = {0: 0, 2: 1, 4: 2}  # osp index -> sl2 index
+    sl2, osp = get_algebra(SL2), get_algebra(OSP12)
+    # osp index -> sl2 index of the same Euler weight
+    even_indices = {i: sl2.weights2.index(w) for i, w in enumerate(osp.weights2) if not w & 1}
     residuals = {}
     sign = -1 if k & 1 else 1
     for (i, j), image in omega.images.items():
         if i not in even_indices or j not in even_indices:
             continue
-        w = _wronskian(sl2[even_indices[i]].g, sl2[even_indices[j]].g)
+        w = _wronskian(sl2.basis[even_indices[i]].g, sl2.basis[even_indices[j]].g)
         w, theta_w = SuperPoly(w, P_ZERO).scale(sign), SuperPoly(P_ZERO, w).scale(sign)
         # (-1)^(k-2) = -(-1)^(k-1) = sign
         rhs = (SuperDiffOp.eta_power_term(w.scale(k - 1), 2 * k - 3, lam, mu)

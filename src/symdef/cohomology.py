@@ -53,11 +53,14 @@ for the action, so d acts on each parameter monomial's coefficient cochain
 on its own, whose parity is the cochain's less the monomial's odd letters.
 ``is_cocycle``, ``coboundary_solve`` and ``decompose_cocycle`` accept
 parametric cochains.  One solver (``_solve_by_weight``) answers every class
-question: it splits c into class coefficients times parameter-free classes
-plus a coboundary, on one slice system per parity stacked over the weight
-keys of c and the classes, with one solve per parameter monomial.
-``coboundary_solve`` passes no class, ``decompose_cocycle`` one, and
-``classes_independent`` splits the zero cochain against its cocycles.
+question and alone checks its contract, refusing anything else: c has
+degree 1 or 2 and is closed, and the classes are parameter-free cocycles of
+c's algebra, degree and block, of one parity.  It splits c into class
+coefficients times the classes plus a coboundary within bounds (default:
+``default_witness_bounds`` of c and the classes), returned with every
+answer.  A split proves c closed (d d = 0), so only a failed one runs
+``is_cocycle(c)``.  ``coboundary_solve`` passes no class,
+``decompose_cocycle`` one, ``classes_independent`` its cocycles against 0.
 """
 
 from __future__ import annotations
@@ -670,10 +673,11 @@ class NoSolutionWithinBounds:
 
 @record
 class Decomposition:
-    """c = coeff * family + d(witness), exactly."""
+    """c = coeff * family + d(witness), exactly, with the witness within bounds."""
 
     coeff: Fraction | ParamScalar
     witness: Cochain
+    bounds: BoundsSpec
 
 
 def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
@@ -720,18 +724,28 @@ def _slice_system(cache: BlockCache, degree: int, bounds: BoundsSpec, keys: Sequ
     return basis, row_index, s, SolvedSystem(list(by_key.values()), len(cols))
 
 
-def _solve_by_weight(c: Cochain, bounds: BoundsSpec, classes: Sequence[Cochain] = ()):
-    """Solve c = sum_j t_j * classes[j] + d(b) exactly, with b within bounds.
+def _no_split(c: Cochain, bounds: BoundsSpec) -> NoSolutionWithinBounds:
+    """The answer when c has no split within bounds, once c is checked closed."""
+    if not is_cocycle(c):
+        raise UsageError("a class question expects a cocycle: d c is not zero")
+    return NoSolutionWithinBounds(bounds)
+
+
+def _solve_by_weight(c: Cochain, bounds: BoundsSpec | None, classes: Sequence[Cochain] = ()):
+    """Solve c = sum_j t_j * classes[j] + d(b) exactly, with b within bounds
+    (None: ``default_witness_bounds(c, *classes)``), under the contract of
+    the module docstring; c is checked closed only when no split exists.
 
     One slice system per parity is stacked over every weight key of c and
     of the classes (``_slice_system``), the class columns last on the
     classes' parity.  Parameters are constants for d and a parameter
     monomial's coefficient cochain has a single parity, so each monomial
     takes one solve; a solution entry becomes a Fraction at the unit
-    monomial and a ParamScalar carrying its monomial otherwise.  The classes
-    must be parameter-free cocycles of c's algebra, degree and block, all of
-    one parity.  Returns ([t_j], b), or NoSolutionWithinBounds when some
-    monomial has no solution or some class column is no pivot."""
+    monomial and a ParamScalar carrying its monomial otherwise.  Returns
+    ([t_j], b, bounds), or NoSolutionWithinBounds when some monomial has no
+    solution or some class column is no pivot."""
+    if c.degree not in (1, 2):
+        raise UsageError(f"a class question needs a cochain of degree 1 or 2, not {c.degree}")
     cache = block_cache(c.algebra, *c.block)
     leads = []
     for cls in classes:
@@ -745,6 +759,8 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, classes: Sequence[Cochain] 
             raise UsageError("the classes must share a block and parity, and the cochain's "
                              "algebra and degree")
         leads.append(coords[_ONE_MON])
+    if bounds is None:
+        bounds = default_witness_bounds(c, *classes)
     pieces = {pmon: _by_weight_key(c, coords) for pmon, coords in _cochain_coords(c).items()}
     parity = classes[0].parity if classes else None  # of the class columns
     by_parity: dict = {} if parity is None else {parity: []}  # also for classes with no key
@@ -756,7 +772,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, classes: Sequence[Cochain] 
     if classes:
         system = systems[parity][3]
         if not set(range(system.ncols - len(leads), system.ncols)) <= set(system.pivot_cols):
-            return NoSolutionWithinBounds(bounds)
+            return _no_split(c, bounds)
     coeffs, witness = [Fraction(0)] * len(leads), {}
     for pmon, piece in sorted(pieces.items()):
         if not piece:
@@ -765,32 +781,26 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec, classes: Sequence[Cochain] 
         rhs = [Fraction(0)] * len(row_index)
         for k, v in (item for coords in piece.values() for item in coords.items()):
             if k not in row_index:
-                return NoSolutionWithinBounds(bounds)
+                return _no_split(c, bounds)
             rhs[row_index[k]] = s * v
         solution = system.solve(rhs)
         if solution is None:
-            return NoSolutionWithinBounds(bounds)
+            return _no_split(c, bounds)
         scalars = solution if pmon == _ONE_MON else [ParamScalar(None, {pmon: v}) for v in solution]
         for j, v in enumerate(scalars[len(basis):]):
             coeffs[j] = coeffs[j] + v
         for item, v in zip(basis, scalars):
             if v:
                 witness[item] = witness.get(item, 0) + v
-    return coeffs, _assemble_witness(cache, c.degree - 1, witness)
+    return coeffs, _assemble_witness(cache, c.degree - 1, witness), bounds
 
 
 def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):
-    """Solve d(b) = c with b constrained to the given bounds.
-
-    The input must be an exact cocycle; its coefficients may hold formal
-    parameters, and then so does the witness.  Returns a Witness (whose
-    typed coboundary is re-checked to equal c exactly) or
-    NoSolutionWithinBounds.
-    """
-    if bounds is None:
-        bounds = default_witness_bounds(c)
-    if not is_cocycle(c):
-        raise UsageError("coboundary_solve expects a cocycle")
+    """Solve d(b) = c with b within bounds: the class question with no
+    class (``_solve_by_weight``: its contract, refusals and default bounds).
+    c may hold formal parameters, and then so does the witness.  Returns a
+    Witness, whose typed coboundary is re-checked to equal c exactly, or
+    NoSolutionWithinBounds."""
     solved = _solve_by_weight(c, bounds)
     if isinstance(solved, NoSolutionWithinBounds):
         return solved
@@ -802,22 +812,19 @@ def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):
 
 
 def decompose_cocycle(c: Cochain, family: Cochain, bounds: BoundsSpec | None = None):
-    """Write c = t * family + d(b) with b within bounds.
-
-    c may hold formal parameters; t and b then carry its parameter
-    monomials, one exact solve per monomial; a monomial with nothing at the
-    family's keys adds 0 to t.  The family must be a parameter-free cocycle
-    of c's algebra, degree and block; it may span several weight keys.
-    Returns a Decomposition, or NoSolutionWithinBounds when no split exists
-    within bounds or the family is itself a bounded coboundary, which is
-    checked whatever keys c has."""
-    if bounds is None:
-        bounds = default_witness_bounds(c)
+    """Write c = t * family + d(b) with b within bounds: the class question
+    with one class (``_solve_by_weight``: its contract, refusals and default
+    bounds, which count the family).  c may hold formal parameters; t and b
+    then carry its parameter monomials, and a monomial with nothing at the
+    family's keys adds 0 to t.  The family may span several weight keys.
+    Returns a Decomposition with the bounds it used, or
+    NoSolutionWithinBounds when no split exists within bounds or the family
+    is itself a bounded coboundary, which is checked whatever keys c has."""
     solved = _solve_by_weight(c, bounds, [family])
     if isinstance(solved, NoSolutionWithinBounds):
         return solved
-    (coeff,), witness = solved
-    return Decomposition(coeff, witness)
+    (coeff,), witness, used = solved
+    return Decomposition(coeff, witness, used)
 
 
 def classes_independent(cocycles: Sequence[Cochain], bounds: BoundsSpec | None = None) -> bool:
@@ -826,12 +833,8 @@ def classes_independent(cocycles: Sequence[Cochain], bounds: BoundsSpec | None =
     independent in the truncated cohomology): the zero cochain splits
     against them (``_solve_by_weight``), which needs every class column to be
     a pivot."""
-    if not cocycles:
-        return True
-    if bounds is None:
-        bounds = default_witness_bounds(*cocycles)
-    solved = _solve_by_weight(cocycles[0].scale(0), bounds, cocycles)
-    return not isinstance(solved, NoSolutionWithinBounds)
+    return not cocycles or not isinstance(
+        _solve_by_weight(cocycles[0].scale(0), bounds, cocycles), NoSolutionWithinBounds)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .cohomology import (
     coboundary_solve,
     d1,
     decompose_cocycle,
-    default_witness_bounds,
     homomorphism_failure,
     is_cocycle,
 )
@@ -531,8 +530,7 @@ def obstruction_classes(action: DeformedAction,
         j, i = key
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
-        use_bounds = bounds if bounds is not None else default_witness_bounds(block_cochain, basis)
-        split = decompose_cocycle(block_cochain, basis, use_bounds)
+        split = decompose_cocycle(block_cochain, basis, bounds)
         if isinstance(split, NoSolutionWithinBounds):
             verdict = "inconclusive"
             continue
@@ -544,7 +542,7 @@ def obstruction_classes(action: DeformedAction,
             basis=basis,
             class_coeff=ParamScalar(spec.algebra(), {}) + split.coeff,  # in the spec's alphabet
             witness=split.witness,
-            bounds=use_bounds,
+            bounds=split.bounds,
             verdict="decomposed",
         ))
     if diag_bad or unexpected:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symdef.cohomology as cohomology
 from symdef.catalog import (_CALIBRATION_SAMPLES, build_cocycle, cocycle_A, cocycle_B, cocycle_C,
                             cocycle_Omega, cocycle_Phi, cocycle_Y, cocycle_Yprime, cocycle_Ytilde)
 from symdef.cohomology import (
@@ -571,8 +572,8 @@ class TestParametricCochains:
         parity = first.parity ^ scalar_parity(coeffs[0]) if first.algebra == OSP12 else 0
         b = parametric_cochain(random.Random(47), 0, first.algebra, *first.block, parity)
         c = classes[0].scale(coeffs[0]) + classes[1].scale(coeffs[1]) + d0(b)
-        solved, witness = _solve_by_weight(c, default_witness_bounds(c), classes)
-        assert solved == list(coeffs)
+        solved, witness, used = _solve_by_weight(c, None, classes)
+        assert solved == list(coeffs) and used == default_witness_bounds(c, *classes)
         assert classes[0].scale(solved[0]) + classes[1].scale(solved[1]) + d0(witness) == c
 
     @pytest.mark.parametrize("call", [
@@ -774,6 +775,46 @@ class TestDecomposition:
         result = decompose_cocycle(phi, family)
         assert isinstance(result, Decomposition) and result.coeff == 1
         assert family.scale(result.coeff) + d1(result.witness) == phi
+
+
+class TestClassQuestionContract:
+    """``_solve_by_weight`` alone checks what a class question may ask: a
+    closed cochain of degree 1 or 2, checked closed only when no split
+    exists."""
+
+    def test_decompose_refuses_a_non_cocycle(self):
+        """Phi(2) plus a constant at one slot is not closed: it is refused,
+        not read as having no split within bounds."""
+        phi = cocycle_Phi(2)
+        images = dict(phi.images)
+        images[(0, 1)] = images[(0, 1)] + DiffOp.multiplication(Poly.x_power(0), *phi.block)
+        c = Cochain2(SL2, images)
+        assert not is_cocycle(c)
+        with pytest.raises(UsageError, match="expects a cocycle"):
+            decompose_cocycle(c, phi)
+
+    @pytest.mark.parametrize("value", [DiffOp.identity(1), DiffOp.zero(1, 1)],
+                             ids=["identity", "zero"])
+    def test_degree_zero_is_refused_by_the_degree_rule(self, value):
+        """A 0-cochain is closed or not, but it has no witness degree."""
+        with pytest.raises(UsageError, match="degree 1 or 2, not 0"):
+            coboundary_solve(Cochain0(SL2, value))
+        with pytest.raises(UsageError, match="degree 1 or 2, not 0"):
+            classes_independent([Cochain0(SL2, value)])
+
+    def test_unclosed_input_without_a_split_is_refused_after_the_solve(self, monkeypatch):
+        """A failed split asks ``is_cocycle`` of c once: a UsageError when c
+        is not closed, NoSolutionWithinBounds when it is."""
+        asked = []
+        monkeypatch.setattr(cohomology, "is_cocycle",
+                            lambda c: asked.append(c) or is_cocycle(c))
+        c = Cochain1(SL2, [DiffOp.identity(0), DiffOp.zero(0, 0), DiffOp.zero(0, 0)])
+        with pytest.raises(UsageError, match="expects a cocycle"):
+            coboundary_solve(c)
+        assert asked == [c]
+        asked.clear()
+        assert isinstance(coboundary_solve(cocycle_A(1)), NoSolutionWithinBounds)
+        assert asked == [cocycle_A(1)]
 
 
 def threshold_cases():

@@ -20,7 +20,19 @@ from hypothesis import strategies as st
 
 import symdef.catalog as catalog
 import symdef.deformation as deformation
-from symdef.cohomology import Cochain1, block_cache, d1
+import symdef.cohomology as cohomology
+from symdef.cohomology import (
+    SL2,
+    Cochain1,
+    Cochain2,
+    Decomposition,
+    Witness,
+    block_cache,
+    coboundary_solve,
+    d1,
+    decompose_cocycle,
+    default_witness_bounds,
+)
 from symdef.deformation import (
     DeformationSpec,
     DeformedAction,
@@ -312,6 +324,27 @@ class TestObstructionClasses:
             action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, m))
             report = obstruction_classes(action)
             assert [b.k for b in report.blocks] == list(range((m + 1) // 2, m))
+
+    def test_successful_splits_never_check_the_cochain_closed(self, monkeypatch):
+        """A split proves c closed (d d = 0): decomposing the certified m = 3
+        defect block asks ``is_cocycle`` of the family only, a coboundary
+        solve asks it of nothing, and both report the bounds they used."""
+        spec = DeformationSpec.resonant_spec(CLASSICAL, 3)
+        action = build_infinitesimal(spec)
+        j, i = spec.off_diagonal_block(2)
+        block = Cochain2(SL2, {pair: bracket_defect(action, *pair).block(j, i)
+                               for pair in action.ctx.canonical_pairs()})
+        family = catalog.build_cocycle("Phi:k=2")
+        b = Cochain1(SL2, [block_cache(SL2, *family.block).monomial_op((2, 1))] * 3)
+        asked = []
+        is_cocycle = cohomology.is_cocycle
+        monkeypatch.setattr(cohomology, "is_cocycle", lambda c: asked.append(c) or is_cocycle(c))
+        split = decompose_cocycle(block, family)
+        assert isinstance(split, Decomposition) and asked == [family]
+        assert split.bounds == default_witness_bounds(block, family)
+        assert [entry.bounds for entry in obstruction_classes(action).blocks] == [split.bounds]
+        asked.clear()
+        assert isinstance(coboundary_solve(d1(b)), Witness) and asked == []
 
     def test_rejects_higher_order_terms(self):
         action = build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3))

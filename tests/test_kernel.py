@@ -406,7 +406,8 @@ RECORDS = [
     (Witness, {"cochain": "c"}, ("cochain", "d"), False, {}),
     (NoSolutionWithinBounds, {"bounds": BoundsSpec(2, 4)}, ("bounds", BoundsSpec(4, 6)),
      False, {}),
-    (Decomposition, {"coeff": Q(1), "witness": "w"}, ("coeff", Q(2)), False, {}),
+    (Decomposition, {"coeff": Q(1), "witness": "w", "bounds": BoundsSpec(2, 4)},
+     ("coeff", Q(2)), False, {}),
     (DimResult, {"dim": 1, "stabilized": True, "per_weight": {0: 1}, "examined_keys": (0,)},
      ("dim", 2), False, {}),
     (DecompositionReport, {"k": 2, "passed": True, "residuals": {}}, ("passed", False),
