@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra
+from .cohomology import Cochain1, Cochain2, OSP12, SL2, d1, d2, get_algebra, is_cocycle
 from .geometry import P_ZERO, Poly, SuperPoly, eta_bar, eta_plus_power, eta_power
 from .kernel import (InternalError, UsageError, as_weight, format_rational, parse_int,
                      parse_rational, record)
@@ -289,6 +289,8 @@ _CALIBRATION_SAMPLES = (
     "Phi:k=1", "Phi:k=2", "Yprime:lambda=1/2", "Y:k=1", "Y:k=2",
     "Ytilde:k=1", "Ytilde:k=2", "Omega:k=1", "Omega:k=2",
 )
+# The samples also checked by the typed d1/d2: one of degree 1, one of degree 2.
+_TYPED_CROSS_CHECK = ("C:m=3,k=2", "Phi:k=1")
 
 
 @lru_cache(maxsize=1)
@@ -296,13 +298,19 @@ def calibrate_convention() -> dict:
     """Check that every catalog family is a cocycle under the one sign
     convention of ``cohomology``; the record is embedded in every report.
 
-    The check runs the typed d1/d2, so every run also exercises the typed
-    differential that witness re-checks and obstruction reassembly rely on.
-    A failure is an engine fault (``InternalError``), never a verdict."""
+    Every sample goes through ``is_cocycle``, on the integer action tables
+    that every dimension, certificate and solve reads, so a wrong sign in
+    those tables fails here in every process.  The samples of
+    ``_TYPED_CROSS_CHECK`` also go through the typed d1/d2, so every run
+    exercises the typed differential that witness re-checks and obstruction
+    reassembly rely on.  A sample fails if either says it is not closed; a
+    failure is an engine fault (``InternalError``), never a verdict."""
     for text in _CALIBRATION_SAMPLES:
         cochain = build_cocycle(text)
-        closed = (d1(cochain).is_zero() if cochain.degree == 1
-                  else not any(d2(cochain).values()))
+        closed = is_cocycle(cochain)
+        if closed and text in _TYPED_CROSS_CHECK:
+            closed = (d1(cochain).is_zero() if cochain.degree == 1
+                      else not any(d2(cochain).values()))
         if not closed:
             raise InternalError(f"{text} is not a cocycle under the fixed sign convention")
     return {

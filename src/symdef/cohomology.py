@@ -15,7 +15,9 @@ parity p(c) and homogeneous arguments:
 
 Every named cocycle family of ``catalog`` is closed under this
 differential; ``catalog.calibrate_convention`` checks that in every run
-and its record is embedded in every report.
+and its record is embedded in every report.  It checks every sample with
+``is_cocycle``, on the integer action tables below, and cross-checks one
+sample of each degree with the typed ``d1``/``d2``.
 
 All linear algebra is done exactly, sliced by the weight grading of the
 Euler element, under explicit operator-order and coefficient-degree
@@ -385,7 +387,8 @@ def is_cocycle(c: Cochain) -> bool:
     the coefficient cochain of every parameter monomial goes through the
     loop behind every differential column (``_differential``), whose scale
     s != 0 does not matter for a zero test; d keeps keys, so c is closed iff
-    every slice is.  The typed d1/d2 are its oracle in the tests."""
+    every slice is.  The typed d1/d2 are its oracle in the tests and, on
+    one sample per degree, in the sign-convention check of every run."""
     cache = block_cache(c.algebra, *c.block)
     for coords in _cochain_coords(c).values():
         for key, piece in _by_weight_key(c, coords).items():

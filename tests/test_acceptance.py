@@ -22,7 +22,8 @@ import random
 import time
 from fractions import Fraction as Q
 
-from symdef.catalog import build_cocycle, calibrate_convention, lemma23_check
+from symdef.catalog import (_CALIBRATION_SAMPLES, _TYPED_CROSS_CHECK, build_cocycle,
+                            calibrate_convention, lemma23_check, parse_catalog_id)
 from symdef.cohomology import (
     Cochain0,
     Cochain1,
@@ -94,6 +95,16 @@ def test_criterion_1_cocycle_suite():
     elapsed = time.time() - start
     assert elapsed < 10.0, f"cocycle suite took {elapsed:.1f}s"
     print(f"ACCEPTANCE 1: PASS - all catalog families are exact cocycles ({elapsed:.1f}s)")
+
+
+def test_every_calibration_sample_is_under_the_typed_oracle():
+    """The per-process check runs the typed d1/d2 on one sample per degree
+    only; criterion 1 keeps every sample closed under the typed d1/d2."""
+    instances = set(family_instances())
+    for text in _CALIBRATION_SAMPLES:
+        assert str(parse_catalog_id(text)) in instances, text
+    assert set(_TYPED_CROSS_CHECK) <= set(_CALIBRATION_SAMPLES)
+    assert {build_cocycle(text).degree for text in _TYPED_CROSS_CHECK} == {1, 2}
 
 
 def test_criterion_2_nontriviality_suite():

@@ -370,6 +370,46 @@ def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_conventio
     assert report["error_type"] == "InternalError"
 
 
+MONOMIAL_ACTION = cohomology.monomial_action
+
+
+def negated_action(x, lam, mu):
+    """The action tables with the sign of every entry flipped: -rho is no
+    representation, so the catalog families are not closed under it."""
+    den, act = MONOMIAL_ACTION(x, lam, mu)
+    return den, lambda mon, scale=1: tuple((key, -n) for key, n in act(mon, scale))
+
+
+def test_sign_flipped_action_tables_fail_the_convention_check(monkeypatch, capsys,
+                                                               fresh_certificates,
+                                                               fresh_convention_check):
+    """The check reads the integer action tables that every dimension reads,
+    so a wrong table is an engine fault before it can give a verdict."""
+    monkeypatch.setattr(cohomology, "monomial_action", negated_action)
+    message = "A:lambda=1 is not a cocycle under the fixed sign convention"
+    with pytest.raises(InternalError, match=message):
+        catalog.calibrate_convention()
+    argv = ["cohomology-dim", "--algebra", "sl2", "--lambda=0", "--mu=1", "--degree", "1"]
+    assert engine_fault(capsys, argv) == message
+
+
+NOT_CLOSED = Cochain1("sl2", [DiffOp.partial(1, 1, 1, Poly.x_power(3))] * 3)
+
+
+@pytest.mark.parametrize("name, mutant, sample", [
+    ("d1", lambda c: cohomology.d1(NOT_CLOSED), "C:m=3,k=2"),
+    ("d2", lambda w: {(0, 1, 2): NOT_CLOSED.images[0]}, "Phi:k=1"),
+], ids=["d1", "d2"])
+def test_typed_cross_check_fails_the_convention_check(monkeypatch, capsys,
+                                                      fresh_convention_check, name, mutant,
+                                                      sample):
+    """A typed differential that calls its sample not closed is an engine
+    fault too, although the tables call it closed."""
+    monkeypatch.setattr(catalog, name, mutant)
+    error = engine_fault(capsys, ["lemma23", "--k", "2"])
+    assert error == f"{sample} is not a cocycle under the fixed sign convention"
+
+
 @pytest.fixture
 def fresh_certificates(monkeypatch):
     """Deformation certificates, action tables and commutation tables built
