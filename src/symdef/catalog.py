@@ -1,7 +1,9 @@
 """Constructors for the named cocycle families, id parsing for the CLI,
 the parity-decomposition identity for the odd 2-cocycle family, and the
 check that the fixed sign convention of ``cohomology`` makes every family
-a cocycle.
+a cocycle.  ``certified_cocycle`` certifies once per process every family
+the engine relies on: calibration samples, placed families and obstruction
+bases.  ``verify-cocycle`` asks its own question: a non-cocycle is its answer.
 
 Families (CLI ids in parentheses):
 
@@ -293,26 +295,36 @@ _CALIBRATION_SAMPLES = (
 _TYPED_CROSS_CHECK = ("C:m=3,k=2", "Phi:k=1")
 
 
+_NOT_CLOSED = "{} is not a cocycle under the fixed sign convention"
+
+
+@lru_cache(maxsize=512)
+def certified_cocycle(cid: CatalogId):
+    """The family ``cid``, checked once per process to be a cocycle on the
+    integer action tables (``is_cocycle``); ``InternalError`` otherwise.
+    Every caller shares the cochain: never mutate it."""
+    family = build_cocycle(cid)
+    if not is_cocycle(family):
+        raise InternalError(_NOT_CLOSED.format(cid))
+    return family
+
+
 @lru_cache(maxsize=1)
 def calibrate_convention() -> dict:
     """Check that every catalog family is a cocycle under the one sign
     convention of ``cohomology``; the record is embedded in every report.
 
-    Every sample goes through ``is_cocycle``, on the integer action tables
-    that every dimension, certificate and solve reads, so a wrong sign in
-    those tables fails here in every process.  The samples of
-    ``_TYPED_CROSS_CHECK`` also go through the typed d1/d2, so every run
-    exercises the typed differential that witness re-checks and obstruction
-    reassembly rely on.  A sample fails if either says it is not closed; a
-    failure is an engine fault (``InternalError``), never a verdict."""
+    Every sample is a ``certified_cocycle``, so a wrong sign in the action
+    tables that every dimension, certificate and solve reads fails here in
+    every process.  The samples of ``_TYPED_CROSS_CHECK`` also go through
+    the typed d1/d2 that witness re-checks and obstruction reassembly rely
+    on.  A sample fails if either says it is not closed: an engine fault
+    (``InternalError``), never a verdict."""
     for text in _CALIBRATION_SAMPLES:
-        cochain = build_cocycle(text)
-        closed = is_cocycle(cochain)
-        if closed and text in _TYPED_CROSS_CHECK:
-            closed = (d1(cochain).is_zero() if cochain.degree == 1
-                      else not any(d2(cochain).values()))
-        if not closed:
-            raise InternalError(f"{text} is not a cocycle under the fixed sign convention")
+        cochain = certified_cocycle(parse_catalog_id(text))
+        if text in _TYPED_CROSS_CHECK and not (
+                d1(cochain).is_zero() if cochain.degree == 1 else not any(d2(cochain).values())):
+            raise InternalError(_NOT_CLOSED.format(text))
     return {
         "convention": {"action_sign": 1, "bracket_sign": 1},
         "calibrated_against": list(_CALIBRATION_SAMPLES),

@@ -16,11 +16,12 @@ linear part is d1(Phi) = 0 because every block of Phi is a catalog
 cocycle.  Neither fact is assumed.  L0 is checked to be a homomorphism on
 the action tables once per window (``cohomology.homomorphism_failure``:
 d0 of each L0_j by the one column builder), and every family placed in
-Phi is checked to be a cocycle once; a failed check is an
-``InternalError``.  The certified first-order row is a type of its own
-that keeps its defects, so every action holding it alone, untruncated, on
-its window shares them; any other action (truncated, hand-built, a
-plain-tuple copy) is expanded in full.
+Phi, like every obstruction basis, is a ``catalog.certified_cocycle``,
+checked once per process; a failed check is an ``InternalError``.  The
+certified first-order row is a type of its own that keeps its defects, so
+every action holding it alone, untruncated, on its window shares them; any
+other action (truncated, hand-built, a plain-tuple copy) is expanded in
+full.
 
 A spec has one reader, ``DeformationSpec.from_json``: ``resonant_spec``
 builds a payload and reads it there too, so a field is checked in the same
@@ -45,7 +46,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import _FAMILIES, CatalogId, build_cocycle
+from .catalog import CatalogId, certified_cocycle
 from .cohomology import (
     BoundsSpec,
     Cochain1,
@@ -56,7 +57,6 @@ from .cohomology import (
     d1,
     decompose_cocycle,
     homomorphism_failure,
-    is_cocycle,
 )
 from .geometry import CLASSICAL, SUPER
 from .kernel import (
@@ -220,6 +220,8 @@ class DeformationSpec:
         flavor = payload.get("flavor")
         if flavor not in (CLASSICAL, SUPER):
             raise UsageError("spec.flavor must be 'classical' or 'super'")
+        if "m" in payload and "delta" in payload:
+            raise UsageError("spec gives both 'm' and 'delta'; give one of them")
         if "m" in payload:
             delta = Fraction(_spec_int(payload["m"], "m"), 2)
         elif "delta" in payload:
@@ -314,18 +316,6 @@ def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[Grade
     return l0
 
 
-@lru_cache(maxsize=512)
-def _certified_family(cid: CatalogId) -> Cochain1:
-    """The catalog family instance to be placed in Phi, checked once to be
-    a cocycle (``is_cocycle``, on the action tables); InternalError otherwise."""
-    family = build_cocycle(cid)
-    if not is_cocycle(family):
-        build = _FAMILIES[cid.family][0]
-        raise InternalError(f"{build.__name__}({', '.join(map(str, cid.args))}) placed in the "
-                            "deformation is not a cocycle")
-    return family
-
-
 class _CertifiedRow(tuple):
     """A row as ``_assemble_first_order`` certified it on the flavor, delta and
     window ``on``, keeping [Phi_i, Phi_j] by pair (``defects``) for its holders."""
@@ -345,7 +335,7 @@ def _assemble_first_order(spec: DeformationSpec,
     homomorphism, so ``bracket_defect`` may take the defect as
     [Phi_i, Phi_j]."""
     _undeformed_window(spec.flavor, spec.delta, spec.window)
-    placed = [(block, coeff, _certified_family(cid))
+    placed = [(block, coeff, certified_cocycle(cid))
               for block, name, cid in spec.placements() if (coeff := coeff_of(name))]
     terms = []
     for index in range(algebra_for_flavor(spec.flavor).dim):
@@ -494,12 +484,12 @@ class ObstructionReport:
         }
 
 
-def _recognized_blocks(spec: DeformationSpec) -> dict[tuple[int, int], tuple[str, Cochain2]]:
+def _recognized_blocks(spec: DeformationSpec) -> dict[tuple[int, int], tuple[int, str, Cochain2]]:
     out = {}
     for k in spec.resonant_range():
         cid = (CatalogId("Phi", (2 * k - spec.m + 1,)) if spec.flavor == CLASSICAL
                else CatalogId("Omega", (k,)))
-        out[spec.off_diagonal_block(k)] = (str(cid), build_cocycle(cid))
+        out[spec.off_diagonal_block(k)] = (k, str(cid), certified_cocycle(cid))
     return out
 
 
@@ -524,10 +514,7 @@ def obstruction_classes(action: DeformedAction,
     unexpected = sorted(key for key in touched if key[0] != key[1] and key not in recognized)
     entries = []
     verdict = "derived"
-    for k, key in sorted(((k, spec.off_diagonal_block(k)) for k in spec.resonant_range()),
-                         key=lambda t: t[1]):
-        basis_id, basis = recognized[key]
-        j, i = key
+    for (j, i), (k, basis_id, basis) in sorted(recognized.items()):
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
         split = decompose_cocycle(block_cochain, basis, bounds)

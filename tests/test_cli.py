@@ -15,7 +15,7 @@ import symdef.cohomology as cohomology
 import symdef.deformation as deformation
 import symdef.operators as operators
 from symdef.cli import ENGINE_FAULT, FALSIFIED, INCONCLUSIVE, USAGE, VERIFIED, main, render, run
-from symdef.cohomology import Cochain0, Cochain1, d0
+from symdef.cohomology import Cochain0, Cochain1, Cochain2, d0
 from symdef.geometry import Poly
 from symdef.kernel import InternalError
 from symdef.operators import DiffOp, SuperDiffOp
@@ -201,6 +201,8 @@ UNCOERCED_SPECS = [
     ([{"flavor": "classical", "m": 3, "params": POINT}], "must contain a JSON object"),
     ({"flavor": "classical", "window": 8, "params": POINT}, "either 'm' or 'delta'"),
     ({"flavor": "classical", "m": 3, "params": [1]}, "spec.params must be an object"),
+    ({"flavor": "classical", "m": 3, "delta": "7/2", "params": {"a0": "1"}},
+     "both 'm' and 'delta'"),
 ]
 
 DIM_NUMERAL = ["cohomology-dim", "--algebra", "sl2", "--mu=1", "--degree", "1"]
@@ -350,16 +352,19 @@ def test_closed_stdout_is_an_engine_fault():
 
 @pytest.fixture
 def fresh_convention_check():
-    catalog.calibrate_convention.cache_clear()
+    caches = (catalog.calibrate_convention, catalog.certified_cocycle)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    catalog.calibrate_convention.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_failed_convention_check_is_an_engine_fault(monkeypatch, fresh_convention_check):
     build = catalog.build_cocycle
 
     def not_closed_for_A1(cid):
-        if cid == "A:lambda=1":
+        if str(cid) == "A:lambda=1":
             return Cochain1("sl2", [DiffOp.partial(1, 1, 1, Poly.x_power(3))] * 3)
         return build(cid)
 
@@ -412,10 +417,10 @@ def test_typed_cross_check_fails_the_convention_check(monkeypatch, capsys,
 
 @pytest.fixture
 def fresh_certificates(monkeypatch):
-    """Deformation certificates, action tables and commutation tables built
+    """Family and L0 certificates, action tables and commutation tables built
     inside the test only."""
     monkeypatch.setattr(cohomology, "_BLOCK_CACHES", {})
-    caches = (deformation._certified_family, deformation._undeformed_window,
+    caches = (catalog.certified_cocycle, deformation._undeformed_window,
               operators._cached_commutation_tables)
     for cache in caches:
         cache.cache_clear()
@@ -445,7 +450,51 @@ def test_non_cocycle_family_is_an_engine_fault(monkeypatch, capsys, fresh_certif
 
     monkeypatch.setitem(catalog._FAMILIES, "B", (not_closed, keys))
     error = engine_fault(capsys, ["obstruction", "--flavor", "classical", "--m", "3"])
-    assert error == "not_closed(3, 2) placed in the deformation is not a cocycle"
+    assert error == "B:m=3,k=2 is not a cocycle under the fixed sign convention"
+
+
+def stray_phi(k):
+    """Phi plus a constant times d^(k-1) at the pair (0, 1) from k = 4 on:
+    no cocycle, while the calibration samples Phi:k=1,2 stay closed."""
+    family = catalog.cocycle_Phi(k)
+    if k < 4:
+        return family
+    image = family.images[(0, 1)]
+    stray = DiffOp.partial(k - 1, image.lam, image.mu, Poly([1]))
+    return Cochain2("sl2", {**family.images, (0, 1): image + stray})
+
+
+def doubled_omega(k):
+    """Omega with the image of the pair (3, 4) doubled from k = 3 on: no
+    cocycle, while the calibration samples Omega:k=1,2 stay closed."""
+    family = catalog.cocycle_Omega(k)
+    if k < 3:
+        return family
+    return Cochain2("osp12", {**family.images, (3, 4): family.images[(3, 4)].scale(2)}, parity=1)
+
+
+CLASSICAL_M5 = {"flavor": "classical", "m": 5, "params": {"a0": "1"}}
+SUPER_M3 = {"flavor": "super", "m": 3, "params": {"a0": "1"}}
+
+
+@pytest.mark.parametrize("family, mutant, argv, spec, cid", [
+    ("Phi", stray_phi, ["obstruction", "--flavor", "classical", "--m", "5"], None, "Phi:k=4"),
+    ("Phi", stray_phi, ["integrability", "--spec"], CLASSICAL_M5, "Phi:k=4"),
+    ("Phi", stray_phi, ["example1", "--m", "5", "--alphas=1,2,3,4,5"], None, "Phi:k=4"),
+    ("Omega", doubled_omega, ["obstruction", "--flavor", "super", "--m", "3"], None, "Omega:k=3"),
+    ("Omega", doubled_omega, ["integrability", "--spec"], SUPER_M3, "Omega:k=3"),
+], ids=["obstruction-classical", "integrability-classical", "example1", "obstruction-super",
+        "integrability-super"])
+def test_non_cocycle_obstruction_basis_is_an_engine_fault(monkeypatch, capsys, tmp_path,
+                                                          fresh_certificates, family, mutant,
+                                                          argv, spec, cid):
+    """A degree-2 basis that is no cocycle is the engine's fault, not the
+    input's: the defect block is split against certified bases only."""
+    monkeypatch.setitem(catalog._FAMILIES, family, (mutant, catalog._FAMILIES[family][1]))
+    if spec is not None:
+        argv = argv + [write_spec(tmp_path, spec)]
+    error = engine_fault(capsys, argv)
+    assert error == f"{cid} is not a cocycle under the fixed sign convention"
 
 
 SUPER_LIE_OP = operators.super_lie_op

@@ -627,7 +627,7 @@ def perturbed(family):
 def broken_family(name):
     """Within the block, the builder of the named catalog family returns a
     non-cocycle; the per-instance certificates are cleared on both sides."""
-    deformation._certified_family.cache_clear()
+    catalog.certified_cocycle.cache_clear()
     try:
         if name is None:
             yield
@@ -637,7 +637,7 @@ def broken_family(name):
                                  {name: (lambda *args: perturbed(build(*args)), keys)}):
                 yield
     finally:
-        deformation._certified_family.cache_clear()
+        catalog.certified_cocycle.cache_clear()
 
 
 VALUES = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
@@ -777,6 +777,21 @@ def test_first_order_builds_nothing_when_present(monkeypatch):
     assert built == []
     zeros = DeformedAction(action.spec, {2: action.terms[1]}).first_order
     assert len(built) == len(zeros) == action.ctx.dim and not any(zeros)
+
+
+def test_each_family_is_certified_once_per_process(monkeypatch):
+    """The sign-convention check, the placed families and the obstruction
+    bases share one certificate per id: after the check, a classical m = 3
+    obstruction builds and checks none of its samples again."""
+    for cache in (catalog.calibrate_convention, catalog.certified_cocycle):
+        cache.cache_clear()
+    catalog.calibrate_convention()
+    built = count_calls(monkeypatch, catalog, "build_cocycle")
+    checked = count_calls(monkeypatch, catalog, "is_cocycle")
+    obstruction_classes(build_infinitesimal(DeformationSpec.resonant_spec(CLASSICAL, 3)))
+    built_ids = {str(cid) for (cid,) in built}
+    assert built_ids and not built_ids & {"B:m=3,k=2", "C:m=3,k=2", "Phi:k=2"}
+    assert len(checked) == len(built)
 
 
 class TestReassemblyDefects:
