@@ -8,6 +8,7 @@ assembled first-order action is also compared with the full typed bracket
 of L0 + Phi.
 """
 
+import json
 import random
 import re
 from contextlib import contextmanager
@@ -50,8 +51,9 @@ from symdef.deformation import (
     verify_homomorphism,
 )
 from symdef.geometry import CLASSICAL, SUPER, Poly, SuperPoly
-from symdef.kernel import InternalError, ParamScalar, UsageError
-from symdef.operators import DiffOp, GradedOp, SuperDiffOp, undeformed_action
+from symdef.kernel import (_ONE_MON, InternalError, ParamAlgebra, ParamScalar, UsageError,
+                           _mul_monomials)
+from symdef.operators import DiffOp, GradedOp, SuperDiffOp, compose, undeformed_action
 
 X_NAMES = {0: [1], 1: [0, 1], 2: [0, 0, 1]}  # sl2 generator coefficient lists
 
@@ -859,3 +861,106 @@ class TestReassemblyDefects:
         assert terms[-1]
         terms[-1] = terms[-1].scale(2)
         assert not report.verify_reassembly(DeformedAction(spec, {1: terms}))
+
+
+# -- the sign rule and the rendering, pinned ----------------------------------
+
+
+def placement_pair_defect(spec, i, j):
+    """[Phi_i, Phi_j] rebuilt placement pair by placement pair from the
+    parameter-free images of the certified families, by the rule
+    (p A)(q B) = s (pq)(A B): s is the sign of kernel._mul_monomials(p, q)
+    times the Koszul factor (-1)^(|A||q|) of moving q past A.  Returns
+    {(parameter monomial, block): parameter-free operator}."""
+    ctx = cohomology.algebra_for_flavor(spec.flavor)
+    algebra = spec.algebra()
+    placed = [(block, *ParamScalar.symbol(algebra, name).terms, catalog.certified_cocycle(cid))
+              for block, name, cid in spec.placements()]
+    sign = -1 if ctx.parities[i] and ctx.parities[j] else 1
+    out: dict = {}
+    for a_block, p, a_family in placed:
+        for b_block, q, b_family in placed:
+            if b_block[1] != a_block[0]:  # b maps j0 -> mid, then a maps mid -> i0
+                continue
+            hit = _mul_monomials(p, q)
+            if hit is None:
+                continue
+            s, pq = hit
+            for left, right, factor in ((i, j, 1), (j, i, -sign)):
+                A, B = a_family.images[left], b_family.images[right]
+                koszul = -1 if (A.parity() or 0) and len(q[1]) & 1 else 1
+                term = compose(A, B).scale(factor * s * koszul)
+                key = (pq, (b_block[0], a_block[1]))
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
+def coords_by_monomial(algebra, op):
+    """{parameter monomial: coordinates} of one operator, empty ones dropped."""
+    return {pmon: coords for pmon, coords in
+            cohomology._cochain_coords(cohomology.Cochain0(algebra, op)).items() if coords}
+
+
+@pytest.mark.parametrize("flavor,m", [(CLASSICAL, m) for m in (2, 3, 4, 5)]
+                         + [(SUPER, m) for m in (1, 2, 3)])
+def test_defect_is_the_placement_pair_sum(flavor, m):
+    """Each defect of the formal first-order action equals, per parameter
+    monomial and block, the placement-pair sum of ``placement_pair_defect``."""
+    spec = DeformationSpec.resonant_spec(flavor, m)
+    action = build_infinitesimal(spec)
+    name = action.ctx.name
+    for (i, j) in action.ctx.canonical_pairs():
+        defect = bracket_defect(action, i, j)
+        expected: dict = {}
+        for (pmon, block), op in placement_pair_defect(spec, i, j).items():
+            coords = coords_by_monomial(name, op).get(_ONE_MON)
+            if coords:
+                expected.setdefault(block, {})[pmon] = coords
+        got = {block: coords_by_monomial(name, op) for block, op in defect.blocks.items()}
+        assert {b: c for b, c in got.items() if c} == expected, (flavor, m, i, j)
+
+
+WITNESS_PARAMS = ParamAlgebra(even=("s", "u"), odd=("beta", "gamma"))
+WS, WU, WBETA, WGAMMA = (ParamScalar.symbol(WITNESS_PARAMS, n) for n in ("s", "u", "beta", "gamma"))
+
+
+def rendered_witness(family, t, images):
+    """The witness of decompose_cocycle(t * family + d1(b), family), b with
+    the given images, as BlockObstruction.to_json renders it."""
+    b = Cochain1(family.algebra, images)
+    split = decompose_cocycle(family.scale(t) + d1(b), family)
+    assert split.coeff == t
+    entry = deformation.BlockObstruction(
+        k=2, source_k=2, target_k=0, basis_id=str(family), basis=family,
+        class_coeff=split.coeff, witness=split.witness, bounds=split.bounds,
+        verdict="decomposed")
+    return json.dumps(entry.to_json()["witness"], sort_keys=True)
+
+
+def test_parametric_witness_renders_classical():
+    family = catalog.cocycle_Phi(2)
+    cache = block_cache("sl2", *family.block)
+    images = [cache.monomial_op((1, 1)).scale(WS), cache.monomial_op((2, 1)).scale(WU * WS - 1),
+              cache.monomial_op((3, 2)).scale(WBETA * WGAMMA)]
+    assert rendered_witness(family, 3 * WS - WU, images) == (
+        '{"images": [{"coeffs": [[], ["0", "s"], ["0", "-beta*gamma"]], "lambda": "-1/2", '
+        '"mu": "3/2"}, {"coeffs": [[], ["0", "0", "-1 + s*u"], ["0", "0", "-beta*gamma"]], '
+        '"lambda": "-1/2", "mu": "3/2"}, {"coeffs": [], "lambda": "-1/2", "mu": "3/2"}]}')
+
+
+def test_parametric_witness_renders_super():
+    family = catalog.cocycle_Omega(2)
+    cache = block_cache("osp12", *family.block)
+    images = [cache.monomial_op((1, 0, 1)).scale(WBETA), cache.monomial_op((1, 1, 0)).scale(WS),
+              cache.monomial_op((2, 1, 0)).scale(WGAMMA), cache.monomial_op((2, 0, 1)).scale(WU),
+              cache.monomial_op((1, 1, 2)).scale(WBETA)]
+    assert rendered_witness(family, WBETA - 2 * WS * WGAMMA, images) == (
+        '{"images": [{"coeffs": [{"f0": [], "f1": []}, {"f0": ["0", "beta"], "f1": []}], '
+        '"lambda": "-1/2", "mu": "1", "parity": "even"}, {"coeffs": [{"f0": [], '
+        '"f1": ["0", "s"]}, {"f0": [], "f1": []}, {"f0": ["1/4*beta"], "f1": []}], '
+        '"lambda": "-1/2", "mu": "1", "parity": "odd"}, {"coeffs": [{"f0": [], '
+        '"f1": ["0", "0", "gamma"]}, {"f0": [], "f1": []}, {"f0": [], "f1": ["-1/2*beta"]}], '
+        '"lambda": "-1/2", "mu": "1", "parity": "even"}, {"coeffs": [{"f0": [], "f1": []}, '
+        '{"f0": ["0", "0", "u"], "f1": ["-1/4*beta"]}, {"f0": ["0", "1/4*beta"], "f1": []}], '
+        '"lambda": "-1/2", "mu": "1", "parity": "odd"}, {"coeffs": [{"f0": [], '
+        '"f1": ["1/2*beta"]}], "lambda": "-1/2", "mu": "1", "parity": "even"}]}')

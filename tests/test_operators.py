@@ -1,5 +1,6 @@
 """Operator algebra suite: normal forms, Lie-derivative actions, symbols."""
 
+import json
 import operator
 import random
 from fractions import Fraction as Q
@@ -474,3 +475,35 @@ class TestCommutationTableReuse:
         operators._compose(op, op)
         assert cache.cache_info().currsize == 1  # the constant 1 only
         cache.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Rendering of parametric operators
+# ---------------------------------------------------------------------------
+
+RENDER = ParamAlgebra(even=("a", "c"), odd=("beta", "gamma"))
+RA, RC, RBETA, RGAMMA = (ParamScalar.symbol(RENDER, n) for n in ("a", "c", "beta", "gamma"))
+
+
+class TestParametricRendering:
+    """``to_json`` of operators scaled by even and odd parameters: each
+    coefficient is the sum of its parameter monomials, zeros included."""
+
+    def test_classical(self):
+        first = DiffOp(0, 1, [Poly([1, 0, Q(2, 3)]), Poly([0, 3])])
+        second = DiffOp(0, 1, [Poly([0, 0, 5]), Poly(), Poly([-1])])
+        op = first.scale(RA - 2 * RC) + second.scale(RA * RC) + first.scale(RBETA * RGAMMA)
+        assert json.dumps(op.to_json(), sort_keys=True) == (
+            '{"coeffs": [["beta*gamma + a - 2*c", "0", '
+            '"2/3*beta*gamma + 2/3*a + 5*a*c - 4/3*c"], ["0", "3*beta*gamma + 3*a - 6*c"], '
+            '["-a*c"]], "lambda": "0", "mu": "1"}')
+
+    def test_super(self):
+        even = SuperDiffOp(Q(1, 2), 1, [SuperPoly(Poly([1, 0, 2])), SuperPoly(Poly(), Poly([3]))])
+        odd = SuperDiffOp(Q(1, 2), 1, [SuperPoly(Poly(), Poly([1])),
+                                       SuperPoly(Poly([0, Q(-1, 2)]))])
+        op = even.scale(RBETA - 2 * RGAMMA) + odd.scale(RA) + odd.scale(RC * RBETA * RGAMMA)
+        assert json.dumps(op.to_json(), sort_keys=True) == (
+            '{"coeffs": [{"f0": ["beta - 2*gamma", "0", "2*beta - 4*gamma"], '
+            '"f1": ["a + c*beta*gamma"]}, {"f0": ["0", "-1/2*a - 1/2*c*beta*gamma"], '
+            '"f1": ["3*beta - 6*gamma"]}], "lambda": "1/2", "mu": "1", "parity": "odd"}')
