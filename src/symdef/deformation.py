@@ -57,6 +57,7 @@ from .cohomology import (
     d1,
     decompose_cocycle,
     homomorphism_failure,
+    is_cocycle,
 )
 from .geometry import CLASSICAL, SUPER
 from .kernel import (
@@ -229,10 +230,9 @@ class DeformationSpec:
         else:
             raise UsageError("spec needs either 'm' or 'delta'")
         window = payload["window"] if "window" in payload else _default_window(delta)
-        params = payload.get("params")
         assignment = None
-        if params is not None:
-            if not isinstance(params, dict):
+        if "params" in payload:
+            if not isinstance(params := payload["params"], dict):
                 raise UsageError("spec.params must be an object")
             assignment = {name: _spec_rational(raw, f"params.{name}")
                           for name, raw in params.items()}
@@ -501,7 +501,10 @@ def obstruction_classes(action: DeformedAction,
     (class coefficient) * (degree-2 family) + d1(witness) by one
     ``decompose_cocycle`` call, which splits the block by parameter monomial
     and weight key; the class coefficients are the derived
-    integrability-condition generators."""
+    integrability-condition generators.  A certified row's defect is
+    closed by construction, so a block of it that is not closed is an
+    ``InternalError`` naming the block; for any other action it is the
+    caller's ``UsageError``."""
     if action.higher_terms():
         raise UsageError("obstruction analysis expects a first-order action")
     spec = action.spec
@@ -517,7 +520,13 @@ def obstruction_classes(action: DeformedAction,
     for (j, i), (k, basis_id, basis) in sorted(recognized.items()):
         images = {pair: defects[pair].block(j, i) for pair in pairs}
         block_cochain = Cochain2(ctx.name, images)
-        split = decompose_cocycle(block_cochain, basis, bounds)
+        try:
+            split = decompose_cocycle(block_cochain, basis, bounds)
+        except UsageError:  # a certified row's defect is closed by construction
+            if action._certified() and not is_cocycle(block_cochain):
+                raise InternalError("the defect of a certified first-order row is not closed "
+                                    f"on block ({j}, {i})") from None
+            raise
         if isinstance(split, NoSolutionWithinBounds):
             verdict = "inconclusive"
             continue

@@ -203,6 +203,7 @@ UNCOERCED_SPECS = [
     ({"flavor": "classical", "m": 3, "params": [1]}, "spec.params must be an object"),
     ({"flavor": "classical", "m": 3, "delta": "7/2", "params": {"a0": "1"}},
      "both 'm' and 'delta'"),
+    ({"flavor": "classical", "m": 3, "params": None}, "spec.params must be an object"),
 ]
 
 DIM_NUMERAL = ["cohomology-dim", "--algebra", "sl2", "--mu=1", "--degree", "1"]
@@ -495,6 +496,46 @@ def test_non_cocycle_obstruction_basis_is_an_engine_fault(monkeypatch, capsys, t
         argv = argv + [write_spec(tmp_path, spec)]
     error = engine_fault(capsys, argv)
     assert error == f"{cid} is not a cocycle under the fixed sign convention"
+
+
+
+SUPER_M1_ON_VARIETY = {"flavor": "super", "m": 1, "params": {"a0": "0", "a1": "0", "a-1": "4"}}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["obstruction", "--flavor", "classical", "--m", "3"], None),
+    (["obstruction", "--flavor", "super", "--m", "2"], None),
+    (["integrability", "--spec"], {"flavor": "classical", "m": 3, "params": POINT}),
+    (["integrability", "--spec"], SUPER_M1_ON_VARIETY),
+], ids=["obstruction-classical", "obstruction-super", "integrability-classical",
+        "integrability-super"])
+def test_non_closed_certified_defect_is_an_engine_fault(monkeypatch, capsys, tmp_path,
+                                                        argv, spec):
+    """A certified row's defect is closed by construction, so a defect block
+    that is not closed is the engine's fault, named by its block, never a
+    usage error: here the kept defect of the first pair gains a stray
+    monomial, of the defect's parity, at the first resonant block."""
+    assemble = deformation._assemble_first_order
+
+    def stray_defect(spec_, coeff_of):
+        action = assemble(spec_, coeff_of)
+        block = spec_.off_diagonal_block(spec_.resonant_range()[0])
+        ctx, pair = action.ctx, action.ctx.canonical_pairs()[0]
+        cochain = Cochain2(ctx.name, {p: deformation.bracket_defect(action, *p).block(*block)
+                                      for p in ctx.canonical_pairs()})
+        parity = cochain.parity ^ ctx.parities[pair[0]] ^ ctx.parities[pair[1]]
+        defect = deformation.bracket_defect(action, *pair)
+        cache = cohomology.block_cache(ctx.name, *cochain.block)
+        stray = cache.monomial_op((3, 1) if spec_.flavor == "classical" else (3, parity, 0))
+        action.terms[1].defects[pair] = defect + defect._like({block: stray})
+        return action
+
+    monkeypatch.setattr(deformation, "_assemble_first_order", stray_defect)
+    if spec is not None:
+        argv = argv + [write_spec(tmp_path, spec)]
+    error = engine_fault(capsys, argv)
+    assert re.fullmatch(r"the defect of a certified first-order row is not closed on block "
+                        r"\(\d+, \d+\)", error), error
 
 
 SUPER_LIE_OP = operators.super_lie_op
