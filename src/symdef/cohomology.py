@@ -49,8 +49,10 @@ per slot of ``_cochain_slots`` (None, a basis index, a canonical pair);
 ``Cochain0``/``Cochain1``/``Cochain2`` only fix the degree and input shape.
 
 A cochain is read once as coordinates {parameter monomial: {(slot,
-monomial): Fraction}} (``_cochain_coords``); a parameter-free cochain has
-the single parameter monomial ((), ()).  Formal parameters are constants
+monomial): Fraction}} (``_cochain_coords``), iterating the map
+{parameter monomial: parameter-free operator} of each image
+(``operators.ParamOp``); a parameter-free cochain has the single parameter
+monomial ((), ()).  Formal parameters are constants
 for the action, so d acts on each parameter monomial's coefficient cochain
 on its own, whose parity is the cochain's less the monomial's odd letters.
 ``is_cocycle``, ``coboundary_solve`` and ``decompose_cocycle`` accept
@@ -95,12 +97,14 @@ from .kernel import (
 from .operators import (
     AnyOp,
     DiffOp,
+    ParamOp,
     SuperDiffOp,
     lie_derivative_op,
     monomial_action,
     monomial_coords,
     monomial_key,
     op_class,
+    param_terms,
     super_lie_derivative_op,
 )
 
@@ -174,12 +178,12 @@ class AlgebraContext:
 
     def act(self, index: int, value):
         """The module action of basis element `index` on an operator value."""
+        if not isinstance(value, (DiffOp, SuperDiffOp, ParamOp)):
+            raise UsageError(f"cannot act on {type(value).__name__}")
         x = self.basis[index]
-        if isinstance(value, DiffOp):
+        if value.flavor == CLASSICAL:
             return lie_derivative_op(x, value)
-        if isinstance(value, SuperDiffOp):
-            return super_lie_derivative_op(x, value)
-        raise UsageError(f"cannot act on {type(value).__name__}")
+        return super_lie_derivative_op(x, value)
 
     @staticmethod
     def key_parity(key: int) -> int:
@@ -405,13 +409,15 @@ def is_cocycle(c: Cochain) -> bool:
 
 def _cochain_coords(c: Cochain) -> dict[tuple, dict]:
     """{parameter monomial: {(slot, monomial): Fraction}}, the coefficient
-    cochain of each parameter monomial of c; {((), ()): {}} when c is zero."""
+    cochain of each parameter monomial of c, read off the parameter-free
+    operator each image holds at that monomial (``param_terms``);
+    {((), ()): {}} when c is zero."""
     out: dict = {}
     for slot, im in c.images.items():
-        for mon, value in monomial_coords(im).items():
-            terms = value.terms.items() if isinstance(value, ParamScalar) else ((_ONE_MON, value),)
-            for pmon, fr in terms:
-                out.setdefault(pmon, {})[(slot, mon)] = fr
+        for pmon, op in param_terms(im).items():
+            coords = out.setdefault(pmon, {})
+            for mon, value in monomial_coords(op).items():
+                coords[(slot, mon)] = value
     return out or {_ONE_MON: {}}
 
 
@@ -694,7 +700,7 @@ def default_witness_bounds(*cochains: Cochain) -> BoundsSpec:
 
 
 def _assemble_witness(cache: BlockCache, degree: int, coeffs: dict) -> Cochain:
-    """The cochain with coefficients {basis item: scalar} on the block."""
+    """The cochain with coefficients {basis item: Fraction} on the block."""
     ctx = cache.ctx
     zero = op_class(ctx.flavor).zero(cache.lam, cache.mu)
     images = {slot: zero for slot, _, _ in _cochain_slots(ctx, degree)}
@@ -743,8 +749,8 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec | None, classes: Sequence[Co
     of the classes (``_slice_system``), the class columns last on the
     classes' parity.  Parameters are constants for d and a parameter
     monomial's coefficient cochain has a single parity, so each monomial
-    takes one solve; a solution entry becomes a Fraction at the unit
-    monomial and a ParamScalar carrying its monomial otherwise.  Returns
+    takes one solve; its solution stands at the unit monomial as it is and
+    is scaled by the monomial's ParamScalar otherwise.  Returns
     ([t_j], b, bounds), or NoSolutionWithinBounds when some monomial has no
     solution or some class column is no pivot."""
     if c.degree not in (1, 2):
@@ -776,7 +782,7 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec | None, classes: Sequence[Co
         system = systems[parity][3]
         if not set(range(system.ncols - len(leads), system.ncols)) <= set(system.pivot_cols):
             return _no_split(c, bounds)
-    coeffs, witness = [Fraction(0)] * len(leads), {}
+    coeffs, witness = [Fraction(0)] * len(leads), _assemble_witness(cache, c.degree - 1, {})
     for pmon, piece in sorted(pieces.items()):
         if not piece:
             continue
@@ -789,13 +795,12 @@ def _solve_by_weight(c: Cochain, bounds: BoundsSpec | None, classes: Sequence[Co
         solution = system.solve(rhs)
         if solution is None:
             return _no_split(c, bounds)
-        scalars = solution if pmon == _ONE_MON else [ParamScalar(None, {pmon: v}) for v in solution]
-        for j, v in enumerate(scalars[len(basis):]):
-            coeffs[j] = coeffs[j] + v
-        for item, v in zip(basis, scalars):
-            if v:
-                witness[item] = witness.get(item, 0) + v
-    return coeffs, _assemble_witness(cache, c.degree - 1, witness), bounds
+        unit = 1 if pmon == _ONE_MON else ParamScalar(None, {pmon: Fraction(1)})
+        for j, v in enumerate(solution[len(basis):]):
+            coeffs[j] = coeffs[j] + unit * v
+        part = _assemble_witness(cache, c.degree - 1, {b: v for b, v in zip(basis, solution) if v})
+        witness = witness + part.scale(unit)
+    return coeffs, witness, bounds
 
 
 def coboundary_solve(c: Cochain, bounds: BoundsSpec | None = None):

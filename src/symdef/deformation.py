@@ -355,16 +355,10 @@ def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
     stay formal)."""
     algebra = spec.algebra()
 
-    def formal(name: str) -> ParamScalar:
-        return ParamScalar.symbol(algebra, name)
-
-    if spec.assignment is None:
-        coeff_of = formal
-    else:
-        def coeff_of(name: str):
-            if name in algebra.odd:
-                return formal(name)
-            return spec.assignment.get(name, Fraction(0))
+    def coeff_of(name: str):
+        if spec.assignment is None or name in algebra.odd:
+            return ParamScalar.symbol(algebra, name)
+        return spec.assignment.get(name, Fraction(0))
 
     return _assemble_first_order(spec, coeff_of)
 

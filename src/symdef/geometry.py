@@ -3,9 +3,11 @@ contact fields, and weighted-density actions.
 
 Conventions pinned here and relied on everywhere else:
 
-* A superfunction is ``F = f0(x) + f1(x)*theta`` with ``theta**2 = 0``;
-  scalar coefficients always stand to the LEFT of ``theta``, and moving
-  ``theta`` across an odd scalar coefficient costs a sign.
+* A superfunction is ``F = f0(x) + f1(x)*theta`` with ``theta**2 = 0``.
+  Its coefficients are rational, so ``theta`` commutes with them and the
+  only sign is theta's own; formal parameters, even or odd, never enter a
+  function or a coefficient: they stand to the left of a whole operator
+  (``operators.ParamOp``).
 * The contact derivation is ``eta = d/dtheta - theta*d/dx``, so that
   ``eta o eta = -d/dx``.
 * The action of ``g d/dx`` on ``f dx^lam`` is ``(g f' + lam g' f) dx^lam``:
@@ -18,28 +20,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .kernel import (
-    InternalError,
-    ParamScalar,
-    Scalar,
-    UsageError,
-    as_weight,
-    format_rational,
-    scalar_involute,
-    scalar_str,
-    scalar_truncate,
-)
+from .kernel import InternalError, UsageError, as_weight, format_rational
 
 
 _ZERO = Fraction(0)
 
 
-def _as_scalar(value) -> Scalar:
-    if isinstance(value, (Fraction, ParamScalar)):
+def _as_scalar(value) -> Fraction:
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise UsageError(f"not a scalar coefficient: {value!r}")
+    raise UsageError(f"not a rational coefficient: {value!r}; formal parameters scale a "
+                     "whole operator")
 
 
 def _trimmed(cs: list) -> tuple:
@@ -49,11 +42,11 @@ def _trimmed(cs: list) -> tuple:
 
 
 class Poly:
-    """Polynomial in x with exact scalar coefficients (index = power of x).
+    """Polynomial in x with rational coefficients (index = power of x).
 
-    Immutable.  The constructor coerces its coefficients; the arithmetic,
-    whose results are already ``Fraction``/``ParamScalar``, builds through
-    ``_of`` without coercing again."""
+    Immutable.  The constructor coerces its coefficients and refuses
+    anything but an int or a ``Fraction``; the arithmetic, whose results are
+    already ``Fraction``s, builds through ``_of`` without coercing again."""
 
     __slots__ = ("coeffs",)
 
@@ -93,7 +86,7 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def coefficient(self, n: int) -> Scalar:
+    def coefficient(self, n: int) -> Fraction:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else _ZERO
 
     # -- arithmetic ------------------------------------------------------------
@@ -111,10 +104,7 @@ class Poly:
         return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Poly._of(out)
+        return self + -other
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
@@ -130,39 +120,16 @@ class Poly:
         return Poly._of(out)
 
     def scale(self, s) -> "Poly":
-        """Left multiplication by a scalar (order matters for odd scalars)."""
+        """Multiplication by a rational."""
         s = _as_scalar(s)
         if not s:
             return P_ZERO
-        if type(s) is Fraction and s == 1:
+        if s == 1:
             return self
         return Poly._of([s * c for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         return Poly._of([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def has_params(self) -> bool:
-        return any(isinstance(c, ParamScalar) for c in self.coeffs)
-
-    def involute(self) -> "Poly":
-        """Apply the scalar-parity involution to every coefficient (self
-        when every coefficient is a rational, which the involution fixes)."""
-        if not self.has_params():
-            return self
-        return Poly._of([scalar_involute(c) for c in self.coeffs])
-
-    def truncate_params(self, max_degree: int) -> "Poly":
-        return Poly._of([scalar_truncate(c, max_degree) for c in self.coeffs])
-
-    def coefficient_parities(self) -> set:
-        out = set()
-        for c in self.coeffs:
-            if c:
-                if isinstance(c, ParamScalar):
-                    out.update(len(m[1]) & 1 for m in c.terms)
-                else:
-                    out.add(0)
-        return out
 
     # -- rendering ------------------------------------------------------------
 
@@ -173,9 +140,7 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            body = scalar_str(c)
-            if "+" in body or (body.count("-") and not body.startswith("-")):
-                body = f"({body})"
+            body = format_rational(c)
             if i == 0:
                 chunks.append(body)
             else:
@@ -186,9 +151,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-    def to_strings(self) -> list[str]:
-        return [scalar_str(c) for c in self.coeffs]
-
 
 P_ZERO = Poly()
 P_ONE = Poly([1])
@@ -198,9 +160,9 @@ P_X = Poly([0, 1])
 class SuperPoly:
     """Superfunction ``f0(x) + f1(x)*theta`` with parity bookkeeping.
 
-    Total parity of a monomial ``c*x^a*theta^eps`` is the parity of the
-    scalar ``c`` plus ``eps``; an element is homogeneous when all its
-    monomials agree.
+    The parity of a monomial ``c*x^a*theta^eps`` is ``eps``, its
+    coefficient ``c`` being rational; an element is homogeneous when one of
+    its halves is zero.
     """
 
     __slots__ = ("f0", "f1")
@@ -235,13 +197,9 @@ class SuperPoly:
 
     def parity(self) -> int | None:
         """Total parity, or None for zero; raises on non-homogeneous input."""
-        parities = {p for p in self.f0.coefficient_parities()}
-        parities.update((p + 1) & 1 for p in self.f1.coefficient_parities())
-        if not parities:
-            return None
-        if len(parities) > 1:
+        if self.f0 and self.f1:
             raise UsageError("superfunction is not parity-homogeneous")
-        return parities.pop()
+        return 0 if self.f0 else 1 if self.f1 else None
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -255,12 +213,8 @@ class SuperPoly:
         return SuperPoly(self.f0 - other.f0, self.f1 - other.f1)
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
-        # (f0 + f1 th)(g0 + g1 th) = f0 g0 + (f0 g1 + f1 g0^)*th,
-        # with ^ the coefficient involution picked up by th crossing g0.
-        return SuperPoly(
-            self.f0 * other.f0,
-            self.f0 * other.f1 + self.f1 * other.f0.involute(),
-        )
+        # (f0 + f1 th)(g0 + g1 th) = f0 g0 + (f0 g1 + f1 g0)*th
+        return SuperPoly(self.f0 * other.f0, self.f0 * other.f1 + self.f1 * other.f0)
 
     def scale(self, s) -> "SuperPoly":
         return SuperPoly(self.f0.scale(s), self.f1.scale(s))
@@ -273,19 +227,11 @@ class SuperPoly:
         return SuperPoly(self.f0.derivative(), self.f1.derivative())
 
     def partial_theta(self) -> "SuperPoly":
-        # d/dtheta is an odd left derivation: on c*x^a*theta it yields
-        # (-1)^{p(c)} c*x^a.
-        return SuperPoly(self.f1.involute(), P_ZERO)
+        return SuperPoly(self.f1, P_ZERO)
 
     def involute(self) -> "SuperPoly":
-        """Total-parity involution (scalars and theta both count)."""
-        return SuperPoly(self.f0.involute(), -self.f1.involute())
-
-    def truncate_params(self, max_degree: int) -> "SuperPoly":
-        return SuperPoly(self.f0.truncate_params(max_degree), self.f1.truncate_params(max_degree))
-
-    def has_params(self) -> bool:
-        return self.f0.has_params() or self.f1.has_params()
+        """The parity involution f0 + f1 theta -> f0 - f1 theta."""
+        return SuperPoly(self.f0, -self.f1)
 
     # -- rendering ------------------------------------------------------------
 
@@ -305,9 +251,6 @@ class SuperPoly:
     def __repr__(self) -> str:
         return f"SuperPoly({self})"
 
-    def to_json(self) -> dict:
-        return {"f0": self.f0.to_strings(), "f1": self.f1.to_strings()}
-
 
 SP_ZERO = SuperPoly()
 SP_ONE = SuperPoly.const(1)
@@ -317,9 +260,8 @@ SP_THETA = SuperPoly(P_ZERO, P_ONE)
 
 def eta_bar(f: SuperPoly) -> SuperPoly:
     """The contact derivation d/dtheta - theta*d/dx."""
-    # theta*(df/dx) moves theta across the coefficients of f0', hence the
-    # involutions; eta(f0 + f1 th) = f1^ - f0'^ th.
-    return SuperPoly(f.f1.involute(), -f.f0.derivative().involute())
+    # eta(f0 + f1 th) = f1 - f0' th
+    return SuperPoly(f.f1, -f.f0.derivative())
 
 
 def eta_power(f: SuperPoly, n: int) -> SuperPoly:
@@ -334,7 +276,7 @@ def eta_plus(f: SuperPoly) -> SuperPoly:
 
     Distinct from the contact derivation (whose square is -d/dx); the two
     agree on odd superfunctions and differ by signs elsewhere."""
-    return SuperPoly(f.f1.involute(), f.f0.derivative().involute())
+    return SuperPoly(f.f1, f.f0.derivative())
 
 
 def eta_plus_power(f: SuperPoly, n: int) -> SuperPoly:

@@ -2,8 +2,9 @@
 sparse exact linear algebra.
 
 Every value in the engine bottoms out here.  There is no floating point
-anywhere: weights are ``Fraction``s, deformation parameters live in a
-supercommutative polynomial algebra over ``Fraction``, and all linear
+anywhere: weights and coefficients are ``Fraction``s, deformation
+parameters live in a supercommutative polynomial algebra over ``Fraction``
+(``ParamScalar``), and all linear
 systems go through one sparse, fraction-free elimination over the integers
 (Bareiss-style updates on primitive integer rows).  Its pivot columns are
 the earliest independent columns, which keeps solutions canonical and
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul as _mul
 
 
 class UsageError(ValueError):
@@ -126,7 +128,7 @@ def format_rational(x: Fraction) -> str:
 # A monomial is a pair (even, odd): `even` maps sorted symbol names to
 # exponents, `odd` is a sorted tuple of distinct odd symbol names.  Odd
 # symbols square to zero and anticommute, so sorting the odd word costs a
-# Koszul sign tracked by the caller.
+# sign, which ``_mul_monomials`` returns.
 Monomial = tuple[tuple[tuple[str, int], ...], tuple[str, ...]]
 
 _ONE_MON: Monomial = ((), ())
@@ -167,40 +169,60 @@ def _merge_algebras(a: ParamAlgebra | None, b: ParamAlgebra | None) -> ParamAlge
     raise UsageError("mismatched parameter alphabets")
 
 
-def _sort_odd(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]] | None:
-    """Sort an odd word, returning (sign, sorted word); None if a symbol repeats."""
-    if len(set(word)) != len(word):
-        return None
-    items = list(word)
-    sign = 1
-    # insertion sort; words have a handful of letters at most
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(items)
-
-
 def _mul_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
-    even1, odd1 = m1
-    even2, odd2 = m2
+    """(sign, m1 m2) in normal form, or None when an odd letter repeats: the
+    sign is that of moving each odd letter of m2 left past the greater
+    letters of the (sorted) odd word of m1."""
+    (even1, odd1), (even2, odd2) = m1, m2
+    if set(odd1) & set(odd2):
+        return None
+    even = even1
     if even2:
         acc = dict(even1)
         for name, exp in even2:
             acc[name] = acc.get(name, 0) + exp
         even = tuple(sorted(acc.items()))
-    else:
-        even = even1
-    # moving each letter of odd2 across the (already reduced) odd1 word
-    # costs one sign per transposition; sorting the concatenation counts
-    # exactly those transpositions.
-    sorted_odd = _sort_odd(odd1 + odd2)
-    if sorted_odd is None:
+    swaps = sum(a > b for a in odd1 for b in odd2)
+    return (-1 if swaps & 1 else 1), (even, tuple(sorted(odd1 + odd2)))
+
+
+def koszul_product(p: Monomial, parity: int, q: Monomial) -> tuple[int, Monomial] | None:
+    """(s, pq) with (p A)(q B) = s (pq)(A B) for parameter-free values A of
+    parity `parity` and B, or None when pq = 0: s is the sign of
+    ``_mul_monomials(p, q)`` times the Koszul factor (-1)^(|A||q|) of moving
+    q to the left past A, the sign rule of a supercommutative algebra
+    (Leites, "Introduction to the theory of supermanifolds", 1980)."""
+    prod = _mul_monomials(p, q)
+    if prod is None:
         return None
-    sign, odd = sorted_odd
-    return sign, (even, odd)
+    sign, pq = prod
+    return (-sign if parity & len(q[1]) else sign), pq
+
+
+def add_terms(left: Mapping, right: Mapping) -> dict:
+    """The terms {monomial: value} of left + right; a value summing to zero
+    stays, for the caller's constructor to drop."""
+    terms = dict(left)
+    for mon, value in right.items():
+        terms[mon] = terms[mon] + value if mon in terms else value
+    return terms
+
+
+def product_terms(left: Mapping, right: Mapping, product, parity=None) -> dict:
+    """The terms of (sum_p p a_p)(sum_q q b_q) = sum s (pq) product(a_p, b_q),
+    s from ``koszul_product`` with |a_p| = parity(a_p) (0 without `parity`,
+    and not asked when every q is even); zeros stay, as in ``add_terms``."""
+    odd = parity is not None and any(len(q[1]) & 1 for q in right)
+    terms: dict = {}
+    for p, a in left.items():
+        a_parity = parity(a) if odd else 0
+        for q, b in right.items():
+            hit = koszul_product(p, a_parity, q)
+            if hit is not None:
+                value = product(a, b)
+                value = value if hit[0] == 1 else -value
+                terms[hit[1]] = terms[hit[1]] + value if hit[1] in terms else value
+    return terms
 
 
 def _monomial_parity(mon: Monomial) -> int:
@@ -265,14 +287,7 @@ class ParamScalar:
         if other is None:
             return NotImplemented
         algebra = _merge_algebras(self.algebra, other.algebra)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            acc = terms.get(mon, 0) + c
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
-        return ParamScalar(algebra, terms)
+        return ParamScalar(algebra, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -296,19 +311,7 @@ class ParamScalar:
         if other is None:
             return NotImplemented
         algebra = _merge_algebras(self.algebra, other.algebra)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = _mul_monomials(m1, m2)
-                if prod is None:
-                    continue
-                sign, mon = prod
-                acc = terms.get(mon, 0) + sign * c1 * c2
-                if acc:
-                    terms[mon] = acc
-                else:
-                    terms.pop(mon, None)
-        return ParamScalar(algebra, terms)
+        return ParamScalar(algebra, product_terms(self.terms, other.terms, _mul))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -340,19 +343,6 @@ class ParamScalar:
             raise UsageError("scalar is not parity-homogeneous")
         return parities.pop()
 
-    def involute(self) -> "ParamScalar":
-        """Flip the sign of every odd monomial (the grading involution)."""
-        return ParamScalar(
-            self.algebra,
-            {m: (-c if _monomial_parity(m) else c) for m, c in self.terms.items()},
-        )
-
-    def truncate(self, max_degree: int) -> "ParamScalar":
-        return ParamScalar(
-            self.algebra,
-            {m: c for m, c in self.terms.items() if _monomial_degree(m) <= max_degree},
-        )
-
     # -- evaluation ---------------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, int | str | Fraction]) -> "ParamScalar":
@@ -370,27 +360,12 @@ class ParamScalar:
             values[name] = value
         terms: dict[Monomial, Fraction] = {}
         for (even, odd), coeff in self.terms.items():
-            dead = False
-            for name in odd:
-                if name in values:  # value is necessarily 0 here
-                    dead = True
-                    break
-            if dead:
+            if any(name in values for name in odd):  # an odd value is 0
                 continue
-            new_even = []
             for name, exp in even:
-                if name in values:
-                    coeff = coeff * values[name] ** exp
-                else:
-                    new_even.append((name, exp))
-            if not coeff:
-                continue
-            mon = (tuple(new_even), odd)
-            acc = terms.get(mon, 0) + coeff
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
+                coeff *= values.get(name, 1) ** exp
+            mon = (tuple((name, exp) for name, exp in even if name not in values), odd)
+            terms[mon] = terms.get(mon, 0) + coeff
         return ParamScalar(self.algebra, terms)
 
     def constant_value(self) -> Fraction:
@@ -429,25 +404,6 @@ class ParamScalar:
 
     def __repr__(self) -> str:
         return f"ParamScalar({self})"
-
-
-#: Coefficients elsewhere in the engine: plain rationals embed in every
-#: parameter algebra, so both kinds mix freely in arithmetic.
-Scalar = Fraction | ParamScalar
-
-
-# -- helpers over mixed Fraction / ParamScalar coefficients -----------------
-
-def scalar_involute(c: Scalar) -> Scalar:
-    return c.involute() if isinstance(c, ParamScalar) else c
-
-
-def scalar_str(c: Scalar) -> str:
-    return str(c) if isinstance(c, ParamScalar) else format_rational(c)
-
-
-def scalar_truncate(c: Scalar, max_degree: int) -> Scalar:
-    return c.truncate(max_degree) if isinstance(c, ParamScalar) else c
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,17 @@ instead of building and composing ``DiffOp``/``SuperDiffOp`` values, in
 integers over a common denominator.  The typed
 ``lie_derivative_op``/``super_lie_derivative_op`` stay the oracle.
 
-``_compose`` keeps the commutation tables ``D^i o mult(r)`` of a
-parameter-free coefficient ``r`` in one bounded cache keyed by value
-(``_cached_commutation_tables``): the typed ``d1``/``d2`` of the
-sign-convention check meet the same coefficients many times over.  The
-tables and the loop that reads them are the same with or without it.
+Coefficients are rational.  Formal parameters stand to the left of a
+whole operator: a ``ParamOp`` is ``sum_q q A_q``, parameter monomials q
+over parameter-free operators A_q of one block, and scaling an operator by
+a ``ParamScalar`` makes one.  Composition is bilinear, with the sign rule
+of ``kernel.koszul_product``: (p A)(q B) = s (pq)(A B).  So every inner
+composition is parameter-free, and ``_compose`` has one path: it keeps the
+commutation tables ``D^i o mult(r)`` of each coefficient ``r`` in one
+bounded cache keyed by value (``_cached_commutation_tables``), since the
+typed ``d1``/``d2`` and the defects meet the same coefficients many times
+over.  The tables and the loop that reads them are the same with or
+without it.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ from .geometry import (
     VectorField,
     eta_bar,
 )
-from .kernel import Scalar, UsageError, as_weight, format_rational
+from .kernel import (_ONE_MON, ParamScalar, UsageError, _monomial_degree, add_terms, as_weight,
+                     format_rational, product_terms)
 
 
 class _NormalFormOp:
@@ -112,6 +119,8 @@ class _NormalFormOp:
             raise UsageError("operators act between different density modules")
 
     def __add__(self, other: "_NormalFormOp") -> "_NormalFormOp":
+        if type(other) is ParamOp:
+            return other + self
         self._check_same_block(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return type(self)(self.lam, self.mu, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
@@ -120,14 +129,24 @@ class _NormalFormOp:
         return type(self)(self.lam, self.mu, [-c for c in self.coeffs])
 
     def __sub__(self, other: "_NormalFormOp") -> "_NormalFormOp":
-        self._check_same_block(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)(self.lam, self.mu, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return self + -other
 
     def scale(self, s) -> "_NormalFormOp":
+        """s times the operator; a ``ParamScalar`` s gives a ``ParamOp``."""
         if type(s) is int and s == 1:
             return self
+        if isinstance(s, ParamScalar):
+            return ParamOp(self.scale(0), product_terms(s.terms, param_terms(self), _scaled))
         return type(self)(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
+
+    def to_json(self) -> dict:
+        """Its weights, parity (super flavor) and coefficients, each rational
+        or ``ParamScalar`` rendered as a string."""
+        out = {"lambda": format_rational(self.lam), "mu": format_rational(self.mu)}
+        if self.flavor == SUPER:
+            out["parity"] = {0: "even", 1: "odd", None: "zero"}[self.parity()]
+        out["coeffs"] = _rendered(list(param_terms(self).items()))
+        return out
 
     def apply_to(self, f):
         """The operator applied to a function of its coefficient ring."""
@@ -139,9 +158,6 @@ class _NormalFormOp:
             if c:
                 out = out + c * power
         return out
-
-    def truncate_params(self, max_degree: int) -> "_NormalFormOp":
-        return type(self)(self.lam, self.mu, [c.truncate_params(max_degree) for c in self.coeffs])
 
     def __repr__(self):
         name = type(self).__name__
@@ -177,13 +193,6 @@ class DiffOp(_NormalFormOp):
     def parity(self) -> int | None:
         return 0 if self.coeffs else None
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": format_rational(self.lam),
-            "mu": format_rational(self.mu),
-            "coeffs": [c.to_strings() for c in self.coeffs],
-        }
-
 
 class SuperDiffOp(_NormalFormOp):
     """Super differential operator ``sum_i q_i(x,theta) eta^i`` in eta-normal
@@ -208,25 +217,13 @@ class SuperDiffOp(_NormalFormOp):
 
     def parity(self) -> int | None:
         """Total parity (coefficient parity + eta exponent); None for zero."""
-        parities = set()
-        for i, q in enumerate(self.coeffs):
-            if q:
-                p = q.parity()
-                parities.add((p + i) & 1)
-        if not parities:
-            return None
-        if len(parities) > 1:
-            raise UsageError("super operator is not parity-homogeneous")
-        return parities.pop()
+        return _one_parity({(q.parity() + i) & 1 for i, q in enumerate(self.coeffs) if q})
 
-    def to_json(self) -> dict:
-        parity = self.parity()
-        return {
-            "lambda": format_rational(self.lam),
-            "mu": format_rational(self.mu),
-            "parity": {0: "even", 1: "odd", None: "zero"}[parity],
-            "coeffs": [c.to_json() for c in self.coeffs],
-        }
+
+def _one_parity(parities: set) -> int | None:
+    if len(parities) > 1:
+        raise UsageError("super operator is not parity-homogeneous")
+    return parities.pop() if parities else None
 
 
 def op_class(flavor: str) -> type:
@@ -235,6 +232,89 @@ def op_class(flavor: str) -> type:
 
 
 AnyOp = DiffOp | SuperDiffOp
+
+
+def _scaled(c, op: AnyOp) -> AnyOp:
+    return op.scale(c)
+
+
+class ParamOp:
+    """``sum_q q A_q``: formal parameter monomials q to the left of nonzero
+    parameter-free operators A_q of one flavor and block (``terms``
+    {q: A_q}), at least one q not 1.  Build one with ``ParamOp(zero,
+    terms)``, ``zero`` the zero operator of the block: a sum left with the
+    unit monomial alone is that plain operator, so equality is termwise.
+    The total parity of q A_q is |q| + |A_q| in the super flavor; a
+    classical operator is even whatever its parameters, as its
+    coefficients' are."""
+
+    __slots__ = ("zero", "terms")
+
+    def __new__(cls, zero: AnyOp, terms: dict):
+        terms = {q: op for q, op in terms.items() if op}
+        if not terms.keys() - {_ONE_MON}:
+            return terms.get(_ONE_MON, zero)
+        out = object.__new__(cls)
+        out.zero, out.terms = zero, terms
+        return out
+
+    lam = property(lambda self: self.zero.lam)
+    mu = property(lambda self: self.zero.mu)
+    flavor = property(lambda self: self.zero.flavor)
+    order = property(lambda self: max(op.order for op in self.terms.values()))
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ParamOp and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        self.zero._check_same_block(other.zero if type(other) is ParamOp else other)
+        return ParamOp(self.zero, add_terms(self.terms, param_terms(other)))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self) -> "ParamOp":
+        return ParamOp(self.zero, {q: -op for q, op in self.terms.items()})
+
+    def scale(self, s) -> "ParamOp | AnyOp":
+        if isinstance(s, ParamScalar):
+            return ParamOp(self.zero, product_terms(s.terms, self.terms, _scaled))
+        return ParamOp(self.zero, {q: op.scale(s) for q, op in self.terms.items()})
+
+    def parity(self) -> int:
+        if self.flavor == CLASSICAL:
+            return 0
+        return _one_parity({(len(q[1]) + op.parity()) & 1 for q, op in self.terms.items()})
+
+    to_json = _NormalFormOp.to_json
+
+    def __repr__(self):
+        return " + ".join(f"{ParamScalar(None, {q: 1})}*{op!r}" for q, op in self.terms.items())
+
+
+def param_terms(op) -> dict:
+    """{parameter monomial: parameter-free operator} of any operator."""
+    return op.terms if type(op) is ParamOp else {_ONE_MON: op} if op else {}
+
+
+def _rendered(pairs: list):
+    """The coefficients of sum_q q A_q, for the pairs (q, A_q), nested as in
+    the A_q (operator, superfunction halves, polynomial), each one rendered
+    as the ParamScalar of its values at the monomials."""
+    if not pairs:
+        return []
+    first = pairs[0][1]
+    if isinstance(first, SuperPoly):
+        return {half: _rendered([(q, getattr(f, half)) for q, f in pairs]) for half in ("f0", "f1")}
+    if hasattr(first, "coeffs"):
+        return [_rendered([(q, a.coeffs[n]) for q, a in pairs if n < len(a.coeffs)])
+                for n in range(max(len(a.coeffs) for _, a in pairs))]
+    return str(ParamScalar(None, dict(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +338,15 @@ def _commutation_tables(cls: type, r, depth: int) -> tuple:
     return tuple(tables)
 
 
-# The tables of a parameter-free r, kept across calls: one d1 meets the
-# same coefficients of L^lam_X in all five images and the same image
+# The tables of a coefficient r, kept across calls: one d1 meets the same
+# coefficients of L^lam_X in all five images and the same image
 # coefficients under all five generators.  Keyed by value, so whatever
 # builds the operators, equal inputs give equal tables.
 _cached_commutation_tables = lru_cache(maxsize=1024)(_commutation_tables)
 
 
 def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
-    """a o b for two operators of one flavor, in normal form."""
+    """a o b for two parameter-free operators of one flavor, in normal form."""
     cls = type(a)
     if b.mu != a.lam:
         raise UsageError("compose: inner target weight must match outer source weight")
@@ -277,8 +357,7 @@ def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
     for j, r in enumerate(b.coeffs):
         if not r:
             continue
-        build = _commutation_tables if r.has_params() else _cached_commutation_tables
-        for q, table in zip(a.coeffs, build(cls, r, depth)):
+        for q, table in zip(a.coeffs, _cached_commutation_tables(cls, r, depth)):
             if not q:
                 continue
             for e, c in table:
@@ -291,11 +370,21 @@ def _compose(a: AnyOp, b: AnyOp) -> AnyOp:
     return cls(b.lam, a.mu, [out.get(k, cls._zero) for k in range(top + 1)])
 
 
-def compose(a: AnyOp, b: AnyOp) -> AnyOp:
-    """Normal-form product: apply(compose(a, b), d) == apply(a, apply(b, d))."""
+def compose(a, b):
+    """Normal-form product: apply(compose(a, b), d) == apply(a, apply(b, d)).
+    A ``ParamOp`` composes term by term, (p A)(q B) = s (pq)(A B)."""
+    if type(a) is ParamOp or type(b) is ParamOp:
+        za, zb = (op.zero if type(op) is ParamOp else op for op in (a, b))
+        compose(za, zb)  # the flavor and weight checks
+        return ParamOp(op_class(a.flavor).zero(b.lam, a.mu),
+                       product_terms(param_terms(a), param_terms(b), _compose, _parity))
     if not isinstance(a, _NormalFormOp) or type(a) is not type(b):
         raise UsageError("cannot compose operators of different flavors")
     return _compose(a, b)
+
+
+def _parity(op: AnyOp) -> int:
+    return op.parity()
 
 
 def apply(a: AnyOp, d: Density) -> Density:
@@ -342,7 +431,7 @@ def super_lie_op(x: ContactField, lam) -> SuperDiffOp:
 
 def lie_derivative_op(x: VectorField, a: DiffOp) -> DiffOp:
     """Action on operator modules: L^mu_X o A - A o L^lam_X."""
-    return _compose(lie_op(x, a.mu), a) - _compose(a, lie_op(x, a.lam))
+    return compose(lie_op(x, a.mu), a) - compose(a, lie_op(x, a.lam))
 
 
 def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
@@ -351,8 +440,8 @@ def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
     if pa is None:
         return a
     sign = -1 if (pa and x.parity) else 1
-    left = _compose(super_lie_op(x, a.mu), a)
-    right = _compose(a, super_lie_op(x, a.lam))
+    left = compose(super_lie_op(x, a.mu), a)
+    right = compose(a, super_lie_op(x, a.lam))
     return left - right.scale(sign)
 
 
@@ -361,9 +450,9 @@ def super_lie_derivative_op(x: ContactField, a: SuperDiffOp) -> SuperDiffOp:
 # ---------------------------------------------------------------------------
 
 
-def monomial_coords(op: AnyOp) -> dict[tuple, Scalar]:
-    """{(d, i) or (d, eps, i): coefficient} of an operator's nonzero
-    coefficients, each a Fraction or a ParamScalar as stored."""
+def monomial_coords(op: AnyOp) -> dict[tuple, Fraction]:
+    """{(d, i) or (d, eps, i): coefficient} of a parameter-free operator's
+    nonzero coefficients."""
     out = {}
     if isinstance(op, DiffOp):
         for i, poly in enumerate(op.coeffs):
@@ -574,13 +663,18 @@ class GradedOp:
         """self o other - sign * other o self with an explicit Koszul sign."""
         return self.compose(other) - other.compose(self).scale(sign)
 
+    def _of_degree(self, keep: Callable[[int], bool]) -> "GradedOp":
+        return self._like({key: ParamOp(op.scale(0), {q: a for q, a in param_terms(op).items()
+                                                      if keep(_monomial_degree(q))})
+                           for key, op in self.blocks.items()})
+
     def truncate_params(self, max_degree: int) -> "GradedOp":
-        return self._like({key: op.truncate_params(max_degree) for key, op in self.blocks.items()})
+        """Keep only the terms of total parameter degree at most max_degree."""
+        return self._of_degree(lambda n: n <= max_degree)
 
     def param_component(self, degree: int) -> "GradedOp":
-        """Keep only coefficient terms of the given total parameter degree."""
-        low = self.truncate_params(degree)
-        return low - self.truncate_params(degree - 1) if degree > 0 else low
+        """Keep only the terms of the given total parameter degree."""
+        return self._of_degree(lambda n: n == degree)
 
     def __repr__(self):
         body = ", ".join(f"({j}->{i}): {op!r}" for (j, i), op in sorted(self.blocks.items()))

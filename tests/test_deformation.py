@@ -677,7 +677,8 @@ def test_witness_with_content_renders():
     lam, mu = entry.witness.block
     a0 = ParamScalar.symbol(report.spec.algebra(), "a0")
     images = list(entry.witness.images.values())  # all zero
-    images[0] = SuperDiffOp(lam, mu, [SuperPoly(Poly([Q(1, 2), 0, a0]))])
+    images[0] = (SuperDiffOp(lam, mu, [SuperPoly(Poly([Q(1, 2)]))])
+                 + SuperDiffOp(lam, mu, [SuperPoly(Poly.x_power(2))]).scale(a0))
     entry.witness = Cochain1("osp12", images)
     rendered = entry.to_json()["witness"]["images"]
     assert rendered[0] == {"lambda": "0", "mu": "1/2", "parity": "even",

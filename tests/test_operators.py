@@ -22,7 +22,7 @@ from symdef.geometry import (
     sl2_basis,
     vf_bracket,
 )
-from symdef.kernel import ParamAlgebra, ParamScalar, UsageError
+from symdef.kernel import _ONE_MON, ParamAlgebra, ParamScalar, UsageError, product_terms
 from symdef.operators import (
     DiffOp,
     GradedOp,
@@ -31,6 +31,7 @@ from symdef.operators import (
     compose,
     lie_derivative_op,
     lie_op,
+    param_terms,
     principal_symbol,
     super_lie_derivative_op,
     super_lie_op,
@@ -408,31 +409,47 @@ SUPER_PARAMS = ParamAlgebra(("a",), ("b",))
 SMALL = st.integers(-2, 2)
 
 
-def _scalar(draw, algebra):
-    """A Fraction, or with an algebra a ParamScalar of up to two terms."""
-    value = Q(draw(SMALL), draw(st.sampled_from((1, 1, 2, 3))))
-    if algebra is None:
-        return value
-    out = ParamScalar.const(value)
-    for name in draw(st.lists(st.sampled_from(algebra.even + algebra.odd), max_size=2)):
-        out = out + ParamScalar.symbol(algebra, name) * Q(draw(SMALL))
-    return out
+def _scalar(draw):
+    return Q(draw(SMALL), draw(st.sampled_from((1, 1, 2, 3))))
 
 
 def _operator(draw, flavor, algebra, lam, mu):
+    """A parameter-free operator, or with an algebra one of up to three
+    terms q A_q, q 1 or a parameter symbol and A_q parameter-free, of one
+    total parity in the super flavor."""
     def poly():
-        return Poly([_scalar(draw, algebra) for _ in range(draw(st.integers(0, 3)))])
+        return Poly([_scalar(draw) for _ in range(draw(st.integers(0, 3)))])
 
-    order = draw(st.integers(0, 3))
-    if flavor == CLASSICAL:
-        return DiffOp(lam, mu, [poly() for _ in range(order + 1)])
-    return SuperDiffOp(lam, mu, [SuperPoly(poly(), poly()) for _ in range(order + 1)])
+    def plain(parity):
+        order = draw(st.integers(0, 3))
+        if flavor == CLASSICAL:
+            return DiffOp(lam, mu, [poly() for _ in range(order + 1)])
+        if parity is None:
+            return SuperDiffOp(lam, mu, [SuperPoly(poly(), poly()) for _ in range(order + 1)])
+        return SuperDiffOp(lam, mu, [SuperPoly(Poly(), poly()) if (i + parity) & 1
+                                     else SuperPoly(poly()) for i in range(order + 1)])
+
+    if algebra is None:
+        return plain(None)
+    parity = draw(st.integers(0, 1))
+    out = plain(parity)
+    for name in draw(st.lists(st.sampled_from(algebra.even + algebra.odd), max_size=2)):
+        out = out + plain(parity ^ algebra.parity_of(name)).scale(ParamScalar.symbol(algebra, name))
+    return out
+
+
+def _applied(op, f: dict) -> dict:
+    """op applied to the formal function sum_q q f[q]: (p A)(q f) = s (pq) A(f)
+    by the sign rule of ``kernel.product_terms``; zeros dropped."""
+    terms = product_terms(param_terms(op), f, lambda a, g: a.apply_to(g), lambda a: a.parity())
+    return {q: g for q, g in terms.items() if g}
 
 
 class TestCommutationTableReuse:
-    """``_compose`` keeps the commutation tables of parameter-free
-    coefficients across calls; a warm cache must give what a cold one
-    gives, and both what applying the two operators in turn gives."""
+    """``_compose`` keeps the commutation tables of every coefficient across
+    calls, and a parametric composition composes parameter-free terms; a
+    warm cache must give what a cold one gives, and both what applying the
+    two operators in turn gives."""
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -445,16 +462,16 @@ class TestCommutationTableReuse:
         b = _operator(data.draw, flavor, algebra, lam, nu)
         cache = operators._cached_commutation_tables
         cache.cache_clear()
-        cold = operators._compose(a, b)
-        warm = operators._compose(a, b)
+        cold = compose(a, b)
+        warm = compose(a, b)
         assert cold == warm
         probes = ([Poly.x_power(n) for n in range(5)] if flavor == CLASSICAL
                   else X_THETA_PROBES)
         for f in probes:
-            assert cold.apply_to(f) == a.apply_to(b.apply_to(f))
+            assert _applied(cold, {_ONE_MON: f}) == _applied(a, _applied(b, {_ONE_MON: f}))
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
-        if a and any(r and not r.has_params() for r in b.coeffs):
+        if a and b:
             assert info.hits  # the warm call read the tables kept by the cold one
 
     def test_cache_is_bounded(self):
@@ -467,13 +484,17 @@ class TestCommutationTableReuse:
         assert info.currsize == info.maxsize
         cache.cache_clear()
 
-    def test_parametric_coefficients_are_not_kept(self):
+    def test_parametric_composition_reads_the_cache(self):
+        """(a + d)(a + d) = a^2 + 2a d + d^2 with a formal: four parameter-free
+        compositions, which read two tables, each built once."""
         cache = operators._cached_commutation_tables
         cache.cache_clear()
         a = ParamScalar.symbol(EVEN, "a")
-        op = DiffOp(0, 0, [Poly([a]), Poly([1])])
-        operators._compose(op, op)
-        assert cache.cache_info().currsize == 1  # the constant 1 only
+        op = DiffOp.identity(0).scale(a) + DiffOp.partial(1, 0, 0)
+        assert compose(op, op) == (DiffOp.identity(0).scale(a * a) + DiffOp.partial(1, 0, 0)
+                                   .scale(2 * a) + DiffOp.partial(2, 0, 0))
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
         cache.cache_clear()
 
 
