@@ -2,11 +2,14 @@
 sparse exact linear algebra.
 
 Every value in the engine bottoms out here.  There is no floating point
-anywhere: weights and coefficients are ``Fraction``s, deformation
+anywhere: weights and coefficients are ``Fraction``s, and deformation
 parameters live in a supercommutative polynomial algebra over ``Fraction``
-(``ParamScalar``), and all linear
-systems go through one sparse, fraction-free elimination over the integers
-(Bareiss-style updates on primitive integer rows).  Its pivot columns are
+(``ParamScalar``).  A parametric value is a map {parameter monomial:
+parameter-free value}, a scalar's or an operator's (``operators.ParamOp``),
+with one arithmetic (``add_terms``, ``product_terms``) and one sign rule
+(``koszul_product``).  All linear systems go through one sparse,
+fraction-free elimination over the integers (Bareiss-style updates on
+primitive integer rows).  Its pivot columns are
 the earliest independent columns, which keeps solutions canonical and
 decides whether a column lies in the span of the columns before it.
 Records are plain classes made by ``record``, not dataclasses: ``import
@@ -208,14 +211,15 @@ def add_terms(left: Mapping, right: Mapping) -> dict:
     return terms
 
 
-def product_terms(left: Mapping, right: Mapping, product, parity=None) -> dict:
+def product_terms(left: Mapping, right: Mapping, product, graded: bool = False) -> dict:
     """The terms of (sum_p p a_p)(sum_q q b_q) = sum s (pq) product(a_p, b_q),
-    s from ``koszul_product`` with |a_p| = parity(a_p) (0 without `parity`,
-    and not asked when every q is even); zeros stay, as in ``add_terms``."""
-    odd = parity is not None and any(len(q[1]) & 1 for q in right)
+    s from ``koszul_product`` with |a_p| = a_p.parity() for `graded` values
+    (not asked when every q is even) and 0 otherwise; zeros stay, as in
+    ``add_terms``."""
+    odd = graded and any(len(q[1]) & 1 for q in right)
     terms: dict = {}
     for p, a in left.items():
-        a_parity = parity(a) if odd else 0
+        a_parity = a.parity() if odd else 0
         for q, b in right.items():
             hit = koszul_product(p, a_parity, q)
             if hit is not None:

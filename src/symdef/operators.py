@@ -136,7 +136,8 @@ class _NormalFormOp:
         if type(s) is int and s == 1:
             return self
         if isinstance(s, ParamScalar):
-            return ParamOp(self.scale(0), product_terms(s.terms, param_terms(self), _scaled))
+            return ParamOp(self.scale(0), product_terms(s.terms, param_terms(self),
+                                                        lambda c, op: op.scale(c)))
         return type(self)(self.lam, self.mu, [c.scale(s) for c in self.coeffs])
 
     def to_json(self) -> dict:
@@ -234,10 +235,6 @@ def op_class(flavor: str) -> type:
 AnyOp = DiffOp | SuperDiffOp
 
 
-def _scaled(c, op: AnyOp) -> AnyOp:
-    return op.scale(c)
-
-
 class ParamOp:
     """``sum_q q A_q``: formal parameter monomials q to the left of nonzero
     parameter-free operators A_q of one flavor and block (``terms``
@@ -283,7 +280,7 @@ class ParamOp:
 
     def scale(self, s) -> "ParamOp | AnyOp":
         if isinstance(s, ParamScalar):
-            return ParamOp(self.zero, product_terms(s.terms, self.terms, _scaled))
+            return _NormalFormOp.scale(self, s)
         return ParamOp(self.zero, {q: op.scale(s) for q, op in self.terms.items()})
 
     def parity(self) -> int:
@@ -377,14 +374,10 @@ def compose(a, b):
         za, zb = (op.zero if type(op) is ParamOp else op for op in (a, b))
         compose(za, zb)  # the flavor and weight checks
         return ParamOp(op_class(a.flavor).zero(b.lam, a.mu),
-                       product_terms(param_terms(a), param_terms(b), _compose, _parity))
+                       product_terms(param_terms(a), param_terms(b), _compose, graded=True))
     if not isinstance(a, _NormalFormOp) or type(a) is not type(b):
         raise UsageError("cannot compose operators of different flavors")
     return _compose(a, b)
-
-
-def _parity(op: AnyOp) -> int:
-    return op.parity()
 
 
 def apply(a: AnyOp, d: Density) -> Density:

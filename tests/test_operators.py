@@ -441,7 +441,7 @@ def _operator(draw, flavor, algebra, lam, mu):
 def _applied(op, f: dict) -> dict:
     """op applied to the formal function sum_q q f[q]: (p A)(q f) = s (pq) A(f)
     by the sign rule of ``kernel.product_terms``; zeros dropped."""
-    terms = product_terms(param_terms(op), f, lambda a, g: a.apply_to(g), lambda a: a.parity())
+    terms = product_terms(param_terms(op), f, lambda a, g: a.apply_to(g), graded=True)
     return {q: g for q, g in terms.items() if g}
 
 
@@ -528,3 +528,18 @@ class TestParametricRendering:
             '{"coeffs": [{"f0": ["beta - 2*gamma", "0", "2*beta - 4*gamma"], '
             '"f1": ["a + c*beta*gamma"]}, {"f0": ["0", "-1/2*a - 1/2*c*beta*gamma"], '
             '"f1": ["3*beta - 6*gamma"]}], "lambda": "1/2", "mu": "1", "parity": "odd"}')
+
+
+def test_a_coefficient_is_rational():
+    """A ParamScalar is refused as a coefficient of a function; scaling a
+    whole operator by one gives the map {monomial: parameter-free operator},
+    and a constant ParamScalar gives back a plain operator."""
+    for call in (lambda: Poly([RA]), lambda: Poly([1]).scale(RA),
+                 lambda: SuperPoly(Poly(), Poly([RBETA]))):
+        with pytest.raises(UsageError, match="not a rational coefficient"):
+            call()
+    op = DiffOp.partial(1, 0, 0).scale(2 * RA * RBETA + 3)
+    assert type(op) is operators.ParamOp
+    assert op.terms == {((("a", 1),), ("beta",)): DiffOp.partial(1, 0, 0, Poly([2])),
+                        ((), ()): DiffOp.partial(1, 0, 0, Poly([3]))}
+    assert DiffOp.partial(1, 0, 0).scale(ParamScalar.const(3)) == DiffOp.partial(1, 0, 0, Poly([3]))
