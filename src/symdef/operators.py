@@ -383,7 +383,7 @@ def compose(a, b):
 def apply(a: AnyOp, d: Density) -> Density:
     """Apply an operator to a density of its source weight."""
     if not isinstance(a, op_class(d.flavor)):
-        raise UsageError(f"{a.flavor} operator applied to a {d.flavor} density")
+        raise UsageError(f"{type(a).__name__} applied to a {d.flavor} density")
     if d.weight != a.lam:
         raise UsageError("density weight does not match the operator's source weight")
     return Density(a.mu, a.apply_to(d.value), d.flavor)
@@ -553,6 +553,8 @@ def monomial_action(x: VectorField | ContactField, lam,
 
 def principal_symbol(a: DiffOp) -> Density:
     """Top coefficient as a density of weight mu - lam - order."""
+    if type(a) is not DiffOp:
+        raise UsageError(f"a principal symbol needs a parameter-free DiffOp, not {type(a).__name__}")
     if not a.coeffs:
         raise UsageError("the zero operator has no principal symbol")
     k = a.order

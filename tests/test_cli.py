@@ -498,7 +498,6 @@ def test_non_cocycle_obstruction_basis_is_an_engine_fault(monkeypatch, capsys, t
     assert error == f"{cid} is not a cocycle under the fixed sign convention"
 
 
-
 SUPER_M1_ON_VARIETY = {"flavor": "super", "m": 1, "params": {"a0": "0", "a1": "0", "a-1": "4"}}
 
 

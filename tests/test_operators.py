@@ -543,3 +543,7 @@ def test_a_coefficient_is_rational():
     assert op.terms == {((("a", 1),), ("beta",)): DiffOp.partial(1, 0, 0, Poly([2])),
                         ((), ()): DiffOp.partial(1, 0, 0, Poly([3]))}
     assert DiffOp.partial(1, 0, 0).scale(ParamScalar.const(3)) == DiffOp.partial(1, 0, 0, Poly([3]))
+    with pytest.raises(UsageError, match="ParamOp applied to a classical density"):
+        apply(op, Density(0, Poly.x_power(1), CLASSICAL))
+    with pytest.raises(UsageError, match="parameter-free DiffOp, not ParamOp"):
+        principal_symbol(op)
