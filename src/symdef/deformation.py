@@ -21,7 +21,9 @@ checked once per process; a failed check is an ``InternalError``.  The
 certified first-order row is a type of its own that keeps its defects, so
 every action holding it alone, untruncated, on its window shares them; any
 other action (truncated, hand-built, a plain-tuple copy) is expanded in
-full.
+full.  ``build_infinitesimal`` is the one assembly: a numeric spec's row
+weights each placement by its parameter at ``DeformationSpec.point()``,
+the point every condition is evaluated at, and drops the zero ones.
 
 A spec has one reader, ``DeformationSpec.from_json``: ``resonant_spec``
 builds a payload and reads it there too, so a field is checked in the same
@@ -42,7 +44,7 @@ gauge with a parameter-free coefficient is refused rather than dropped.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -188,6 +190,14 @@ class DeformationSpec:
                 odd.extend([b, c])
         return ParamAlgebra(even=tuple(even), odd=tuple(odd))
 
+    def point(self) -> dict[str, Fraction]:
+        """The spec's parameter point, the one completion rule: the assignment,
+        with every even parameter it leaves out set to 0.  An odd parameter
+        pinned to "0" is 0; one left out stays formal."""
+        if self.assignment is None:
+            raise UsageError("condition checking needs a numeric parameter assignment")
+        return {name: Fraction(0) for name in self.algebra().even} | self.assignment
+
     def placements(self) -> list[tuple[tuple[int, int], str, CatalogId]]:
         """(block, parameter, catalog id) of every degree-1 family placed in
         the first-order action, in the order they are summed."""
@@ -317,8 +327,9 @@ def _undeformed_window(flavor: str, delta: Fraction, window: int) -> tuple[Grade
 
 
 class _CertifiedRow(tuple):
-    """A row as ``_assemble_first_order`` certified it on the flavor, delta and
-    window ``on``, keeping [Phi_i, Phi_j] by pair (``defects``) for its holders."""
+    """A row as ``build_infinitesimal`` certified it on the flavor, delta and
+    window ``on``, keeping [Phi_i, Phi_j] by pair (``defects``), each computed
+    from this row's own coefficients, for its holders."""
 
     def __new__(cls, terms, spec: DeformationSpec):
         row = super().__new__(cls, terms)
@@ -326,17 +337,17 @@ class _CertifiedRow(tuple):
         return row
 
 
-def _assemble_first_order(spec: DeformationSpec,
-                          coeff_of: Callable[[str], object]) -> DeformedAction:
-    """The first-order action: per basis element, the parameter-weighted sum
-    of catalog cocycles placed at their window blocks.
-
-    Every family placed is a certified cocycle and L0 a certified
-    homomorphism, so ``bracket_defect`` may take the defect as
-    [Phi_i, Phi_j]."""
+def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
+    """The first-order action: per basis element, the catalog cocycles placed
+    at their window blocks, each weighted by its parameter at ``spec.point()``
+    (formal for a formal spec) and left out where that weight is zero.  Every
+    family placed is a certified cocycle and L0 a certified homomorphism, so
+    ``bracket_defect`` may take the defect as [Phi_i, Phi_j]."""
     _undeformed_window(spec.flavor, spec.delta, spec.window)
-    placed = [(block, coeff, certified_cocycle(cid))
-              for block, name, cid in spec.placements() if (coeff := coeff_of(name))]
+    algebra = spec.algebra()
+    point = {} if spec.assignment is None else spec.point()
+    placed = [(block, coeff, certified_cocycle(cid)) for block, name, cid in spec.placements()
+              if (coeff := point.get(name, ParamScalar.symbol(algebra, name)))]
     terms = []
     for index in range(algebra_for_flavor(spec.flavor).dim):
         blocks: dict = {}
@@ -345,22 +356,6 @@ def _assemble_first_order(spec: DeformationSpec,
             blocks[block] = blocks[block] + term if block in blocks else term
         terms.append(GradedOp(spec.flavor, spec.delta, spec.window, blocks))
     return DeformedAction(spec, {1: _CertifiedRow(terms, spec)})
-
-
-def build_infinitesimal(spec: DeformationSpec) -> DeformedAction:
-    """The first-order deformation of the window action.
-
-    Formal when the spec carries no assignment; otherwise even parameters
-    are replaced by their exact rational values (odd parameters always
-    stay formal)."""
-    algebra = spec.algebra()
-
-    def coeff_of(name: str):
-        if spec.assignment is None or name in algebra.odd:
-            return ParamScalar.symbol(algebra, name)
-        return spec.assignment.get(name, Fraction(0))
-
-    return _assemble_first_order(spec, coeff_of)
 
 
 def bracket_defect(action: DeformedAction, i: int, j: int) -> GradedOp:
@@ -473,7 +468,7 @@ class ObstructionReport:
             "diagonal_clean": self.diagonal_clean,
             "unexpected_blocks": [list(b) for b in self.unexpected_blocks],
             "blocks": [b.to_json() for b in self.blocks],
-            "condition_generators": [str(b.class_coeff) for b in self.blocks],
+            "condition_generators": [str(g) for g in self.condition_generators],
             "verdict": self.verdict,
         }
 
@@ -584,14 +579,11 @@ class ConditionVerdict:
 
 
 def _evaluate(spec: DeformationSpec, generators) -> list[ConditionVerdict]:
-    """Each (k, generator) pair evaluated at the spec's parameter point.
-
-    Even parameters not mentioned in the assignment count as zero, matching
-    build_infinitesimal; odd parameters stay formal, so a condition holds
-    iff every remaining coefficient polynomial vanished."""
-    if spec.assignment is None:
-        raise UsageError("condition checking needs a numeric parameter assignment")
-    point = {name: Fraction(0) for name in spec.algebra().even} | spec.assignment
+    """Each (k, generator) pair evaluated at ``spec.point()``, the point
+    ``build_infinitesimal`` weights its placements at: an odd parameter left
+    out stays formal, so a condition holds iff every remaining coefficient
+    polynomial vanished."""
+    point = spec.point()
     out = []
     for k, gen in generators:
         value = gen.substitute(point)
@@ -654,13 +646,6 @@ class Example1Report:
         }
 
 
-def _one_parameter_action(spec: DeformationSpec, mult: dict[str, Fraction]) -> DeformedAction:
-    """The first-order action with each parameter set to mult[name] * t
-    (zero when the map leaves it out)."""
-    t = ParamScalar.symbol(ParamAlgebra(even=("t",), odd=()), "t")
-    return _assemble_first_order(spec, lambda name: t * mult.get(name, 0))
-
-
 def example1_family(m: int, alphas: Sequence[int | str | Fraction],
                     window: int | None = None) -> Example1Report:
     """Audit the printed one-parameter family and solve the engine's own.
@@ -688,8 +673,6 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
     point = {spec.diagonal_param(c): alpha[c] for c in range(spec.window + 1)}
     point.update((spec.off_diagonal_params(k)[0], Fraction(1)) for k in spec.resonant_range())
     c_name = {k: spec.off_diagonal_params(k)[1] for k in spec.resonant_range()}
-    printed_action = _one_parameter_action(
-        spec, point | {c_name[k]: v for k, v in printed_c.items()})
 
     # engine-solved family: substitute the point into the derived generators
     # and solve each (linear in its own c_k) exactly
@@ -702,16 +685,22 @@ def example1_family(m: int, alphas: Sequence[int | str | Fraction],
         a_part = at_zero.constant_value()
         b_part = (gen - at_zero).substitute({c_name[entry.k]: 1}).constant_value()
         solved_c[entry.k] = (-a_part / b_part) if b_part else None
-    solved_action = _one_parameter_action(
-        spec, point | {c_name[k]: v for k, v in solved_c.items() if v is not None})
+
+    # a certified row's defect is quadratic in its coefficients, so the
+    # family t * p is flat exactly when the row at the point p is
+    def flat(c_values: dict[int, Fraction | None]) -> bool:
+        values = point | {c_name[k]: v for k, v in c_values.items() if v is not None}
+        spec_p = DeformationSpec(CLASSICAL, spec.delta, spec.window, values)
+        return verify_homomorphism(build_infinitesimal(spec_p)).passed
+
     return Example1Report(
         m=m,
         alphas=list(alphas),
-        printed_flat=verify_homomorphism(printed_action).passed,
+        printed_flat=flat(printed_c),
         printed_c=printed_c,
         solved_c=solved_c,
         coincide=all(solved_c.get(k) == printed_c[k] for k in printed_c),
-        solved_flat=verify_homomorphism(solved_action).passed,
+        solved_flat=flat(solved_c),
     )
 
 

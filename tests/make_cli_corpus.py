@@ -59,6 +59,9 @@ SPEC_COMMANDS = [
     ("super-no-band", {"flavor": "super", "m": 0, "params": {"a0": "1"}}),
     ("classical-delta-non-resonant", {"flavor": "classical", "delta": "5/3", "window": 3,
                                       "params": {"a0": "1"}}),
+    # odd parameters pinned to "0" are zero in the action as in the conditions
+    ("super-m1-odd-pinned-to-zero", {"flavor": "super", "m": 1, "params": {
+        "a0": "1", "a1": "2", "a-1": "3", "b1": "0", "c1": "0"}}),
 ]
 
 # spec fields refused with exit 64 by both spec commands

@@ -514,10 +514,10 @@ def test_non_closed_certified_defect_is_an_engine_fault(monkeypatch, capsys, tmp
     that is not closed is the engine's fault, named by its block, never a
     usage error: here the kept defect of the first pair gains a stray
     monomial, of the defect's parity, at the first resonant block."""
-    assemble = deformation._assemble_first_order
+    build = deformation.build_infinitesimal
 
-    def stray_defect(spec_, coeff_of):
-        action = assemble(spec_, coeff_of)
+    def stray_defect(spec_):
+        action = build(spec_)
         block = spec_.off_diagonal_block(spec_.resonant_range()[0])
         ctx, pair = action.ctx, action.ctx.canonical_pairs()[0]
         cochain = Cochain2(ctx.name, {p: deformation.bracket_defect(action, *p).block(*block)
@@ -529,7 +529,7 @@ def test_non_closed_certified_defect_is_an_engine_fault(monkeypatch, capsys, tmp
         action.terms[1].defects[pair] = defect + defect._like({block: stray})
         return action
 
-    monkeypatch.setattr(deformation, "_assemble_first_order", stray_defect)
+    monkeypatch.setattr(deformation, "build_infinitesimal", stray_defect)
     if spec is not None:
         argv = argv + [write_spec(tmp_path, spec)]
     error = engine_fault(capsys, argv)

@@ -12,6 +12,7 @@ import json
 import random
 import re
 from contextlib import contextmanager
+from functools import lru_cache
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -643,21 +644,29 @@ def broken_family(name):
 
 
 VALUES = st.one_of(st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+BANDS = [(CLASSICAL, m) for m in (2, 3, 4, 5)] + [(SUPER, m) for m in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("flavor,m", [(CLASSICAL, m) for m in (2, 3, 4, 5)]
-                         + [(SUPER, m) for m in (1, 2, 3)])
+def draw_point(data, spec, values):
+    """A numeric spec on the same band: every even parameter drawn from
+    `values`, each odd one pinned to 0 or left out (formal)."""
+    algebra = spec.algebra()
+    point = data.draw(st.fixed_dictionaries(
+        {name: values for name in algebra.even},
+        optional={name: st.just(Q(0)) for name in algebra.odd}), label="point")
+    return DeformationSpec.resonant_spec(spec.flavor, spec.m, params=point)
+
+
+@pytest.mark.parametrize("flavor,m", BANDS)
 @settings(max_examples=7)
 @given(data=st.data())
 def test_fast_defect_is_the_typed_bracket(flavor, m, data):
     """The defect of an assembled action is [Phi_i, Phi_j], formal or at a
-    rational point (odd parameters stay formal), and a family that is not a
-    cocycle never reaches it: assembly raises InternalError instead."""
+    rational point (odd parameters pinned to 0 or formal), and a family that
+    is not a cocycle never reaches it: assembly raises InternalError instead."""
     spec = DeformationSpec.resonant_spec(flavor, m)
     if data.draw(st.booleans(), label="numeric"):
-        point = data.draw(st.fixed_dictionaries({name: VALUES for name in spec.algebra().even}),
-                          label="point")
-        spec = DeformationSpec.resonant_spec(flavor, m, params=point)
+        spec = draw_point(data, spec, VALUES)
     broken = data.draw(st.sampled_from((None,) + BUILDERS[flavor]), label="broken")
     with broken_family(broken):
         try:
@@ -667,6 +676,45 @@ def test_fast_defect_is_the_typed_bracket(flavor, m, data):
             return
         for (i, j) in action.ctx.canonical_pairs():
             assert bracket_defect(action, i, j) == typed_defect(action, i, j), (i, j)
+
+
+@lru_cache(maxsize=None)
+def formal_report(flavor, m):
+    return obstruction_classes(build_infinitesimal(DeformationSpec.resonant_spec(flavor, m)))
+
+
+@pytest.mark.parametrize("flavor,m", BANDS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_flatness_is_the_derived_conditions_at_every_point(flavor, m, data):
+    """The row at a point is flat exactly when every derived condition holds
+    there: the row and the conditions read the same ``DeformationSpec.point()``,
+    so an odd parameter pinned to 0 is zero in both.  Small values, three in
+    seven of them zero, put many points on the variety."""
+    values = st.sampled_from((Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2)))
+    spec = draw_point(data, DeformationSpec.resonant_spec(flavor, m), values)
+    conditions = derived_condition_verdicts(formal_report(flavor, m), spec)
+    assert verify_homomorphism(build_infinitesimal(spec)).passed == all(
+        verdict.satisfied for verdict in conditions)
+
+
+@pytest.mark.parametrize("flavor,m,params", [
+    (CLASSICAL, 3, {"a0": "1", "a2": "1", "b2": "1", "c2": "0"}),
+    (SUPER, 2, {"a1": "1", "a0": "2"}),
+    (SUPER, 2, {"a1": "1", "a0": "2", "b1": "0"}),
+])
+def test_defect_is_quadratic_in_the_row(flavor, m, params):
+    """The family t * p has t^2 times the defect of the row at p, so it is
+    flat exactly when that row is (``example1_family`` relies on this).  The
+    plain-tuple row t * p is expanded in full, L0 terms and all."""
+    t = ParamScalar.symbol(ParamAlgebra(even=("t",), odd=()), "t")
+    spec = DeformationSpec.resonant_spec(flavor, m, params=params)
+    action = build_infinitesimal(spec)
+    family = DeformedAction(spec, {1: tuple(g.scale(t) for g in action.terms[1])})
+    defects = {pair: bracket_defect(action, *pair) for pair in action.ctx.canonical_pairs()}
+    assert any(defects.values())
+    for pair, defect in defects.items():
+        assert bracket_defect(family, *pair) == defect.scale(t * t), pair
 
 
 def test_witness_with_content_renders():
